@@ -12,7 +12,6 @@ from __future__ import annotations
 import argparse
 import csv
 import json
-import os
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -25,8 +24,9 @@ from .dataset import CsvSchema, GridSpec, ParseError, load_csv, write_csv
 from .glm import ModelSpec, fit, naive_ci
 from .kernels import kernel_from_json
 from .masking import build_operator, compose_two_step, operator_to_csv
-from .risk import IntruderScenario, risk_report
+from .risk import IntruderScenario, risk_report, validate_scenario
 from .sim import (
+    _worker_count,
     config_from_json,
     profile_csv_text,
     risk_utility_profile,
@@ -199,7 +199,9 @@ def _cmd_fit(args) -> int:
     return 0
 
 
-def _scenario_from_json(obj: dict, seed_override: int | None) -> IntruderScenario:
+def _scenario_from_json(obj, seed_override: int | None) -> IntruderScenario:
+    if not isinstance(obj, dict):
+        raise UsageError(f"bad scenario config: expected a JSON object, got {type(obj).__name__}")
     try:
         scenario = IntruderScenario(
             ap_columns=tuple(obj["ap_columns"]),
@@ -209,7 +211,7 @@ def _scenario_from_json(obj: dict, seed_override: int | None) -> IntruderScenari
             standardize=bool(obj.get("standardize", True)),
             target_ids=tuple(obj["target_ids"]) if obj.get("target_ids") else None,
         )
-    except (KeyError, ValueError) as err:
+    except (KeyError, TypeError, ValueError) as err:
         raise UsageError(f"bad scenario config: {err}") from None
     if seed_override is not None:
         scenario = replace(scenario, seed=seed_override)
@@ -223,6 +225,10 @@ def _cmd_risk(args) -> int:
                        x_cols=x_cols, y_col=args.y_col)
     masked = _load_dataset(args.masked, schema)
     truth = _load_dataset(args.truth, schema)
+    try:
+        validate_scenario(masked, scenario)
+    except ValueError as err:
+        raise UsageError(str(err)) from None
     try:
         report = risk_report(masked, truth, scenario)
     except ValueError as err:
@@ -516,15 +522,11 @@ def main(argv=None) -> int:
         if argv is None:
             raise SystemExit(code)
         return int(code or 0)
-    threads = os.environ.get("SMOOTHMASK_THREADS")
-    if threads is not None:
-        try:
-            if int(threads) < 1:
-                raise ValueError
-        except ValueError:
-            print(f"smoothmask: SMOOTHMASK_THREADS must be a positive integer, "
-                  f"got {threads!r}", file=sys.stderr)
-            return 1
+    try:
+        _worker_count()
+    except ValueError as err:
+        print(f"smoothmask: {err}", file=sys.stderr)
+        return 1
     try:
         return args.handler(args)
     except UsageError as err:

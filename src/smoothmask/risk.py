@@ -14,11 +14,16 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.spatial import ConvexHull, QhullError
 
 from .dataset import SpatialDataset
 from .masking import MaskedDataset
 
 _TIE_RTOL = 1e-9
+# Qhull's facet count grows steeply with dimension. For 1000 Gaussian points on
+# a 2-CPU x86 machine the hull took 0.2 s in 6 dimensions, 2 s in 7 and 20 s in
+# 8, while scoring 100 draws per record against every row took about 5 s.
+_HULL_MAX_DIM = 6
 
 UPPER_BOUND_NOTE = (
     "cross-record component fixed at 1; reported probabilities and the "
@@ -84,7 +89,13 @@ def _column_block(ds: SpatialDataset, names: tuple[str, ...]) -> np.ndarray:
     return np.column_stack([ds.column(name) for name in names])
 
 
-def _validate_columns(ds: SpatialDataset, scenario: IntruderScenario) -> None:
+def validate_scenario(masked, scenario: IntruderScenario) -> None:
+    """Raise ValueError unless the scenario fits the release.
+
+    Its columns must cover exactly the released columns, and every target id
+    must name a released record.
+    """
+    ds = _as_dataset(masked)
     released = set(ds.x_names) | {"y"}
     declared = set(scenario.ap_columns) | set(scenario.u_columns)
     if declared != released:
@@ -92,6 +103,11 @@ def _validate_columns(ds: SpatialDataset, scenario: IntruderScenario) -> None:
             f"scenario columns {sorted(declared)} must cover exactly the released "
             f"columns {sorted(released)}"
         )
+    if scenario.target_ids is not None:
+        ids = set(ds.ids)
+        unknown = [t for t in scenario.target_ids if t not in ids]
+        if unknown:
+            raise ValueError(f"target ids not present in the released data: {unknown[:3]}")
 
 
 def ap_components(masked_ap: np.ndarray, t_ap: np.ndarray) -> tuple[np.ndarray, bool]:
@@ -109,6 +125,29 @@ def ap_components(masked_ap: np.ndarray, t_ap: np.ndarray) -> tuple[np.ndarray, 
     return 1.0 - d / dmax, False
 
 
+def _farthest_candidates(masked_u: np.ndarray) -> np.ndarray:
+    """Released points among which the farthest one from any query must lie.
+
+    The farthest point of a finite set from any query is an extreme point of
+    the set, so only the convex hull's vertices are needed; in one dimension
+    these are the min and the max. Qhull's coplanar points ("Qc") are kept
+    too: they lie within roundoff of a facet and may tie the farthest vertex
+    to the last ulp. Sets Qhull cannot triangulate (too few points, collinear
+    or flat sets, a constant column) and dimensions above _HULL_MAX_DIM fall
+    back to every distinct row.
+    """
+    pts = np.unique(masked_u, axis=0)
+    if pts.shape[1] == 1:
+        return pts[[0, -1]]
+    if pts.shape[1] > _HULL_MAX_DIM:
+        return pts
+    try:
+        hull = ConvexHull(pts, qhull_options="Qc")
+    except QhullError:
+        return pts
+    return pts[np.union1d(hull.vertices, hull.coplanar[:, 0])]
+
+
 def u_components(masked_u: np.ndarray, preds: np.ndarray, resid_sd: np.ndarray,
                  mc_draws: int, rng: np.random.Generator) -> np.ndarray:
     """Monte Carlo integral of the sought-column match probability per record.
@@ -118,6 +157,14 @@ def u_components(masked_u: np.ndarray, preds: np.ndarray, resid_sd: np.ndarray,
     1 - ||masked_u_j - draw|| / max_k ||masked_u_k - draw||, and draws are
     averaged. Zero residual variance collapses to a point mass at the
     prediction.
+
+    The maximum over k runs over the extreme points of masked_u only
+    (_farthest_candidates): the farthest released point from any draw is a
+    vertex of their convex hull, found by Qhull with coplanar points kept so
+    that ties resolve exactly as over all records. When Qhull fails on a
+    degenerate set every distinct row is a candidate instead. The result
+    equals the all-records maximum exactly, at O(n * mc_draws * h) cost for
+    h candidates instead of O(n^2 * mc_draws).
     """
     n, u_dim = masked_u.shape
     if u_dim == 0:
@@ -125,18 +172,10 @@ def u_components(masked_u: np.ndarray, preds: np.ndarray, resid_sd: np.ndarray,
     if np.all(resid_sd == 0.0):
         mc_draws = 1  # all draws identical
     draws = preds[:, None, :] + rng.standard_normal((n, mc_draws, u_dim)) * resid_sd
-    if u_dim == 1:
-        z = draws[:, :, 0]
-        lo, hi = masked_u[:, 0].min(), masked_u[:, 0].max()
-        # farthest released value from any point is one of the two extremes
-        dmax = np.maximum(np.abs(z - lo), np.abs(z - hi))
-        num = np.abs(z - masked_u[:, 0][:, None])
-    else:
-        num = np.sqrt(((draws - masked_u[:, None, :]) ** 2).sum(axis=2))
-        dmax = np.empty((n, mc_draws))
-        for j in range(n):
-            diff = draws[j][:, None, :] - masked_u[None, :, :]
-            dmax[j] = np.sqrt((diff ** 2).sum(axis=2)).max(axis=1)
+    num = np.sqrt(((draws - masked_u[:, None, :]) ** 2).sum(axis=2))
+    dmax = np.zeros((n, mc_draws))
+    for c in _farthest_candidates(masked_u):
+        np.maximum(dmax, np.sqrt(((draws - c) ** 2).sum(axis=2)), out=dmax)
     with np.errstate(invalid="ignore", divide="ignore"):
         ratio = np.where(dmax > 0.0, num / np.where(dmax > 0.0, dmax, 1.0), 0.0)
     return np.clip(1.0 - ratio, 0.0, 1.0).mean(axis=1)
@@ -170,7 +209,7 @@ class _Context:
 
 def _build_context(masked, truth: SpatialDataset, scenario: IntruderScenario) -> _Context:
     ds = _as_dataset(masked)
-    _validate_columns(ds, scenario)
+    validate_scenario(ds, scenario)
     truth_pos = {rid: i for i, rid in enumerate(truth.ids)}
     missing = [rid for rid in ds.ids if rid not in truth_pos]
     if missing:
@@ -206,9 +245,6 @@ def _build_context(masked, truth: SpatialDataset, scenario: IntruderScenario) ->
         target_indices = tuple(range(ds.n_records))
     else:
         pos = {rid: i for i, rid in enumerate(ds.ids)}
-        unknown = [t for t in scenario.target_ids if t not in pos]
-        if unknown:
-            raise ValueError(f"target ids not present in the released data: {unknown[:3]}")
         target_indices = tuple(pos[t] for t in scenario.target_ids)
     return _Context(ds=ds, truth_rows=truth_ap, masked_ap=masked_ap,
                     u_comp=u_comp, target_indices=target_indices)

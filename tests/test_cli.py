@@ -165,6 +165,36 @@ class TestRisk:
         assert rc == 0
         assert json.loads(out.read_text())["expected_correct_rate"] == 1.0
 
+    def _risk(self, toy, tmp_path, scenario):
+        path = tmp_path / "scen.json"
+        path.write_text(json.dumps(scenario))
+        out = tmp_path / "risk.json"
+        rc = main(["risk", "--masked", str(toy["data"]), "--truth", str(toy["data"]),
+                   "--scenario", str(path), "--out", str(out)])
+        assert not out.exists()
+        return rc
+
+    @pytest.mark.parametrize("scenario", [
+        {"ap_columns": ["x1"], "u_columns": ["y"], "mc_draws": None},
+        {"ap_columns": 5},
+        [1, 2],
+    ], ids=["mc_draws_null", "ap_columns_int", "not_an_object"])
+    def test_malformed_scenario_exit_1(self, toy, tmp_path, capsys, scenario):
+        assert self._risk(toy, tmp_path, scenario) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("smoothmask: bad scenario config: ")
+        assert err.count("\n") == 1
+
+    def test_scenario_without_y_exit_1(self, toy, tmp_path, capsys):
+        rc = self._risk(toy, tmp_path, {"ap_columns": ["x1"], "u_columns": []})
+        assert rc == 1
+        assert "must cover exactly the released columns" in capsys.readouterr().err
+
+    def test_unreleased_target_id_exit_1(self, toy, tmp_path, capsys):
+        rc = self._risk(toy, tmp_path, {"ap_columns": ["x1", "y"], "target_ids": ["p1", "zz"]})
+        assert rc == 1
+        assert "target ids not present in the released data: ['zz']" in capsys.readouterr().err
+
 
 class TestBias:
     def test_bias_report(self, toy, tmp_path):

@@ -6,6 +6,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from smoothmask.dataset import SpatialDataset
 from smoothmask.risk import (
@@ -15,6 +18,7 @@ from smoothmask.risk import (
     match_probabilities,
     risk_report,
     u_components,
+    validate_scenario,
 )
 
 
@@ -29,6 +33,46 @@ def make_dataset(x, y, ids=None):
         y=np.asarray(y, dtype=float),
         x_names=("x",),
     )
+
+
+def brute_force_u_components(masked_u, preds, resid_sd, mc_draws, rng):
+    """Oracle: the farthest released point from each draw, found over all records."""
+    n, u_dim = masked_u.shape
+    if np.all(resid_sd == 0.0):
+        mc_draws = 1
+    draws = preds[:, None, :] + rng.standard_normal((n, mc_draws, u_dim)) * resid_sd
+    num = np.sqrt(((draws - masked_u[:, None, :]) ** 2).sum(axis=2))
+    dmax = np.empty((n, mc_draws))
+    for j in range(n):
+        diff = draws[j][:, None, :] - masked_u[None, :, :]
+        dmax[j] = np.sqrt((diff ** 2).sum(axis=2)).max(axis=1)
+    with np.errstate(invalid="ignore", divide="ignore"):
+        ratio = np.where(dmax > 0.0, num / np.where(dmax > 0.0, dmax, 1.0), 0.0)
+    return np.clip(1.0 - ratio, 0.0, 1.0).mean(axis=1)
+
+
+def _oracle_inputs():
+    rng = np.random.default_rng(11)
+    x2 = rng.standard_normal(300)
+    y = rng.poisson(np.exp(0.5 + 0.3 * x2)).astype(float)
+    release = np.column_stack([x2, y]) / np.array([x2.std(), y.std()])
+    dup = rng.normal(0, 1, (10, 2))
+    line = np.outer(rng.uniform(-2, 2, 40), [1.0, -3.0, 0.5]) + [1.0, 2.0, 3.0]
+    const = rng.normal(0, 1, (30, 3))
+    const[:, 1] = 4.0
+    return {
+        "release_2d": release,
+        "duplicate_rows": np.repeat(dup, 4, axis=0),
+        "integer_grid": np.array([(i, j) for i in range(-3, 4) for j in range(-2, 3)], float),
+        "collinear": line,
+        "constant_column": const,
+        "n2": np.array([[0.0, 1.0], [2.0, -1.0]]),
+        "all_equal": np.full((7, 2), 3.25),
+        "u_dim1": rng.normal(0, 1, (50, 1)),
+        "u_dim3": rng.normal(0, 1, (80, 3)),
+        "u_dim4": rng.integers(-2, 3, (80, 4)).astype(float),
+        "above_hull_dims": rng.normal(0, 1, (30, 7)),
+    }
 
 
 class TestApComponents:
@@ -88,6 +132,35 @@ class TestUComponents:
         comp = u_components(masked_u, preds, np.array([0.2, 0.3]), mc_draws=200,
                             rng=np.random.default_rng(1))
         assert ((comp >= 0) & (comp <= 1)).all()
+
+
+    @pytest.mark.parametrize("name", sorted(_oracle_inputs()))
+    @pytest.mark.parametrize("noisy", [False, True])
+    def test_equals_all_records_oracle(self, name, noisy):
+        masked_u = _oracle_inputs()[name]
+        rng = np.random.default_rng(5)
+        preds = masked_u + rng.normal(0, 0.3, masked_u.shape)
+        sd = rng.uniform(0.1, 1.0, masked_u.shape[1]) if noisy else np.zeros(masked_u.shape[1])
+        got = u_components(masked_u, preds, sd, 40, np.random.default_rng(9))
+        want = brute_force_u_components(masked_u, preds, sd, 40, np.random.default_rng(9))
+        assert np.array_equal(got, want)
+
+    @settings(max_examples=50, deadline=None)
+    @given(data=st.data(), integer=st.booleans(), noisy=st.booleans(),
+           seed=st.integers(0, 2**32 - 1))
+    def test_property_equals_all_records_oracle(self, data, integer, noisy, seed):
+        shape = data.draw(st.tuples(st.integers(1, 25), st.integers(1, 4)), label="shape")
+        if integer:
+            elements = st.integers(-3, 3).map(float)
+        else:
+            elements = st.floats(-1e3, 1e3, allow_nan=False)
+        masked_u = data.draw(hnp.arrays(float, shape, elements=elements), label="masked_u")
+        preds = data.draw(hnp.arrays(float, shape, elements=elements), label="preds")
+        sd = (data.draw(hnp.arrays(float, shape[1], elements=st.floats(0.0, 5.0)), label="sd")
+              if noisy else np.zeros(shape[1]))
+        got = u_components(masked_u, preds, sd, 10, np.random.default_rng(seed))
+        want = brute_force_u_components(masked_u, preds, sd, 10, np.random.default_rng(seed))
+        assert np.array_equal(got, want)
 
 
 class TestMatchProbabilities:
@@ -152,6 +225,13 @@ class TestMatchProbabilities:
         data = make_dataset(x=[1.0, 2.0], y=[1.0, 2.0])
         with pytest.raises(ValueError, match="cover"):
             match_probabilities(data, data, "r0", IntruderScenario(ap_columns=("x",)))
+
+    def test_validate_scenario_rejects_unreleased_target(self):
+        data = make_dataset(x=[1.0, 2.0], y=[1.0, 2.0])
+        validate_scenario(data, IntruderScenario(ap_columns=("x", "y"), target_ids=("r1",)))
+        with pytest.raises(ValueError, match="not present"):
+            validate_scenario(data, IntruderScenario(ap_columns=("x", "y"),
+                                                     target_ids=("r1", "r9")))
 
     def test_disjoint_columns_required(self):
         with pytest.raises(ValueError, match="disjoint"):
