@@ -60,6 +60,19 @@ def _load_json(path: str, what: str) -> dict:
         raise UsageError(f"{what} file {path} is not valid JSON: {err}") from None
 
 
+def _parse_config(what: str, parse, obj):
+    """Apply a JSON config parser; a malformed config becomes a one-line usage error."""
+    if not isinstance(obj, dict):
+        raise UsageError(f"bad {what} config: expected a JSON object, got {type(obj).__name__}")
+    try:
+        return parse(obj)
+    except KeyError as err:
+        raise UsageError(f"bad {what} config: missing field {err}") from None
+    except (AttributeError, TypeError, ValueError) as err:
+        # AttributeError: a nested value that should be an object is not one
+        raise UsageError(f"bad {what} config: {err}") from None
+
+
 def _json_dumps(obj) -> str:
     return json.dumps(obj, indent=2, sort_keys=True) + "\n"
 
@@ -101,10 +114,7 @@ def _cmd_mask(args) -> int:
     schema = _schema_from_args(args)
     data = _load_dataset(args.input, schema)
     kernel_json = _load_json(args.kernel, "kernel")
-    try:
-        kernel = kernel_from_json(kernel_json)
-    except ValueError as err:
-        raise UsageError(str(err)) from None
+    kernel = _parse_config("kernel", kernel_from_json, kernel_json)
     if args.lam < 0:
         raise UsageError("--lambda must be >= 0")
     op = None
@@ -139,15 +149,12 @@ def _cmd_mask(args) -> int:
     return 0
 
 
-def _model_from_json(obj: dict) -> tuple[ModelSpec, str | None, str | None, str | None]:
-    try:
-        model = ModelSpec(
-            family=obj["family"],
-            regressors=tuple(obj.get("regressors", ())),
-            intercept=bool(obj.get("intercept", True)),
-        )
-    except (KeyError, ValueError) as err:
-        raise UsageError(f"bad model config: {err}") from None
+def _model_from_json(obj) -> tuple[ModelSpec, str | None, str | None, str | None]:
+    model = _parse_config("model", lambda o: ModelSpec(
+        family=o["family"],
+        regressors=tuple(o.get("regressors", ())),
+        intercept=bool(o.get("intercept", True)),
+    ), obj)
     return (model, obj.get("offset_col"), obj.get("log_offset_col"), obj.get("trials_col"))
 
 
@@ -200,19 +207,14 @@ def _cmd_fit(args) -> int:
 
 
 def _scenario_from_json(obj, seed_override: int | None) -> IntruderScenario:
-    if not isinstance(obj, dict):
-        raise UsageError(f"bad scenario config: expected a JSON object, got {type(obj).__name__}")
-    try:
-        scenario = IntruderScenario(
-            ap_columns=tuple(obj["ap_columns"]),
-            u_columns=tuple(obj.get("u_columns", ())),
-            mc_draws=int(obj.get("mc_draws", 100)),
-            seed=int(obj.get("seed", 0)),
-            standardize=bool(obj.get("standardize", True)),
-            target_ids=tuple(obj["target_ids"]) if obj.get("target_ids") else None,
-        )
-    except (KeyError, TypeError, ValueError) as err:
-        raise UsageError(f"bad scenario config: {err}") from None
+    scenario = _parse_config("scenario", lambda o: IntruderScenario(
+        ap_columns=tuple(o["ap_columns"]),
+        u_columns=tuple(o.get("u_columns", ())),
+        mc_draws=int(o.get("mc_draws", 100)),
+        seed=int(o.get("seed", 0)),
+        standardize=bool(o.get("standardize", True)),
+        target_ids=tuple(o["target_ids"]) if o.get("target_ids") else None,
+    ), obj)
     if seed_override is not None:
         scenario = replace(scenario, seed=seed_override)
     return scenario
@@ -254,7 +256,7 @@ def _cmd_risk(args) -> int:
 def _cmd_bias(args) -> int:
     schema = _schema_from_args(args)
     data = _load_dataset(args.input, schema)
-    kernel = kernel_from_json(_load_json(args.kernel, "kernel"))
+    kernel = _parse_config("kernel", kernel_from_json, _load_json(args.kernel, "kernel"))
     if args.beta_from:
         fit_json = _load_json(args.beta_from, "fit report")
         try:
@@ -283,15 +285,15 @@ def _cmd_bias(args) -> int:
 
 
 def _cmd_simulate(args) -> int:
-    cfg = config_from_json(_load_json(args.config, "study config"))
+    cfg = _parse_config("study", config_from_json, _load_json(args.config, "study config"))
     if args.seed is not None:
         cfg = replace(cfg, seed=args.seed)
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
     try:
         result = run_study(cfg)
     except (ValueError, np.linalg.LinAlgError, RuntimeError) as err:
         raise ComputationError(str(err)) from None
+    out_dir = Path(args.out)
+    out_dir.mkdir(parents=True, exist_ok=True)
     texts = {
         "study.csv": study_csv_text(result),
         "profile.csv": profile_csv_text(risk_utility_profile(result)),

@@ -96,41 +96,57 @@ class KernelFamily(ABC):
 
     @abstractmethod
     def weight_matrix(self, locs: np.ndarray, lam: float) -> np.ndarray:
-        """(n, n) matrix of W_lambda(locs[i], locs[j]); lam = 0 means the limit weights."""
+        """(n, n) matrix of W_lambda(locs[i], locs[j]); lam = 0 means the limit weights.
+
+        Returns a new array that the caller may modify in place.
+        """
 
     def pair_weight(self, u: Location, s: Location, lam: float) -> float:
         locs = np.array([u.as_array(), s.as_array()])
         return float(self.weight_matrix(locs, lam)[0, 1])
 
 
+# Element budget of one row block in ExponentialDecayKernel.weight_matrix:
+# 2**16 float64 values are 512 KiB, so a block's distance temporaries stay in
+# a 2 MiB L2 cache instead of streaming n x n temporaries through memory.
+_BLOCK_ELEMS = 2 ** 16
+
+
 class ExponentialDecayKernel(KernelFamily):
     """Families of the form exp(-d(u, s) / lambda); d may be +inf (hard block)."""
 
     @abstractmethod
-    def distance_matrix(self, locs: np.ndarray) -> np.ndarray:
-        """Pairwise internal distances; exact zeros on the diagonal, exactly symmetric."""
+    def distance_matrix(self, locs: np.ndarray, others: np.ndarray | None = None) -> np.ndarray:
+        """Internal distances from each row of ``locs`` to each row of ``others``.
 
-    @abstractmethod
-    def pair_distance(self, u: Location, s: Location) -> float:
-        ...
+        ``others`` defaults to ``locs``; that square form has exact zeros on the
+        diagonal and is exactly symmetric. Each entry depends only on its own
+        pair of points, so ``distance_matrix(locs[a:b], locs)`` equals
+        ``distance_matrix(locs)[a:b]`` exactly.
+        """
 
     def weight_matrix(self, locs: np.ndarray, lam: float) -> np.ndarray:
-        _check_lambda(lam)
-        d = self.distance_matrix(coords_array(locs))
-        if lam == 0.0:
-            # limit of exp(-d/lam): ties at distance exactly 0 get weight 1
-            return (d == 0.0).astype(float)
-        with np.errstate(over="ignore"):
-            return np.exp(-d / lam)
+        """exp(-d / lam) over all pairs, built in row blocks of about _BLOCK_ELEMS entries.
 
-    def pair_weight(self, u: Location, s: Location, lam: float) -> float:
+        Blocks keep each distance temporary in cache; the elementwise arithmetic
+        is that of the unblocked form, so every weight is bit-identical to it.
+        """
         _check_lambda(lam)
-        d = self.pair_distance(u, s)
-        if lam == 0.0:
-            return 1.0 if d == 0.0 else 0.0
-        if d == math.inf:
-            return 0.0
-        return math.exp(-d / lam)
+        locs = coords_array(locs)
+        n = len(locs)
+        w = np.empty((n, n))
+        rows = max(1, _BLOCK_ELEMS // max(n, 1))
+        with np.errstate(over="ignore"):
+            for s in range(0, n, rows):
+                d = self.distance_matrix(locs[s:s + rows], locs)
+                if lam == 0.0:
+                    # limit of exp(-d/lam): ties at distance exactly 0 get weight 1
+                    w[s:s + rows] = d == 0.0
+                else:
+                    np.negative(d, out=d)
+                    d /= lam
+                    np.exp(d, out=w[s:s + rows])
+        return w
 
 
 def _check_lambda(lam: float) -> None:
@@ -138,20 +154,24 @@ def _check_lambda(lam: float) -> None:
         raise ValueError(f"smoothness parameter must be a finite real >= 0, got {lam!r}")
 
 
-def _sq_euclidean(locs: np.ndarray) -> np.ndarray:
-    d = locs[:, None, :] - locs[None, :, :]
-    return d[..., 0] ** 2 + d[..., 1] ** 2
+def _coord_diffs(locs: np.ndarray, others: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    # one contiguous array per coordinate, not an (n, m, 2) array read with stride 2
+    return locs[:, None, 0] - others[None, :, 0], locs[:, None, 1] - others[None, :, 1]
+
+
+def _ring_distance(locs: np.ndarray, others: np.ndarray, source: PointSource) -> np.ndarray:
+    r = _radius_sq(locs, source)
+    r_o = _radius_sq(others, source)
+    return np.abs(r[:, None] - r_o[None, :])
 
 
 @dataclass(frozen=True)
 class EuclideanKernel(ExponentialDecayKernel):
     """exp(-||s - u||^2 / lambda): weight by plain Euclidean proximity."""
 
-    def distance_matrix(self, locs: np.ndarray) -> np.ndarray:
-        return _sq_euclidean(locs)
-
-    def pair_distance(self, u: Location, s: Location) -> float:
-        return (s.s1 - u.s1) ** 2 + (s.s2 - u.s2) ** 2
+    def distance_matrix(self, locs: np.ndarray, others: np.ndarray | None = None) -> np.ndarray:
+        d1, d2 = _coord_diffs(locs, locs if others is None else others)
+        return d1 ** 2 + d2 ** 2
 
 
 @dataclass(frozen=True)
@@ -160,12 +180,8 @@ class RingKernel(ExponentialDecayKernel):
 
     source: PointSource = PointSource()
 
-    def distance_matrix(self, locs: np.ndarray) -> np.ndarray:
-        r = _radius_sq(locs, self.source)
-        return np.abs(r[:, None] - r[None, :])
-
-    def pair_distance(self, u: Location, s: Location) -> float:
-        return abs(radial_distance(s, self.source) ** 2 - radial_distance(u, self.source) ** 2)
+    def distance_matrix(self, locs: np.ndarray, others: np.ndarray | None = None) -> np.ndarray:
+        return _ring_distance(locs, locs if others is None else others, self.source)
 
 
 @dataclass(frozen=True)
@@ -179,15 +195,12 @@ class RingAngleKernel(ExponentialDecayKernel):
         if not (math.isfinite(self.angle_scale) and self.angle_scale >= 0):
             raise ValueError("angle_scale must be finite and >= 0")
 
-    def distance_matrix(self, locs: np.ndarray) -> np.ndarray:
-        r = _radius_sq(locs, self.source)
+    def distance_matrix(self, locs: np.ndarray, others: np.ndarray | None = None) -> np.ndarray:
+        others = locs if others is None else others
         c = _direction_cosines(locs, self.source)
-        return np.abs(r[:, None] - r[None, :]) + self.angle_scale * np.abs(c[:, None] - c[None, :])
-
-    def pair_distance(self, u: Location, s: Location) -> float:
-        ring = abs(radial_distance(s, self.source) ** 2 - radial_distance(u, self.source) ** 2)
-        ang = abs(direction_cosine(s, self.source) - direction_cosine(u, self.source))
-        return ring + self.angle_scale * ang
+        c_o = _direction_cosines(others, self.source)
+        return (_ring_distance(locs, others, self.source)
+                + self.angle_scale * np.abs(c[:, None] - c_o[None, :]))
 
 
 @dataclass(frozen=True)
@@ -196,18 +209,13 @@ class RingBlockKernel(ExponentialDecayKernel):
 
     region: BlockRegion = BlockRegion()
 
-    def distance_matrix(self, locs: np.ndarray) -> np.ndarray:
-        r = _radius_sq(locs, self.region.source)
-        d = np.abs(r[:, None] - r[None, :])
+    def distance_matrix(self, locs: np.ndarray, others: np.ndarray | None = None) -> np.ndarray:
+        others = locs if others is None else others
+        d = _ring_distance(locs, others, self.region.source)
         ind = _unblocked_mask(locs, self.region)
-        d[ind[:, None] != ind[None, :]] = np.inf
+        ind_o = _unblocked_mask(others, self.region)
+        d[ind[:, None] != ind_o[None, :]] = np.inf
         return d
-
-    def pair_distance(self, u: Location, s: Location) -> float:
-        if unblocked_indicator(u, self.region) != unblocked_indicator(s, self.region):
-            return math.inf
-        src = self.region.source
-        return abs(radial_distance(s, src) ** 2 - radial_distance(u, src) ** 2)
 
 
 @dataclass(frozen=True)
@@ -230,17 +238,11 @@ class BivariateNormalKernel(ExponentialDecayKernel):
         det = self.var1 * self.var2 - b * b
         return self.var2 / det, -b / det, self.var1 / det
 
-    def distance_matrix(self, locs: np.ndarray) -> np.ndarray:
+    def distance_matrix(self, locs: np.ndarray, others: np.ndarray | None = None) -> np.ndarray:
         a, b, c = self._precision()
-        d1 = locs[:, None, 0] - locs[None, :, 0]
-        d2 = locs[:, None, 1] - locs[None, :, 1]
+        d1, d2 = _coord_diffs(locs, locs if others is None else others)
         q = a * d1 ** 2 + 2.0 * b * d1 * d2 + c * d2 ** 2
         return np.maximum(q / 2.0, 0.0)
-
-    def pair_distance(self, u: Location, s: Location) -> float:
-        a, b, c = self._precision()
-        d1, d2 = s.s1 - u.s1, s.s2 - u.s2
-        return max((a * d1 * d1 + 2.0 * b * d1 * d2 + c * d2 * d2) / 2.0, 0.0)
 
 
 def eval_weight(kernel: KernelFamily, u: Location, s: Location, lam: float) -> float:

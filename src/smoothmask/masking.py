@@ -90,8 +90,9 @@ def build_operator(locs, kernel: KernelFamily, lam: float,
     dead = ~(sums > 0)
     if dead.any():
         raise ValueError(f"row {int(np.argmax(dead))} has all-zero weights; cannot normalize")
+    w /= sums[:, None]
     return MaskingOperator(
-        a=w / sums[:, None],
+        a=w,
         kernel=kernel,
         lam=float(lam),
         fingerprint=location_fingerprint(locs),

@@ -20,6 +20,10 @@ from .kernels import (
     PointSource,
     _direction_cosines,
     _radius_sq,
+    _region_from_json,
+    _region_to_json,
+    _source_from_json,
+    _source_to_json,
     _unblocked_mask,
     kernel_from_json,
     kernel_to_json,
@@ -85,53 +89,34 @@ def exposure(field_def: ExposureField, s: Location) -> float:
 
 def field_to_json(field_def: ExposureField) -> dict:
     if isinstance(field_def, RadialExposure):
-        return {"type": "radial", "source": _src_json(field_def.source),
+        return {"type": "radial", "source": _source_to_json(field_def.source),
                 "amplitude": field_def.amplitude, "scale": field_def.scale}
     if isinstance(field_def, DirectionalExposure):
-        return {"type": "directional", "source": _src_json(field_def.source),
+        return {"type": "directional", "source": _source_to_json(field_def.source),
                 "amplitude": field_def.amplitude,
                 "radial_scale": field_def.radial_scale,
                 "direction_scale": field_def.direction_scale}
     if isinstance(field_def, BlockedExposure):
         return {"type": "blocked", "amplitude": field_def.amplitude, "scale": field_def.scale,
-                "region": {"threshold_x": field_def.region.threshold_x,
-                           "threshold_cos": field_def.region.threshold_cos,
-                           "source": _src_json(field_def.region.source)}}
+                "region": _region_to_json(field_def.region)}
     raise ValueError(f"field {type(field_def).__name__} has no JSON form")
-
-
-def _src_json(src: PointSource) -> dict:
-    return {"loc": [src.loc.s1, src.loc.s2], "direction": list(src.direction)}
-
-
-def _src_from_json(obj: dict | None) -> PointSource:
-    if obj is None:
-        return PointSource()
-    loc = obj.get("loc", [0.0, 0.0])
-    direction = obj.get("direction", [1.0, 0.0])
-    return PointSource(loc=Location(float(loc[0]), float(loc[1])),
-                       direction=(float(direction[0]), float(direction[1])))
 
 
 def field_from_json(obj: dict) -> ExposureField:
     kind = obj.get("type")
     if kind == "radial":
-        return RadialExposure(source=_src_from_json(obj.get("source")),
+        return RadialExposure(source=_source_from_json(obj.get("source")),
                               amplitude=float(obj.get("amplitude", 7.0)),
                               scale=float(obj.get("scale", 2.5)))
     if kind == "directional":
-        return DirectionalExposure(source=_src_from_json(obj.get("source")),
+        return DirectionalExposure(source=_source_from_json(obj.get("source")),
                                    amplitude=float(obj.get("amplitude", 7.0)),
                                    radial_scale=float(obj.get("radial_scale", 6.0)),
                                    direction_scale=float(obj.get("direction_scale", 3.0)))
     if kind == "blocked":
-        region = obj.get("region") or {}
-        return BlockedExposure(
-            region=BlockRegion(threshold_x=float(region.get("threshold_x", 0.4)),
-                               threshold_cos=float(region.get("threshold_cos", 0.625)),
-                               source=_src_from_json(region.get("source"))),
-            amplitude=float(obj.get("amplitude", 7.0)),
-            scale=float(obj.get("scale", 2.5)))
+        return BlockedExposure(region=_region_from_json(obj.get("region")),
+                               amplitude=float(obj.get("amplitude", 7.0)),
+                               scale=float(obj.get("scale", 2.5)))
     raise ValueError(f"unknown exposure field type {kind!r}")
 
 

@@ -141,6 +141,21 @@ class TestFit:
                    "--out", str(tmp_path / "f.json")])
         assert rc == 1
 
+    @pytest.mark.parametrize("model", [
+        {"family": "poisson-log", "regressors": 5},
+        [1],
+    ], ids=["regressors_int", "not_an_object"])
+    def test_malformed_model_config_exit_1(self, toy, tmp_path, capsys, model):
+        path = tmp_path / "bad_model.json"
+        path.write_text(json.dumps(model))
+        out = tmp_path / "f.json"
+        rc = main(["fit", "--in", str(toy["data"]), "--model", str(path), "--out", str(out)])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("smoothmask: bad model config: ")
+        assert err.count("\n") == 1
+        assert not out.exists()
+
 
 class TestRisk:
     def test_risk_report_fields(self, toy, tmp_path):
@@ -220,6 +235,44 @@ class TestBias:
         rc = main(["bias", "--in", str(toy["data"]), "--kernel", str(toy["kernel"]),
                    "--out", str(tmp_path / "b.json")])
         assert rc == 1
+
+    def test_unknown_kernel_family_exit_1(self, toy, tmp_path, capsys):
+        kernel = tmp_path / "nope.json"
+        kernel.write_text(json.dumps({"family": "nope"}))
+        out = tmp_path / "b.json"
+        rc = main(["bias", "--in", str(toy["data"]), "--kernel", str(kernel),
+                   "--beta=-25,4", "--out", str(out)])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err == "smoothmask: bad kernel config: unknown kernel family 'nope'\n"
+        assert not out.exists()
+
+
+class TestSimulateFailures:
+    def _simulate(self, toy, tmp_path, edit):
+        cfg = json.loads(toy["sim"].read_text())
+        edit(cfg)
+        path = tmp_path / "bad_sim.json"
+        path.write_text(json.dumps(cfg))
+        out = tmp_path / "outC"
+        rc = main(["simulate", "--config", str(path), "--out", str(out)])
+        assert not out.exists()
+        return rc
+
+    @pytest.mark.parametrize("edit", [
+        lambda cfg: cfg.pop("mu"),
+        lambda cfg: cfg.update(lambdas=[-1]),
+        lambda cfg: cfg.update(field=5),
+    ], ids=["missing_mu", "negative_lambda", "field_not_an_object"])
+    def test_malformed_config_exit_1(self, toy, tmp_path, capsys, edit):
+        assert self._simulate(toy, tmp_path, edit) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("smoothmask: bad study config: ")
+        assert err.count("\n") == 1
+
+    def test_failed_study_leaves_no_directory(self, toy, tmp_path, capsys):
+        assert self._simulate(toy, tmp_path, lambda cfg: cfg.update(mu=40.0)) == 2
+        assert "outcome mean overflows" in capsys.readouterr().err
 
 
 @pytest.fixture(scope="module")

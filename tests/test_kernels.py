@@ -3,10 +3,15 @@
 from __future__ import annotations
 
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
+from smoothmask import kernels
 from smoothmask.dataset import Location
 from smoothmask.kernels import (
     BivariateNormalKernel,
@@ -182,6 +187,32 @@ class TestSharedProperties:
                 continue  # only checking pairs with positive internal distance
             count += 1
             assert abs(w0 - w_eps) <= 1e-6
+
+
+class TestCrossDistance:
+    @pytest.mark.parametrize("kernel", ALL_KERNELS, ids=lambda k: type(k).__name__)
+    def test_row_block_equals_square_rows(self, kernel):
+        locs = np.random.default_rng(23).uniform(-1, 1, (70, 2))
+        locs[40:50] = locs[:10]
+        square = kernel.distance_matrix(locs)
+        for a, b in ((0, 1), (0, 70), (13, 41), (64, 70), (69, 70)):
+            assert np.array_equal(kernel.distance_matrix(locs[a:b], locs), square[a:b])
+
+    @settings(max_examples=50, deadline=None)
+    @given(kernel=st.sampled_from(ALL_KERNELS), data=st.data())
+    def test_property_blocks_equal_square_form(self, kernel, data):
+        n = data.draw(st.integers(1, 30), label="n")
+        locs = data.draw(hnp.arrays(np.float64, (n, 2), elements=st.floats(-2, 2)), label="locs")
+        a = data.draw(st.integers(0, n - 1), label="a")
+        b = data.draw(st.integers(a + 1, n), label="b")
+        square = kernel.distance_matrix(locs)
+        assert np.array_equal(kernel.distance_matrix(locs[a:b], locs), square[a:b])
+        # any block height, including one row, reproduces the unblocked weights
+        budget = data.draw(st.integers(1, 4 * n), label="budget")
+        lam = data.draw(st.sampled_from((0.0, 0.05, 1.0)), label="lam")
+        want = (square == 0.0).astype(float) if lam == 0.0 else np.exp(-square / lam)
+        with mock.patch.object(kernels, "_BLOCK_ELEMS", budget):
+            assert np.array_equal(kernel.weight_matrix(locs, lam), want)
 
 
 class TestValidation:

@@ -7,6 +7,7 @@ import math
 import numpy as np
 import pytest
 
+from smoothmask import kernels
 from smoothmask.dataset import GridSpec, SpatialDataset
 from smoothmask.kernels import (
     BivariateNormalKernel,
@@ -93,6 +94,31 @@ class TestBuildOperator:
         assert np.abs(op.a.sum(axis=1) - 1.0).max() <= 1e-12
         dense = build_operator(locs, EuclideanKernel(), 0.2)
         assert (op.a == 0.0).sum() > (dense.a == 0.0).sum()
+
+
+def unblocked_operator(kernel, locs, lam):
+    """Oracle: weights over the whole square distance matrix at once, then row sums."""
+    d = kernel.distance_matrix(locs)
+    w = (d == 0.0).astype(float) if lam == 0.0 else np.exp(-d / lam)
+    return w / w.sum(axis=1)[:, None]
+
+
+class TestBlockedBuild:
+    # the default budget splits n=300 into two blocks; a 64 x 64 budget puts
+    # block edges inside every n >= 65
+    @pytest.mark.parametrize("budget", [kernels._BLOCK_ELEMS, 64 * 64],
+                             ids=["default_budget", "small_budget"])
+    @pytest.mark.parametrize("kernel", ALL_KERNELS, ids=lambda k: type(k).__name__)
+    def test_equals_unblocked_oracle(self, kernel, budget, monkeypatch):
+        monkeypatch.setattr(kernels, "_BLOCK_ELEMS", budget)
+        for n in (1, 2, 63, 64, 65, 129, 300):
+            for duplicates in (False, True):
+                locs = np.random.default_rng(n).uniform(-1, 1, (n, 2))
+                if duplicates:
+                    locs[n // 2:] = locs[:n - n // 2]
+                for lam in (0.0, 0.05, 1.0):
+                    got = build_operator(locs, kernel, lam).a
+                    assert np.array_equal(got, unblocked_operator(kernel, locs, lam)), (n, lam)
 
 
 class TestApply:
