@@ -26,12 +26,9 @@ from .kernels import (
     RingAngleKernel,
     RingBlockKernel,
     RingKernel,
-    direction_cosine,
     eval_weight,
     kernel_from_json,
     kernel_to_json,
-    radial_distance,
-    unblocked_indicator,
 )
 from .masking import (
     MaskedDataset,

@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -24,9 +25,8 @@ from .dataset import CsvSchema, GridSpec, ParseError, load_csv, write_csv
 from .glm import ModelSpec, fit, naive_ci
 from .kernels import kernel_from_json
 from .masking import build_operator, compose_two_step, operator_to_csv
-from .risk import IntruderScenario, risk_report, validate_scenario
+from .risk import IntruderScenario, risk_report, scenario_from_json, validate_scenario
 from .sim import (
-    _worker_count,
     config_from_json,
     profile_csv_text,
     risk_utility_profile,
@@ -115,8 +115,9 @@ def _cmd_mask(args) -> int:
     data = _load_dataset(args.input, schema)
     kernel_json = _load_json(args.kernel, "kernel")
     kernel = _parse_config("kernel", kernel_from_json, kernel_json)
-    if args.lam < 0:
-        raise UsageError("--lambda must be >= 0")
+    for flag, value in (("--lambda", args.lam), ("--sparsify", args.sparsify)):
+        if not (math.isfinite(value) and value >= 0):
+            raise UsageError(f"{flag} must be a finite number >= 0, got {value!r}")
     op = None
     try:
         if args.grid_nx or args.grid_ny:
@@ -207,14 +208,7 @@ def _cmd_fit(args) -> int:
 
 
 def _scenario_from_json(obj, seed_override: int | None) -> IntruderScenario:
-    scenario = _parse_config("scenario", lambda o: IntruderScenario(
-        ap_columns=tuple(o["ap_columns"]),
-        u_columns=tuple(o.get("u_columns", ())),
-        mc_draws=int(o.get("mc_draws", 100)),
-        seed=int(o.get("seed", 0)),
-        standardize=bool(o.get("standardize", True)),
-        target_ids=tuple(o["target_ids"]) if o.get("target_ids") else None,
-    ), obj)
+    scenario = _parse_config("scenario", scenario_from_json, obj)
     if seed_override is not None:
         scenario = replace(scenario, seed=seed_override)
     return scenario
@@ -288,11 +282,15 @@ def _cmd_simulate(args) -> int:
     cfg = _parse_config("study", config_from_json, _load_json(args.config, "study config"))
     if args.seed is not None:
         cfg = replace(cfg, seed=args.seed)
+    out_dir = Path(args.out)
+    # checked before the study runs: mkdir would fail only after it
+    existing = next(p for p in (out_dir, *out_dir.parents) if p.exists())
+    if not existing.is_dir():
+        raise UsageError(f"--out {args.out}: {existing} is not a directory")
     try:
         result = run_study(cfg)
     except (ValueError, np.linalg.LinAlgError, RuntimeError) as err:
         raise ComputationError(str(err)) from None
-    out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     texts = {
         "study.csv": study_csv_text(result),
@@ -524,11 +522,6 @@ def main(argv=None) -> int:
         if argv is None:
             raise SystemExit(code)
         return int(code or 0)
-    try:
-        _worker_count()
-    except ValueError as err:
-        print(f"smoothmask: {err}", file=sys.stderr)
-        return 1
     try:
         return args.handler(args)
     except UsageError as err:

@@ -352,18 +352,17 @@ class AggregatedDataset:
 
 
 def aggregate(data: SpatialDataset, grid: GridSpec) -> AggregatedDataset:
-    """Group records into grid cells: summed outcomes and mean regressors per cell."""
-    idx = grid.cell_indices(data.locs)
-    occupied = np.unique(idx)
-    counts = np.zeros(len(occupied))
-    y_plus = np.zeros(len(occupied))
-    x_bar = np.zeros((len(occupied), data.n_regressors))
-    pos = {int(j): k for k, j in enumerate(occupied)}
-    for i in range(data.n_records):
-        k = pos[int(idx[i])]
-        counts[k] += 1
-        y_plus[k] += data.y[i]
-        x_bar[k] += data.x[i]
+    """Group records into grid cells: summed outcomes and mean regressors per cell.
+
+    np.bincount adds each cell's records in record order, so the sums equal
+    a sequential loop over the records bit for bit.
+    """
+    occupied, cell = np.unique(grid.cell_indices(data.locs), return_inverse=True)
+    counts = np.bincount(cell).astype(float)
+    y_plus = np.bincount(cell, weights=data.y)
+    x_bar = np.empty((len(occupied), data.n_regressors))
+    for k in range(data.n_regressors):
+        x_bar[:, k] = np.bincount(cell, weights=data.x[:, k])
     x_bar /= counts[:, None]
     return AggregatedDataset(
         cell_index=tuple(int(j) for j in occupied),

@@ -263,6 +263,30 @@ class OddsRatioResult:
     p_unexposed: float
 
 
+def _group_means(model: ModelSpec, beta: np.ndarray, x: np.ndarray, trials: np.ndarray,
+                 group: str) -> list[tuple[float, np.ndarray]]:
+    """Trial-weighted mean predicted probability and its gradient in beta, with
+    the group regressor forced to 1 and then to 0."""
+    x = np.asarray(x, dtype=float)
+    if x.ndim == 1:
+        x = x[:, None]
+    j = model.regressors.index(group)
+    trials = np.asarray(trials, dtype=float).ravel()
+    wsum = trials.sum()
+    out = []
+    for value in (1.0, 0.0):
+        xv = x.copy()
+        xv[:, j] = value
+        Xd = design_matrix(model, xv)
+        p = expit(Xd @ beta)
+        out.append((float((trials * p).sum() / wsum), (trials * p * (1.0 - p)) @ Xd / wsum))
+    return out
+
+
+def _logit(p: float) -> float:
+    return math.log(p) - math.log1p(-p)
+
+
 def population_odds_ratio(result: FitResult, x: np.ndarray, trials: np.ndarray,
                           group: str, level: float = 0.95) -> OddsRatioResult:
     """Odds ratio from size-weighted average predicted probabilities.
@@ -282,24 +306,11 @@ def population_odds_ratio(result: FitResult, x: np.ndarray, trials: np.ndarray,
     j = result.model.regressors.index(group)
     if ((x[:, j] < -1e-9) | (x[:, j] > 1.0 + 1e-9)).any():
         raise ValueError("group regressor must be a fraction in [0, 1]")
-    trials = np.asarray(trials, dtype=float).ravel()
-    wsum = trials.sum()
-
-    def summary(value: float):
-        xv = x.copy()
-        xv[:, j] = value
-        Xd = design_matrix(result.model, xv)
-        p = expit(Xd @ result.beta)
-        P = float((trials * p).sum() / wsum)
-        grad = (trials * p * (1.0 - p)) @ Xd / wsum
-        return P, grad
-
-    p_b, grad_b = summary(1.0)
-    p_w, grad_w = summary(0.0)
+    (p_b, grad_b), (p_w, grad_w) = _group_means(result.model, result.beta, x, trials, group)
     for name, val in (("exposed", p_b), ("unexposed", p_w)):
         if val <= 0.0 or val >= 1.0:
             raise ValueError(f"{name} summary probability is {val}; odds ratio undefined")
-    log_or = (math.log(p_b) - math.log1p(-p_b)) - (math.log(p_w) - math.log1p(-p_w))
+    log_or = _logit(p_b) - _logit(p_w)
     grad = grad_b / (p_b * (1.0 - p_b)) - grad_w / (p_w * (1.0 - p_w))
     se = float(math.sqrt(grad @ result.cov @ grad))
     z = norm.ppf(0.5 * (1.0 + level))
@@ -317,39 +328,14 @@ def population_odds_ratio(result: FitResult, x: np.ndarray, trials: np.ndarray,
 def log_or_gradient(result: FitResult, x: np.ndarray, trials: np.ndarray,
                     group: str) -> np.ndarray:
     """Analytic gradient of the population log odds ratio w.r.t. the coefficients."""
-    x = np.asarray(x, dtype=float)
-    if x.ndim == 1:
-        x = x[:, None]
-    j = result.model.regressors.index(group)
-    trials = np.asarray(trials, dtype=float).ravel()
-    wsum = trials.sum()
-    grads = []
-    for value in (1.0, 0.0):
-        xv = x.copy()
-        xv[:, j] = value
-        Xd = design_matrix(result.model, xv)
-        p = expit(Xd @ result.beta)
-        P = float((trials * p).sum() / wsum)
-        dP = (trials * p * (1.0 - p)) @ Xd / wsum
-        grads.append(dP / (P * (1.0 - P)))
-    return grads[0] - grads[1]
+    (p_b, grad_b), (p_w, grad_w) = _group_means(result.model, result.beta, x, trials, group)
+    return grad_b / (p_b * (1.0 - p_b)) - grad_w / (p_w * (1.0 - p_w))
 
 
 def _log_or_at(model: ModelSpec, beta: np.ndarray, x: np.ndarray, trials: np.ndarray,
                group: str) -> float:
-    x = np.asarray(x, dtype=float)
-    if x.ndim == 1:
-        x = x[:, None]
-    j = model.regressors.index(group)
-    trials = np.asarray(trials, dtype=float).ravel()
-    wsum = trials.sum()
-    ps = []
-    for value in (1.0, 0.0):
-        xv = x.copy()
-        xv[:, j] = value
-        p = expit(design_matrix(model, xv) @ beta)
-        ps.append(float((trials * p).sum() / wsum))
-    return (math.log(ps[0]) - math.log1p(-ps[0])) - (math.log(ps[1]) - math.log1p(-ps[1]))
+    (p_b, _), (p_w, _) = _group_means(model, beta, x, trials, group)
+    return _logit(p_b) - _logit(p_w)
 
 
 @dataclass(frozen=True)

@@ -41,41 +41,17 @@ class BlockRegion:
     source: PointSource = PointSource()
 
 
-def radial_distance(s: Location, source: PointSource) -> float:
-    """Euclidean distance from s to the point source."""
-    return math.hypot(s.s1 - source.loc.s1, s.s2 - source.loc.s2)
-
-
-def direction_cosine(s: Location, source: PointSource) -> float:
-    """Cosine of the angle between (s - source) and the source direction.
-
-    Defined as 1 at the singular point s == source so weights stay total.
-    """
-    v1, v2 = s.s1 - source.loc.s1, s.s2 - source.loc.s2
-    norm = math.hypot(v1, v2)
-    if norm == 0.0:
-        return 1.0
-    return (v1 * source.direction[0] + v2 * source.direction[1]) / norm
-
-
-def unblocked_indicator(s: Location, region: BlockRegion) -> int:
-    """1 iff s lies in the unblocked area.
-
-    The angular condition always measures from the positive first axis at the
-    source, independent of the source's own direction vector.
-    """
-    if s.s1 <= region.threshold_x:
-        return 1
-    axis = PointSource(loc=region.source.loc, direction=(1.0, 0.0))
-    return 1 if direction_cosine(s, axis) <= region.threshold_cos else 0
-
-
 def _radius_sq(locs: np.ndarray, source: PointSource) -> np.ndarray:
+    """Squared Euclidean distance from each location to the point source."""
     d = locs - source.loc.as_array()
     return d[:, 0] ** 2 + d[:, 1] ** 2
 
 
 def _direction_cosines(locs: np.ndarray, source: PointSource) -> np.ndarray:
+    """Cosine of the angle between (s - source) and the source direction per location.
+
+    Defined as 1 at the singular point s == source so weights stay total.
+    """
     v = locs - source.loc.as_array()
     norm = np.hypot(v[:, 0], v[:, 1])
     out = np.ones(len(locs))
@@ -85,6 +61,11 @@ def _direction_cosines(locs: np.ndarray, source: PointSource) -> np.ndarray:
 
 
 def _unblocked_mask(locs: np.ndarray, region: BlockRegion) -> np.ndarray:
+    """True where a location lies in the unblocked area.
+
+    The angular condition always measures from the positive first axis at the
+    source, independent of the source's own direction vector.
+    """
     axis = PointSource(loc=region.source.loc, direction=(1.0, 0.0))
     return (locs[:, 0] <= region.threshold_x) | (
         _direction_cosines(locs, axis) <= region.threshold_cos

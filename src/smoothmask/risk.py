@@ -61,6 +61,17 @@ class IntruderScenario:
             object.__setattr__(self, "target_ids", tuple(self.target_ids))
 
 
+def scenario_from_json(obj: dict) -> IntruderScenario:
+    return IntruderScenario(
+        ap_columns=tuple(obj["ap_columns"]),
+        u_columns=tuple(obj.get("u_columns", ())),
+        mc_draws=int(obj.get("mc_draws", 100)),
+        seed=int(obj.get("seed", 0)),
+        standardize=bool(obj.get("standardize", True)),
+        target_ids=tuple(obj["target_ids"]) if obj.get("target_ids") else None,
+    )
+
+
 @dataclass(frozen=True)
 class TargetMatch:
     """Matching outcome for one intruder record."""

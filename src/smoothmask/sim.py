@@ -5,7 +5,6 @@ from __future__ import annotations
 
 import json
 import math
-import os
 from dataclasses import dataclass, field as dataclass_field
 from pathlib import Path
 from typing import Sequence
@@ -13,7 +12,7 @@ from typing import Sequence
 import numpy as np
 from scipy.stats import norm
 
-from .dataset import GridSpec, Location, SpatialDataset
+from .dataset import GridSpec, Location, SpatialDataset, aggregate
 from .kernels import (
     BlockRegion,
     KernelFamily,
@@ -29,8 +28,8 @@ from .kernels import (
     kernel_to_json,
 )
 from .masking import build_operator
-from .glm import ModelSpec, fit
-from .risk import IntruderScenario, expected_correct_rate
+from .glm import FitResult, ModelSpec, fit
+from .risk import IntruderScenario, expected_correct_rate, scenario_from_json
 
 UNMASKED = "unmasked"
 AGGREGATED = "aggregated"
@@ -294,15 +293,20 @@ def write_profile_csv(rows: Sequence[ProfileRow], path) -> None:
 # ---------------------------------------------------------------------------
 # The study itself
 
-def _summaries(estimates: list[float], ses: list[float], true_beta: float,
-               z: float, alpha: float, n_failed: int, replicates: int):
-    est = np.asarray(estimates)
-    se = np.asarray(ses)
+def _study_row(kernel: str, lam: float | None, risk: float | None,
+               fits: Sequence[FitResult], true_beta: float, z: float,
+               alpha: float) -> StudyRow:
+    """Summaries of the slope estimates of one row's converged fits."""
+    ok = [f for f in fits if f.converged]
+    n_failed = len(fits) - len(ok)
+    est = np.array([float(f.beta[1]) for f in ok])
+    se = np.array([float(f.se[1]) for f in ok])
     if est.size == 0:
         nan = math.nan
-        return dict(mean_estimate=nan, empirical_sd=nan, mean_naive_se=nan,
-                    mean_naive_var=nan, bias=nan, mse=nan, pct_lo=nan, pct_hi=nan,
-                    width_ratio=nan, n_failed=n_failed, valid=False)
+        return StudyRow(kernel=kernel, lam=lam, mean_estimate=nan, empirical_sd=nan,
+                        mean_naive_se=nan, mean_naive_var=nan, bias=nan, mse=nan,
+                        pct_lo=nan, pct_hi=nan, width_ratio=nan, risk=risk,
+                        n_failed=n_failed, valid=False)
     mean_est = float(est.mean())
     emp_sd = float(est.std(ddof=1)) if est.size > 1 else 0.0
     mean_se = float(se.mean())
@@ -314,20 +318,22 @@ def _summaries(estimates: list[float], ses: list[float], true_beta: float,
     naive_width = 2.0 * z * mean_se
     pct_width = float(hi - lo)
     width_ratio = naive_width / pct_width if pct_width > 0 else math.nan
-    return dict(
-        mean_estimate=mean_est, empirical_sd=emp_sd, mean_naive_se=mean_se,
-        mean_naive_var=mean_var, bias=bias, mse=mse, pct_lo=float(lo), pct_hi=float(hi),
-        width_ratio=width_ratio, n_failed=n_failed,
-        valid=n_failed <= 0.1 * replicates,
+    return StudyRow(
+        kernel=kernel, lam=lam, mean_estimate=mean_est, empirical_sd=emp_sd,
+        mean_naive_se=mean_se, mean_naive_var=mean_var, bias=bias, mse=mse,
+        pct_lo=float(lo), pct_hi=float(hi), width_ratio=width_ratio, risk=risk,
+        n_failed=n_failed, valid=n_failed <= 0.1 * len(fits),
     )
 
 
 def run_study(cfg: SimConfig) -> StudyResult:
     """Run the full replicated study; a pure function of its configuration.
 
-    Per replicate: simulate outcomes, fit the individual-level model, fit the
-    aggregated model, and fit the masked-data model for every kernel/lambda
-    cell (operators are fixed by the locations, so they are built once).
+    All replicate outcomes are simulated first and fitted by the
+    individual-level and the aggregated model. Then each kernel/lambda cell is
+    run in turn: build its operator (fixed by the locations), fit the masked
+    data of every replicate, score risk, and drop the operator, so one n x n
+    operator is alive at a time and memory grows as n^2, not as cells * n^2.
     Disclosure risk is evaluated on the first replicate's masked data: the
     regressor masking is deterministic given the locations and dominates the
     intruder's matching, so replicating risk over outcome draws adds cost
@@ -337,96 +343,38 @@ def run_study(cfg: SimConfig) -> StudyResult:
     x = cfg.field.values(locs)
     if not np.isfinite(x).all():
         raise ValueError("exposure field produced non-finite values")
-    ids = tuple(f"p{i:06d}" for i in range(cfg.n_locations))
-    grid = cfg.grid()
-    cell_idx = grid.cell_indices(locs)
-    occupied = np.unique(cell_idx)
-    counts = np.bincount(cell_idx, minlength=grid.n_cells).astype(float)[occupied]
-    x_bar = (np.bincount(cell_idx, weights=x, minlength=grid.n_cells)[occupied]
-             / counts)
-    log_counts = np.log(counts)
+    ys = [simulate_outcomes(x, cfg.mu, cfg.beta, seed=[cfg.seed, 1, r])
+          for r in range(cfg.replicates)]
+    truth = SpatialDataset(ids=tuple(f"p{i:06d}" for i in range(cfg.n_locations)),
+                           locs=locs, x=x[:, None], y=ys[0], x_names=("x",))
+    scenario = cfg.scenario
 
     model = ModelSpec(family="poisson-log", regressors=("x",), intercept=True)
     z = float(norm.ppf(0.5 * (1.0 + cfg.ci_level)))
     alpha = 0.5 * (1.0 - cfg.ci_level)
+    grid = cfg.grid()
 
-    cells = [(name, lam) for name, _ in cfg.kernels for lam in sorted(cfg.lambdas)]
-    kernel_by_name = dict(cfg.kernels)
-    operators = {}
-    masked_x = {}
-    for name, lam in cells:
-        op = build_operator(locs, kernel_by_name[name], lam)
-        operators[(name, lam)] = op
-        masked_x[(name, lam)] = op.a @ x
+    def agg_fit(y: np.ndarray) -> FitResult:
+        agg = aggregate(truth.replace_values(y=y), grid)
+        return fit(model, agg.x_bar, agg.y_plus, offset=np.log(agg.n))
 
-    raw_est, raw_se = [], []
-    agg_est, agg_se = [], []
-    cell_est = {c: [] for c in cells}
-    cell_se = {c: [] for c in cells}
-    raw_failed = agg_failed = 0
-    cell_failed = {c: 0 for c in cells}
-    y_first: np.ndarray | None = None
-
-    for r in range(cfg.replicates):
-        y = simulate_outcomes(x, cfg.mu, cfg.beta, seed=[cfg.seed, 1, r])
-        if r == 0:
-            y_first = y
-        fr = fit(model, x, y)
-        if fr.converged:
-            raw_est.append(float(fr.beta[1]))
-            raw_se.append(float(fr.se[1]))
-        else:
-            raw_failed += 1
-        y_plus = np.bincount(cell_idx, weights=y, minlength=grid.n_cells)[occupied]
-        fa = fit(model, x_bar, y_plus, offset=log_counts)
-        if fa.converged:
-            agg_est.append(float(fa.beta[1]))
-            agg_se.append(float(fa.se[1]))
-        else:
-            agg_failed += 1
-        for c in cells:
-            fm = fit(model, masked_x[c], operators[c].a @ y)
-            if fm.converged:
-                cell_est[c].append(float(fm.beta[1]))
-                cell_se[c].append(float(fm.se[1]))
-            else:
-                cell_failed[c] += 1
-
-    risk_by_cell: dict = {}
-    risk_unmasked: float | None = None
-    if cfg.scenario is not None:
-        truth = SpatialDataset(ids=ids, locs=locs, x=x[:, None], y=y_first, x_names=("x",))
-        risk_unmasked = expected_correct_rate(truth, truth, cfg.scenario)
-
-        def _cell_risk(c):
-            masked = truth.replace_values(x=masked_x[c][:, None],
-                                          y=operators[c].a @ y_first)
-            return expected_correct_rate(masked, truth, cfg.scenario)
-
-        workers = _worker_count()
-        if workers > 1:
-            # cells are independent and each evaluation is deterministic, so
-            # any schedule reproduces the sequential result
-            from concurrent.futures import ThreadPoolExecutor
-
-            with ThreadPoolExecutor(max_workers=workers) as pool:
-                for c, value in zip(cells, pool.map(_cell_risk, cells)):
-                    risk_by_cell[c] = value
-        else:
-            for c in cells:
-                risk_by_cell[c] = _cell_risk(c)
-
+    risk_unmasked = None if scenario is None else expected_correct_rate(truth, truth, scenario)
     rows = [
-        StudyRow(kernel=UNMASKED, lam=0.0, risk=risk_unmasked,
-                 **_summaries(raw_est, raw_se, cfg.beta, z, alpha, raw_failed, cfg.replicates)),
-        StudyRow(kernel=AGGREGATED, lam=None, risk=None,
-                 **_summaries(agg_est, agg_se, cfg.beta, z, alpha, agg_failed, cfg.replicates)),
+        _study_row(UNMASKED, 0.0, risk_unmasked, [fit(model, x, y) for y in ys],
+                   cfg.beta, z, alpha),
+        _study_row(AGGREGATED, None, None, [agg_fit(y) for y in ys], cfg.beta, z, alpha),
     ]
-    for c in cells:
-        name, lam = c
-        rows.append(StudyRow(kernel=name, lam=lam, risk=risk_by_cell.get(c),
-                             **_summaries(cell_est[c], cell_se[c], cfg.beta, z, alpha,
-                                          cell_failed[c], cfg.replicates)))
+    for name, kernel in cfg.kernels:
+        for lam in sorted(cfg.lambdas):
+            op = build_operator(locs, kernel, lam)
+            masked_x = op.a @ x
+            fits = [fit(model, masked_x, op.a @ y) for y in ys]
+            risk = None
+            if scenario is not None:
+                masked = truth.replace_values(x=masked_x[:, None], y=op.a @ ys[0])
+                risk = expected_correct_rate(masked, truth, scenario)
+            del op  # the next cell's operator must not coexist with this one
+            rows.append(_study_row(name, lam, risk, fits, cfg.beta, z, alpha))
 
     metadata = {
         "model": {"true_beta": cfg.beta, "mu": cfg.mu, "ci_level": cfg.ci_level},
@@ -437,8 +385,8 @@ def run_study(cfg: SimConfig) -> StudyResult:
         "kernels": {name: kernel_to_json(k) for name, k in cfg.kernels},
         "field": field_to_json(cfg.field),
         "grid": {"nx": cfg.grid_nx, "ny": cfg.grid_ny, "bounds": list(cfg.bounds)},
-        "exclusions": {f"{name}:{lam}": cell_failed[(name, lam)] for name, lam in cells}
-        | {UNMASKED: raw_failed, AGGREGATED: agg_failed},
+        "exclusions": {f"{r.kernel}:{r.lam}": r.n_failed for r in rows[2:]}
+        | {r.kernel: r.n_failed for r in rows[:2]},
         "risk_note": "risk evaluated on the first replicate's masked data",
         "version": _package_version(),
     }
@@ -454,32 +402,12 @@ def _package_version() -> str:
         return "unknown"
 
 
-def _worker_count() -> int:
-    raw = os.environ.get("SMOOTHMASK_THREADS", "1")
-    try:
-        workers = int(raw)
-    except ValueError:
-        raise ValueError(f"SMOOTHMASK_THREADS must be a positive integer, got {raw!r}") from None
-    if workers < 1:
-        raise ValueError(f"SMOOTHMASK_THREADS must be a positive integer, got {raw!r}")
-    return workers
-
-
 # ---------------------------------------------------------------------------
 # Config JSON for the command line
 
 def config_from_json(obj: dict) -> SimConfig:
     kernels = tuple((name, kernel_from_json(kj)) for name, kj in obj["kernels"].items())
-    scenario = None
-    if obj.get("scenario"):
-        sc = obj["scenario"]
-        scenario = IntruderScenario(
-            ap_columns=tuple(sc["ap_columns"]),
-            u_columns=tuple(sc.get("u_columns", ())),
-            mc_draws=int(sc.get("mc_draws", 100)),
-            seed=int(sc.get("seed", 0)),
-            standardize=bool(sc.get("standardize", True)),
-        )
+    scenario = scenario_from_json(obj["scenario"]) if obj.get("scenario") else None
     grid = obj.get("grid") or {}
     lambdas = obj.get("lambdas")
     return SimConfig(

@@ -7,6 +7,7 @@ import json
 import numpy as np
 import pytest
 
+from smoothmask import cli
 from smoothmask.cli import main
 from smoothmask.dataset import CsvSchema, load_csv, write_csv
 from smoothmask.sim import RadialExposure, sample_locations, simulate_outcomes
@@ -103,6 +104,20 @@ class TestMask:
     def test_unknown_flag_exit_1(self, toy, tmp_path):
         rc = main(["mask", "--in", str(toy["data"]), "--wat", "1"])
         assert rc == 1
+
+    @pytest.mark.parametrize("flag, value", [
+        ("--sparsify", "-1"), ("--sparsify", "nan"), ("--lambda", "nan"),
+    ])
+    def test_bad_flag_value_exit_1(self, toy, tmp_path, capsys, flag, value):
+        args = {"--lambda": "0.3", "--sparsify": "0"} | {flag: value}
+        out = tmp_path / "m.csv"
+        rc = main(["mask", "--in", str(toy["data"]), "--kernel", str(toy["kernel"]),
+                   "--out", str(out), *(a for kv in args.items() for a in kv)])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"smoothmask: {flag} must be a finite number >= 0")
+        assert err.count("\n") == 1
+        assert not out.exists()
 
 
 class TestFit:
@@ -270,6 +285,17 @@ class TestSimulateFailures:
         assert err.startswith("smoothmask: bad study config: ")
         assert err.count("\n") == 1
 
+    def test_out_is_existing_file_exit_1(self, toy, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "run_study", lambda cfg: pytest.fail("study ran"))
+        out = tmp_path / "afile"
+        out.write_text("keep me")
+        for target in (out, out / "sub"):
+            rc = main(["simulate", "--config", str(toy["sim"]), "--out", str(target)])
+            assert rc == 1
+            err = capsys.readouterr().err
+            assert err == f"smoothmask: --out {target}: {out} is not a directory\n"
+        assert out.read_text() == "keep me"
+
     def test_failed_study_leaves_no_directory(self, toy, tmp_path, capsys):
         assert self._simulate(toy, tmp_path, lambda cfg: cfg.update(mu=40.0)) == 2
         assert "outcome mean overflows" in capsys.readouterr().err
@@ -381,12 +407,6 @@ class TestHelp:
         assert rc == 0
         out = capsys.readouterr().out
         assert "--out" in out
-
-    def test_bad_thread_env(self, toy, tmp_path, monkeypatch):
-        monkeypatch.setenv("SMOOTHMASK_THREADS", "zero")
-        rc = main(["mask", "--in", str(toy["data"]), "--kernel", str(toy["kernel"]),
-                   "--lambda", "0", "--out", str(tmp_path / "m.csv")])
-        assert rc == 1
 
 
 class TestModelColumnRoles:

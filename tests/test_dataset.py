@@ -145,6 +145,32 @@ class TestAggregate:
             np.testing.assert_allclose(
                 agg.x_bar[k], data.x[members].mean(axis=0), rtol=1e-10)
 
+    @pytest.mark.parametrize("p", [0, 1, 3])
+    @pytest.mark.parametrize("n, nx, ny", [(1000, 7, 7), (30, 9, 9), (200, 1, 1)])
+    def test_equals_record_loop_oracle(self, p, n, nx, ny):
+        # bit-identical to accumulating the records one by one in record order;
+        # 30 points on 81 cells leave most cells empty
+        data = random_dataset(n, p=p, seed=n + p)
+        grid = GridSpec(-1, 1, -1, 1, nx, ny)
+        idx = grid.cell_indices(data.locs)
+        occupied = np.unique(idx)
+        pos = {int(j): k for k, j in enumerate(occupied)}
+        counts = np.zeros(len(occupied))
+        y_plus = np.zeros(len(occupied))
+        x_bar = np.zeros((len(occupied), p))
+        for i in range(n):
+            k = pos[int(idx[i])]
+            counts[k] += 1
+            y_plus[k] += data.y[i]
+            x_bar[k] += data.x[i]
+        x_bar /= counts[:, None]
+        agg = aggregate(data, grid)
+        assert agg.cell_index == tuple(int(j) for j in occupied)
+        assert np.array_equal(agg.n, counts)
+        assert np.array_equal(agg.y_plus, y_plus)
+        assert agg.x_bar.shape == (len(occupied), p)
+        assert np.array_equal(agg.x_bar, x_bar)
+
     def test_conservation(self):
         data = random_dataset(500, p=3, seed=9)
         agg = aggregate(data, GridSpec(-1, 1, -1, 1, 5, 4))

@@ -21,12 +21,9 @@ from smoothmask.kernels import (
     RingAngleKernel,
     RingBlockKernel,
     RingKernel,
-    direction_cosine,
     eval_weight,
     kernel_from_json,
     kernel_to_json,
-    radial_distance,
-    unblocked_indicator,
 )
 
 ORIGIN = PointSource()
@@ -40,34 +37,39 @@ ALL_KERNELS = (
 )
 
 
+def _at(s1: float, s2: float) -> np.ndarray:
+    return np.array([[s1, s2]])
+
+
 class TestRadialDistance:
     def test_coincident(self):
-        assert radial_distance(Location(0.0, 0.0), ORIGIN) == 0.0
+        assert kernels._radius_sq(_at(0.0, 0.0), ORIGIN)[0] == 0.0
 
     def test_3_4_5(self):
         src = PointSource(loc=Location(1.0, -2.0))
-        assert radial_distance(Location(4.0, 2.0), src) == pytest.approx(5.0, abs=0)
+        assert math.sqrt(kernels._radius_sq(_at(4.0, 2.0), src)[0]) == pytest.approx(5.0, abs=0)
 
     def test_random_against_arithmetic(self):
         rng = np.random.default_rng(11)
         for _ in range(50):
             a, b, c, d = rng.uniform(-3, 3, 4)
-            got = radial_distance(Location(a, b), PointSource(loc=Location(c, d)))
+            got = math.sqrt(kernels._radius_sq(_at(a, b), PointSource(loc=Location(c, d)))[0])
             assert got == pytest.approx(math.sqrt((a - c) ** 2 + (b - d) ** 2), rel=1e-15)
 
 
 class TestDirectionCosine:
     def test_aligned(self):
-        assert direction_cosine(Location(0.7, 0.0), ORIGIN) == pytest.approx(1.0)
+        assert kernels._direction_cosines(_at(0.7, 0.0), ORIGIN)[0] == pytest.approx(1.0)
 
     def test_anti_aligned(self):
-        assert direction_cosine(Location(-0.7, 0.0), ORIGIN) == pytest.approx(-1.0)
+        assert kernels._direction_cosines(_at(-0.7, 0.0), ORIGIN)[0] == pytest.approx(-1.0)
 
     def test_perpendicular(self):
-        assert direction_cosine(Location(0.0, 2.0), ORIGIN) == pytest.approx(0.0, abs=1e-15)
+        got = kernels._direction_cosines(_at(0.0, 2.0), ORIGIN)[0]
+        assert got == pytest.approx(0.0, abs=1e-15)
 
     def test_singular_point_defined_as_one(self):
-        assert direction_cosine(Location(0.0, 0.0), ORIGIN) == 1.0
+        assert kernels._direction_cosines(_at(0.0, 0.0), ORIGIN)[0] == 1.0
 
     def test_direction_normalized_on_construction(self):
         src = PointSource(direction=(3.0, 4.0))
@@ -76,19 +78,24 @@ class TestDirectionCosine:
 
 class TestUnblockedIndicator:
     def test_low_x_is_unblocked(self):
-        assert unblocked_indicator(Location(-0.9, 0.3), BlockRegion()) == 1
+        assert kernels._unblocked_mask(_at(-0.9, 0.3), BlockRegion())[0]
 
     def test_on_axis_beyond_threshold_is_blocked(self):
         # cos angle = 1 > 0.625 and s_x > 0.4: both conditions fail
-        assert unblocked_indicator(Location(0.9, 0.0), BlockRegion()) == 0
+        assert not kernels._unblocked_mask(_at(0.9, 0.0), BlockRegion())[0]
 
     def test_grid_against_predicate_oracle(self):
         region = BlockRegion()
         g = np.linspace(-1, 1, 100)
         for s1 in g:
             for s2 in g:
-                want = 1 if (s1 <= 0.4 or _cos_from_x_axis(s1, s2) <= 0.625) else 0
-                assert unblocked_indicator(Location(s1, s2), region) == want
+                want = s1 <= 0.4 or _cos_from_x_axis(s1, s2) <= 0.625
+                assert kernels._unblocked_mask(_at(s1, s2), region)[0] == want
+
+    def test_angle_measured_from_x_axis_not_source_direction(self):
+        # cos from the +x axis is 1 (blocked); from the source direction it would be 0
+        region = BlockRegion(source=PointSource(direction=(0.0, 1.0)))
+        assert not kernels._unblocked_mask(_at(0.9, 0.0), region)[0]
 
 
 def _cos_from_x_axis(s1: float, s2: float) -> float:

@@ -2,14 +2,18 @@
 
 from __future__ import annotations
 
+import gc
 import math
+import weakref
 
 import numpy as np
 import pytest
 
+from smoothmask import sim
 from smoothmask.dataset import Location
 from smoothmask.kernels import BlockRegion, EuclideanKernel, PointSource, RingKernel
-from smoothmask.risk import IntruderScenario
+from smoothmask.masking import build_operator
+from smoothmask.risk import IntruderScenario, expected_correct_rate
 from smoothmask.sim import (
     AGGREGATED,
     UNMASKED,
@@ -230,10 +234,38 @@ class TestSimConfigValidation:
         assert cfg.lambdas == default_lambda_grid()
 
 
-class TestThreadedRiskMatchesSequential:
-    def test_same_result_with_workers(self, monkeypatch):
-        cfg = small_config(replicates=4)
-        seq = run_study(cfg)
-        monkeypatch.setenv("SMOOTHMASK_THREADS", "4")
-        par = run_study(cfg)
-        assert seq.rows == par.rows
+class TestStreamedCells:
+    def test_one_operator_alive_at_a_time(self, monkeypatch):
+        built = []
+
+        def tracked(*args, **kwargs):
+            gc.collect()
+            assert all(ref() is None for ref in built), "an earlier operator is still alive"
+            op = build_operator(*args, **kwargs)
+            built.append(weakref.ref(op))
+            return op
+
+        monkeypatch.setattr(sim, "build_operator", tracked)
+        run_study(small_config(replicates=3))
+        assert len(built) == 2 * 3
+
+    def test_scenario_target_ids_reach_risk(self, monkeypatch):
+        obj = {
+            "field": {"type": "radial"},
+            "kernels": {"ring": {"family": "ring"}},
+            "mu": -25.0, "beta": 4.0,
+            "n_locations": 40, "replicates": 2, "lambdas": [0.1, 0.5],
+            "scenario": {"ap_columns": ["x"], "u_columns": ["y"], "mc_draws": 5,
+                         "target_ids": ["p000000", "p000003"]},
+        }
+        cfg = config_from_json(obj)
+        assert cfg.scenario.target_ids == ("p000000", "p000003")
+        seen = []
+
+        def spy(masked, truth, scenario):
+            seen.append(scenario.target_ids)
+            return expected_correct_rate(masked, truth, scenario)
+
+        monkeypatch.setattr(sim, "expected_correct_rate", spy)
+        run_study(cfg)
+        assert seen == [("p000000", "p000003")] * (1 + 2)
