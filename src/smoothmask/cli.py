@@ -16,6 +16,7 @@ import math
 import sys
 from dataclasses import replace
 from pathlib import Path
+from typing import Callable
 
 import numpy as np
 
@@ -43,11 +44,38 @@ class ComputationError(Exception):
     """Numerical failure while executing a valid request: exit code 2."""
 
 
+def _write_outputs(writers: dict[Path, Callable[[Path], None]]) -> None:
+    """Run each output's writer on a temporary sibling, then rename them all: a
+    failed write leaves neither a partial file nor only some of the outputs."""
+    tmps = []
+    try:
+        for path, write in writers.items():
+            tmps.append(path.with_name(path.name + ".tmp"))
+            write(tmps[-1])
+    except OSError as err:
+        for tmp in tmps:
+            tmp.unlink(missing_ok=True)
+        raise UsageError(f"cannot write {path}: {err.strerror}") from None
+    for tmp, path in zip(tmps, writers):
+        tmp.replace(path)
+
+
+def _text_writer(text: str) -> Callable[[Path], None]:
+    return lambda tmp: tmp.write_text(text, encoding="utf-8")
+
+
 def _atomic_write_text(path: Path, text: str) -> None:
-    """Write to a temporary sibling and rename, so failures leave no partial file."""
-    tmp = path.with_name(path.name + ".tmp")
-    tmp.write_text(text, encoding="utf-8")
-    tmp.replace(path)
+    _write_outputs({path: _text_writer(text)})
+
+
+def _output_path(flag: str, value: str) -> Path:
+    """An output file path, checked before any computation."""
+    path = Path(value)
+    if not path.parent.is_dir():
+        raise UsageError(f"{flag} {value}: {path.parent} is not a directory")
+    if path.is_dir():
+        raise UsageError(f"{flag} {value} is a directory")
+    return path
 
 
 def _load_json(path: str, what: str) -> dict:
@@ -118,6 +146,8 @@ def _cmd_mask(args) -> int:
     for flag, value in (("--lambda", args.lam), ("--sparsify", args.sparsify)):
         if not (math.isfinite(value) and value >= 0):
             raise UsageError(f"{flag} must be a finite number >= 0, got {value!r}")
+    out = _output_path("--out", args.out)
+    export = args.export_operator and _output_path("--export-operator", args.export_operator)
     op = None
     try:
         if args.grid_nx or args.grid_ny:
@@ -136,17 +166,13 @@ def _cmd_mask(args) -> int:
         raise
     except (ValueError, np.linalg.LinAlgError) as err:
         raise ComputationError(str(err)) from None
-    # all computation done; now write outputs
-    if args.export_operator and op is not None:
-        tmp = Path(args.export_operator)
-        operator_to_csv(op, tmp.with_name(tmp.name + ".tmp"))
-        tmp.with_name(tmp.name + ".tmp").replace(tmp)
     provenance = (f"masked: kernel={json.dumps(kernel_json, sort_keys=True)} "
                   f"lambda={args.lam!r}")
-    out = Path(args.out)
-    tmp = out.with_name(out.name + ".tmp")
-    write_csv(masked.data, tmp, schema=out_schema, comment=provenance)
-    tmp.replace(out)
+    writers = {out: lambda tmp: write_csv(masked.data, tmp, schema=out_schema,
+                                          comment=provenance)}
+    if export and op is not None:
+        writers[export] = lambda tmp: operator_to_csv(op, tmp)
+    _write_outputs(writers)
     return 0
 
 
@@ -297,8 +323,7 @@ def _cmd_simulate(args) -> int:
         "profile.csv": profile_csv_text(risk_utility_profile(result)),
         "metadata.json": _json_dumps(result.metadata),
     }
-    for name, text in texts.items():
-        _atomic_write_text(out_dir / name, text)
+    _write_outputs({out_dir / name: _text_writer(text) for name, text in texts.items()})
     return 0
 
 

@@ -107,7 +107,12 @@ def validate_scenario(masked, scenario: IntruderScenario) -> None:
     must name a released record.
     """
     ds = _as_dataset(masked)
-    released = set(ds.x_names) | {"y"}
+    check_scenario_fits(scenario, ds.x_names, ds.ids)
+
+
+def check_scenario_fits(scenario: IntruderScenario, x_names, ids) -> None:
+    """validate_scenario for a release described by its regressor names and ids."""
+    released = set(x_names) | {"y"}
     declared = set(scenario.ap_columns) | set(scenario.u_columns)
     if declared != released:
         raise ValueError(
@@ -115,8 +120,8 @@ def validate_scenario(masked, scenario: IntruderScenario) -> None:
             f"columns {sorted(released)}"
         )
     if scenario.target_ids is not None:
-        ids = set(ds.ids)
-        unknown = [t for t in scenario.target_ids if t not in ids]
+        known = set(ids)
+        unknown = [t for t in scenario.target_ids if t not in known]
         if unknown:
             raise ValueError(f"target ids not present in the released data: {unknown[:3]}")
 

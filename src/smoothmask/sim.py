@@ -29,7 +29,12 @@ from .kernels import (
 )
 from .masking import build_operator
 from .glm import FitResult, ModelSpec, fit
-from .risk import IntruderScenario, expected_correct_rate, scenario_from_json
+from .risk import (
+    IntruderScenario,
+    check_scenario_fits,
+    expected_correct_rate,
+    scenario_from_json,
+)
 
 UNMASKED = "unmasked"
 AGGREGATED = "aggregated"
@@ -157,6 +162,14 @@ def default_lambda_grid() -> tuple[float, ...]:
 # ---------------------------------------------------------------------------
 # Study configuration and results
 
+_STUDY_X_NAMES = ("x",)
+
+
+def _study_ids(n: int) -> tuple[str, ...]:
+    """Record ids of a study's released data: p000000, p000001, ..."""
+    return tuple(f"p{i:06d}" for i in range(n))
+
+
 @dataclass(frozen=True)
 class SimConfig:
     """Full specification of one replicated masking study."""
@@ -194,6 +207,9 @@ class SimConfig:
             raise ValueError("kernel names must be unique")
         if UNMASKED in names or AGGREGATED in names:
             raise ValueError(f"kernel names {UNMASKED!r}/{AGGREGATED!r} are reserved")
+        if self.scenario is not None:
+            # checked here, before any fit, against the release run_study makes
+            check_scenario_fits(self.scenario, _STUDY_X_NAMES, _study_ids(self.n_locations))
 
     def grid(self) -> GridSpec:
         xmin, xmax, ymin, ymax = self.bounds
@@ -329,11 +345,12 @@ def _study_row(kernel: str, lam: float | None, risk: float | None,
 def run_study(cfg: SimConfig) -> StudyResult:
     """Run the full replicated study; a pure function of its configuration.
 
-    All replicate outcomes are simulated first and fitted by the
-    individual-level and the aggregated model. Then each kernel/lambda cell is
-    run in turn: build its operator (fixed by the locations), fit the masked
-    data of every replicate, score risk, and drop the operator, so one n x n
-    operator is alive at a time and memory grows as n^2, not as cells * n^2.
+    All replicate outcomes are simulated first, stacked as one n x R matrix,
+    and fitted by the individual-level and the aggregated model. Then each
+    kernel/lambda cell is run in turn: build its operator (fixed by the
+    locations), mask every replicate with one matrix product, fit each masked
+    replicate, score risk, and drop the operator, so one n x n operator is
+    alive at a time and memory grows as n^2, not as cells * n^2.
     Disclosure risk is evaluated on the first replicate's masked data: the
     regressor masking is deterministic given the locations and dominates the
     intruder's matching, so replicating risk over outcome draws adds cost
@@ -345,11 +362,12 @@ def run_study(cfg: SimConfig) -> StudyResult:
         raise ValueError("exposure field produced non-finite values")
     ys = [simulate_outcomes(x, cfg.mu, cfg.beta, seed=[cfg.seed, 1, r])
           for r in range(cfg.replicates)]
-    truth = SpatialDataset(ids=tuple(f"p{i:06d}" for i in range(cfg.n_locations)),
-                           locs=locs, x=x[:, None], y=ys[0], x_names=("x",))
+    Y = np.column_stack(ys)
+    truth = SpatialDataset(ids=_study_ids(cfg.n_locations), locs=locs, x=x[:, None],
+                           y=ys[0], x_names=_STUDY_X_NAMES)
     scenario = cfg.scenario
 
-    model = ModelSpec(family="poisson-log", regressors=("x",), intercept=True)
+    model = ModelSpec(family="poisson-log", regressors=_STUDY_X_NAMES, intercept=True)
     z = float(norm.ppf(0.5 * (1.0 + cfg.ci_level)))
     alpha = 0.5 * (1.0 - cfg.ci_level)
     grid = cfg.grid()
@@ -368,9 +386,12 @@ def run_study(cfg: SimConfig) -> StudyResult:
         for lam in sorted(cfg.lambdas):
             op = build_operator(locs, kernel, lam)
             masked_x = op.a @ x
-            fits = [fit(model, masked_x, op.a @ y) for y in ys]
+            fits = [fit(model, masked_x, y) for y in (op.a @ Y).T]
             risk = None
             if scenario is not None:
+                # a matvec, not a column of the product above: the two can
+                # round differently, and argmax matching flips a near-tie on a
+                # last-bit change
                 masked = truth.replace_values(x=masked_x[:, None], y=op.a @ ys[0])
                 risk = expected_correct_rate(masked, truth, scenario)
             del op  # the next cell's operator must not coexist with this one

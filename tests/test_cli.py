@@ -120,6 +120,37 @@ class TestMask:
         assert not out.exists()
 
 
+    @pytest.mark.parametrize("missing", ["--out", "--export-operator"])
+    def test_output_into_missing_directory_exit_1_nothing_written(self, toy, tmp_path,
+                                                                   capsys, missing):
+        paths = {"--out": tmp_path / "m.csv", "--export-operator": tmp_path / "op.csv"}
+        paths[missing] = tmp_path / "nodir" / paths[missing].name
+        rc = main(["mask", "--in", str(toy["data"]), "--kernel", str(toy["kernel"]),
+                   "--lambda", "0.3", *(a for kv in paths.items() for a in map(str, kv))])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err == (f"smoothmask: {missing} {paths[missing]}: "
+                       f"{tmp_path / 'nodir'} is not a directory\n")
+        assert not any(p.exists() for p in paths.values())
+        assert not list(tmp_path.glob("*.tmp"))
+
+    def test_failed_operator_write_leaves_neither_output(self, toy, tmp_path, capsys,
+                                                         monkeypatch):
+        def disk_full(op, path):
+            path.write_text("a_0,a_1\n0.5,")
+            raise OSError(28, "No space left on device")
+
+        monkeypatch.setattr(cli, "operator_to_csv", disk_full)
+        out, op_csv = tmp_path / "m.csv", tmp_path / "op.csv"
+        rc = main(["mask", "--in", str(toy["data"]), "--kernel", str(toy["kernel"]),
+                   "--lambda", "0.3", "--out", str(out), "--export-operator", str(op_csv)])
+        assert rc == 1
+        assert capsys.readouterr().err == (
+            f"smoothmask: cannot write {op_csv}: No space left on device\n")
+        assert not out.exists() and not op_csv.exists()
+        assert not list(tmp_path.glob("*.tmp"))
+
+
 class TestFit:
     def test_fit_report_fields(self, toy, tmp_path):
         out = tmp_path / "fit.json"
@@ -295,6 +326,20 @@ class TestSimulateFailures:
             err = capsys.readouterr().err
             assert err == f"smoothmask: --out {target}: {out} is not a directory\n"
         assert out.read_text() == "keep me"
+
+    @pytest.mark.parametrize("edit, message", [
+        (lambda cfg: cfg.update(scenario={"ap_columns": ["x"]}),
+         "scenario columns ['x'] must cover exactly the released columns ['x', 'y']"),
+        (lambda cfg: cfg["scenario"].update(target_ids=["p000003", "p000050"]),
+         "target ids not present in the released data: ['p000050']"),
+        (lambda cfg: cfg["scenario"].update(target_ids=["p3"]),
+         "target ids not present in the released data: ['p3']"),
+    ], ids=["scenario_without_y", "target_id_beyond_n", "target_id_not_a_study_id"])
+    def test_scenario_not_fitting_the_release_exit_1(self, toy, tmp_path, capsys,
+                                                      monkeypatch, edit, message):
+        monkeypatch.setattr(cli, "run_study", lambda cfg: pytest.fail("study ran"))
+        assert self._simulate(toy, tmp_path, edit) == 1
+        assert capsys.readouterr().err == f"smoothmask: bad study config: {message}\n"
 
     def test_failed_study_leaves_no_directory(self, toy, tmp_path, capsys):
         assert self._simulate(toy, tmp_path, lambda cfg: cfg.update(mu=40.0)) == 2

@@ -2,10 +2,15 @@
 
 from __future__ import annotations
 
+import gc
 import math
+import weakref
 
 import numpy as np
 import pytest
+import scipy.linalg
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.special import expit
 
 import smoothmask.glm as glm
@@ -136,6 +141,187 @@ class TestFit:
         mu1 = np.exp(fr.predict_linear(x))
         mu2 = np.exp(fr2.predict_linear(x @ A + shift))
         np.testing.assert_allclose(mu1, mu2, rtol=1e-8)
+
+
+def _lstsq_irls(model, x, y, trials=None, offset=None):
+    """Reference: classical IRLS, each step a weighted least-squares solve of the
+    working response by lstsq, with fit's starts, step-halving and stopping rule.
+    Returns (beta, se, deviance, converged, fitted means)."""
+    N = y.size
+    X = glm.design_matrix(model, x, n_rows=N)
+    offset = np.zeros(N) if offset is None else offset
+    family = model.family
+    if family == "poisson-log":
+        start = np.log(y + 0.5) - offset
+    elif family == "binomial-logit":
+        frac = (y + 0.5) / (trials + 1.0)
+        start = np.log(frac / (1.0 - frac)) - offset
+    else:
+        start = y - offset
+    beta = np.linalg.lstsq(X, start, rcond=None)[0]
+
+    def state(b):
+        eta = X @ b + offset
+        if family == "poisson-log":
+            mu = glm._poisson_mu(eta)
+            w = np.maximum(mu, 1e-290)
+        elif family == "binomial-logit":
+            p = np.clip(expit(eta), 1e-12, 1.0 - 1e-12)
+            mu, w = trials * p, trials * p * (1.0 - p)
+        else:
+            mu, w = eta, np.ones(N)
+        return mu, w, eta - offset + (y - mu) / w, X.T @ (y - mu)
+
+    def deviance(mu):
+        return glm._deviance(family, y, mu, trials)
+
+    mu, w, z, score = state(beta)
+    dev = deviance(mu)
+    converged = False
+    for _ in range(glm._MAX_ITER):
+        sw = np.sqrt(w)
+        new = np.linalg.lstsq(X * sw[:, None], z * sw, rcond=None)[0]
+        mu_n, w_n, z_n, score_n = state(new)
+        dev_n = deviance(mu_n)
+        halvings = 0
+        while (not math.isfinite(dev_n) or dev_n > dev * (1.0 + 1e-12) + 1e-12) \
+                and halvings < glm._MAX_HALVINGS:
+            new = 0.5 * (new + beta)
+            mu_n, w_n, z_n, score_n = state(new)
+            dev_n = deviance(mu_n)
+            halvings += 1
+        rel = abs(dev - dev_n) / (abs(dev_n) + 0.1)
+        beta, mu, w, z, score, dev = new, mu_n, w_n, z_n, score_n, dev_n
+        if rel <= glm._DEVIANCE_RTOL and np.max(np.abs(score)) <= glm._SCORE_TOL:
+            converged = True
+            break
+    if family == "gaussian-identity":
+        cov = dev / max(N - X.shape[1], 1) * np.linalg.inv(X.T @ X)
+    else:
+        cov = np.linalg.inv((X * w[:, None]).T @ X)
+    return beta, np.sqrt(np.diag(cov)), dev, converged, mu
+
+
+class TestFisherScoringStep:
+    """fit's Fisher-scoring step against the classical lstsq IRLS step."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1),
+           family=st.sampled_from(glm.FAMILIES),
+           p=st.integers(1, 3),
+           n=st.integers(20, 150),
+           with_offset=st.booleans(),
+           collinearity=st.sampled_from([None, 1e-2, 1e-7]))
+    def test_matches_lstsq_irls(self, seed, family, p, n, with_offset, collinearity):
+        rng = np.random.default_rng(seed)
+        x = rng.normal(0.0, 1.0, (n, p))
+        if collinearity is not None:
+            # the last regressor is nearly the intercept (p = 1) or the first column
+            base = np.ones(n) if p == 1 else x[:, 0]
+            x[:, -1] = base + collinearity * rng.normal(0.0, 1.0, n)
+        coef = rng.uniform(-0.5, 0.5, p) / (1.0 if collinearity is None else p)
+        eta = 0.3 + (x - x.mean(axis=0)) @ coef
+        offset = rng.uniform(-0.5, 0.5, n) if with_offset else None
+        if offset is not None:
+            eta = eta + offset
+        trials = None
+        if family == "poisson-log":
+            y = rng.poisson(np.exp(eta) * 5.0).astype(float)
+        elif family == "binomial-logit":
+            trials = rng.integers(5, 60, n).astype(float)
+            y = rng.binomial(trials.astype(int), expit(eta)).astype(float)
+        else:
+            y = eta + rng.normal(0.0, 0.5, n)
+        model = ModelSpec(family, tuple(f"x{j}" for j in range(p)))
+        fr = fit(model, x, y, trials=trials, offset=offset)
+        beta, se, dev, converged, mu = _lstsq_irls(model, x, y, trials, offset)
+        X = glm.design_matrix(model, x)
+        if np.linalg.cond(X) <= 1e6:
+            assert fr.converged == converged
+            np.testing.assert_allclose(fr.beta, beta, rtol=1e-8, atol=1e-12)
+            np.testing.assert_allclose(fr.se, se, rtol=1e-8)
+            np.testing.assert_allclose(fr.deviance, dev, rtol=1e-8, atol=1e-10)
+        elif fr.converged and converged:
+            # beta is ill-determined here, and a step computed from X'WX keeps
+            # fewer digits of the fitted means than one from lstsq on sqrt(W)X
+            # (worst seen over 1000 designs with cond(X) up to 4e7: 3.6e-6)
+            np.testing.assert_allclose(fr.deviance, dev, rtol=1e-8, atol=1e-10)
+            np.testing.assert_allclose(_fitted_means(fr, x, trials, offset), mu, rtol=1e-4)
+
+    def test_near_constant_regressor_same_deviance_and_means(self):
+        # cond(X) ~ 2e7: beta is determined to ~1e-3 only, by either step
+        rng = np.random.default_rng(23)
+        x = 1.0 + 1e-7 * rng.normal(0.0, 1.0, 200)
+        y = rng.poisson(np.exp(0.5 + 2e6 * (x - 1.0))).astype(float)
+        fr = fit(POISSON, x, y)
+        _, _, dev, converged, mu = _lstsq_irls(POISSON, x, y)
+        assert fr.converged and converged
+        assert fr.deviance == pytest.approx(dev, rel=1e-8)
+        np.testing.assert_allclose(_fitted_means(fr, x), mu, rtol=1e-5)
+
+
+def _fitted_means(fr, x, trials=None, offset=None):
+    eta = fr.predict_linear(x, offset)
+    if fr.model.family == "poisson-log":
+        return np.exp(eta)
+    if fr.model.family == "binomial-logit":
+        return trials * expit(eta)
+    return eta
+
+
+def _qr_rank_error(X, names):
+    """Reference: the rank check through scipy.linalg.qr; the message or None."""
+    try:
+        r, piv = scipy.linalg.qr(X, mode="r", pivoting=True)
+    except ValueError as err:
+        return str(err)
+    diag = np.abs(np.diag(r))
+    if diag.size == 0 or diag[0] == 0.0:
+        return f"design matrix is identically zero; columns: {list(names)}"
+    rank = int((diag > diag[0] * max(X.shape) * np.finfo(float).eps).sum())
+    if rank < X.shape[1]:
+        return f"design matrix is rank deficient; collinear column(s): {[names[j] for j in piv[rank:]]}"
+    return None
+
+
+class TestCheckRank:
+    def test_diagonal_and_pivots_match_scipy_qr(self, monkeypatch):
+        calls = []
+        lapack_qr = glm.dgeqp3
+
+        def spy(a):
+            out = lapack_qr(a)
+            calls.append((a, out))
+            return out
+
+        monkeypatch.setattr(glm, "dgeqp3", spy)
+        rng = np.random.default_rng(24)
+        for p in (1, 2, 3):
+            X = np.hstack([np.ones((50, 1)), rng.normal(0.0, 1.0, (50, p - 1))])
+            X[:, -1] *= 1e3
+            glm._check_rank(X, [f"c{j}" for j in range(p)])
+        assert len(calls) == 3
+        for X, (r, jpvt, *_rest) in calls:
+            r_ref, piv_ref = scipy.linalg.qr(X, mode="r", pivoting=True)
+            np.testing.assert_array_equal(np.abs(np.diag(r)), np.abs(np.diag(r_ref)))
+            np.testing.assert_array_equal(jpvt - 1, piv_ref)
+
+    @pytest.mark.parametrize("X", [
+        np.column_stack([np.arange(10.0), 2.0 * np.arange(10.0)]),
+        np.column_stack([np.ones(8), np.arange(8.0), np.ones(8) + np.arange(8.0)]),
+        np.column_stack([np.ones(6), np.zeros(6), np.arange(6.0)]),
+        np.zeros((5, 2)),
+        np.empty((0, 2)),
+        np.column_stack([np.ones(4), [1.0, np.nan, 2.0, 3.0]]),
+        np.column_stack([np.ones(4), [1.0, np.inf, 2.0, 3.0]]),
+    ], ids=["twice", "sum_of_two", "zero_column", "all_zero", "no_rows", "nan", "inf"])
+    def test_messages_match_scipy_qr_check(self, X):
+        names = [f"c{j}" for j in range(X.shape[1])]
+        want = _qr_rank_error(X, names)
+        assert want is not None
+        with pytest.raises(ValueError) as err:
+            glm._check_rank(X, names)
+        assert str(err.value) == want
 
 
 class TestNaiveCi:
@@ -311,6 +497,29 @@ class TestBootstrap:
         b = bootstrap_ci(model, x, y, **kwargs)
         assert (a.se, a.lower, a.upper) == (b.se, b.lower, b.upper)
         assert a.se > 0
+
+    def test_remask_holds_one_operator_at_a_time(self, monkeypatch):
+        from smoothmask import masking
+        from smoothmask.kernels import EuclideanKernel
+
+        built = []
+        build = masking.build_operator
+
+        def tracked(*args, **kwargs):
+            gc.collect()
+            assert all(ref() is None for ref in built), "an earlier operator is still alive"
+            op = build(*args, **kwargs)
+            built.append(weakref.ref(op))
+            return op
+
+        monkeypatch.setattr(masking, "build_operator", tracked)
+        rng = np.random.default_rng(22)
+        locs = rng.uniform(-1, 1, (40, 2))
+        x = rng.normal(0, 1, (40, 1))
+        y = 0.5 + 1.2 * x[:, 0] + rng.normal(0, 0.2, 40)
+        bootstrap_ci(ModelSpec("gaussian-identity", ("x",)), x, y, statistic=1, b=4,
+                     seed=3, locs=locs, remask=(EuclideanKernel(), 0.3))
+        assert len(built) == 4
 
     def test_failure_rate_raises(self, monkeypatch):
         monkeypatch.setattr(glm, "_MAX_ITER", 1)
