@@ -31,7 +31,6 @@ from .kernels import (
     kernel_to_json,
 )
 from .masking import (
-    MaskedDataset,
     MaskingOperator,
     build_operator,
     compose_two_step,
@@ -62,7 +61,6 @@ from .sim import (
     SimConfig,
     StudyResult,
     default_lambda_grid,
-    exposure,
     risk_utility_profile,
     run_study,
     sample_locations,

@@ -15,11 +15,11 @@ PALETTE = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b")
 
 @dataclass(frozen=True)
 class Series:
+    """Named points, drawn as markers joined by a line."""
+
     name: str
     x: tuple[float, ...]
     y: tuple[float, ...]
-    draw_line: bool = True
-    draw_markers: bool = False
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "x", tuple(float(v) for v in self.x))
@@ -32,9 +32,10 @@ class Series:
 
 @dataclass(frozen=True)
 class RefLine:
+    """Horizontal reference line at y = value."""
+
     value: float
     label: str
-    axis: str = "y"  # horizontal reference by default
 
 
 @dataclass(frozen=True)
@@ -70,15 +71,12 @@ def _fmt(v: float) -> str:
 
 
 def render_chart(series: Sequence[Series], *, title: str, xlabel: str, ylabel: str,
-                 ref_lines: Sequence[RefLine] = (), dots: Sequence[Dot] = (),
-                 width: int = 760, height: int = 460) -> str:
+                 ref_lines: Sequence[RefLine] = (), dots: Sequence[Dot] = ()) -> str:
     """Self-contained SVG with axes, one polyline/marker set per series, and a legend."""
     if not series:
         raise ValueError("chart needs at least one data series")
     xs = [v for s in series for v in s.x] + [d.x for d in dots]
-    ys = [v for s in series for v in s.y] + [d.y for d in dots]
-    ys += [r.value for r in ref_lines if r.axis == "y"]
-    xs += [r.value for r in ref_lines if r.axis == "x"]
+    ys = [v for s in series for v in s.y] + [d.y for d in dots] + [r.value for r in ref_lines]
     xs = [v for v in xs if math.isfinite(v)]
     ys = [v for v in ys if math.isfinite(v)]
     if not xs or not ys:
@@ -94,6 +92,7 @@ def render_chart(series: Sequence[Series], *, title: str, xlabel: str, ylabel: s
     xpad = 0.04 * (xmax - xmin)
     xmin, xmax = xmin - xpad, xmax + xpad
 
+    width, height = 760, 460
     left, right, top, bottom = 72, 160, 44, 56
     pw, ph = width - left - right, height - top - bottom
 
@@ -126,26 +125,19 @@ def render_chart(series: Sequence[Series], *, title: str, xlabel: str, ylabel: s
     for ref in ref_lines:
         if not math.isfinite(ref.value):
             continue
-        if ref.axis == "y":
-            py = sy(ref.value)
-            out.append(f'<line x1="{left}" y1="{py:.2f}" x2="{left + pw}" y2="{py:.2f}" '
-                       f'stroke="#888" stroke-dasharray="5,4"/>')
-            out.append(f'<text x="{left + pw + 6}" y="{py + 4:.2f}" fill="#555">{_esc(ref.label)}</text>')
-        else:
-            px = sx(ref.value)
-            out.append(f'<line x1="{px:.2f}" y1="{top}" x2="{px:.2f}" y2="{top + ph}" '
-                       f'stroke="#888" stroke-dasharray="5,4"/>')
-            out.append(f'<text x="{px + 4:.2f}" y="{top + 14}" fill="#555">{_esc(ref.label)}</text>')
+        py = sy(ref.value)
+        out.append(f'<line x1="{left}" y1="{py:.2f}" x2="{left + pw}" y2="{py:.2f}" '
+                   f'stroke="#888" stroke-dasharray="5,4"/>')
+        out.append(f'<text x="{left + pw + 6}" y="{py + 4:.2f}" fill="#555">{_esc(ref.label)}</text>')
     for k, s in enumerate(series):
         color = PALETTE[k % len(PALETTE)]
-        if s.draw_line and len(s.x) > 1:
+        if len(s.x) > 1:
             pts = " ".join(f"{sx(a):.2f},{sy(b):.2f}" for a, b in zip(s.x, s.y)
                            if math.isfinite(a) and math.isfinite(b))
             out.append(f'<polyline points="{pts}" fill="none" stroke="{color}" stroke-width="1.8"/>')
-        if s.draw_markers or len(s.x) == 1 or not s.draw_line:
-            for a, b in zip(s.x, s.y):
-                if math.isfinite(a) and math.isfinite(b):
-                    out.append(f'<circle cx="{sx(a):.2f}" cy="{sy(b):.2f}" r="3" fill="{color}"/>')
+        for a, b in zip(s.x, s.y):
+            if math.isfinite(a) and math.isfinite(b):
+                out.append(f'<circle cx="{sx(a):.2f}" cy="{sy(b):.2f}" r="3" fill="{color}"/>')
         ly = top + 16 + 18 * k
         out.append(f'<line x1="{left + pw + 8}" y1="{ly - 4}" x2="{left + pw + 30}" y2="{ly - 4}" '
                    f'stroke="{color}" stroke-width="2"/>')

@@ -26,7 +26,7 @@ from .dataset import CsvSchema, GridSpec, ParseError, load_csv, write_csv
 from .glm import ModelSpec, fit, naive_ci
 from .kernels import kernel_from_json
 from .masking import build_operator, compose_two_step, operator_to_csv
-from .risk import IntruderScenario, risk_report, scenario_from_json, validate_scenario
+from .risk import IntruderScenario, check_scenario_fits, risk_report, scenario_from_json
 from .sim import (
     config_from_json,
     profile_csv_text,
@@ -168,8 +168,7 @@ def _cmd_mask(args) -> int:
         raise ComputationError(str(err)) from None
     provenance = (f"masked: kernel={json.dumps(kernel_json, sort_keys=True)} "
                   f"lambda={args.lam!r}")
-    writers = {out: lambda tmp: write_csv(masked.data, tmp, schema=out_schema,
-                                          comment=provenance)}
+    writers = {out: lambda tmp: write_csv(masked, tmp, schema=out_schema, comment=provenance)}
     if export and op is not None:
         writers[export] = lambda tmp: operator_to_csv(op, tmp)
     _write_outputs(writers)
@@ -186,6 +185,7 @@ def _model_from_json(obj) -> tuple[ModelSpec, str | None, str | None, str | None
 
 
 def _cmd_fit(args) -> int:
+    out = _output_path("--out", args.out)
     model_json = _load_json(args.model, "model")
     model, offset_col, log_offset_col, trials_col = _model_from_json(model_json)
     extra = tuple(c for c in (offset_col, log_offset_col, trials_col) if c)
@@ -229,7 +229,7 @@ def _cmd_fit(args) -> int:
         "converged": result.converged,
         "n_obs": result.n_obs,
     }
-    _atomic_write_text(Path(args.out), _json_dumps(report))
+    _atomic_write_text(out, _json_dumps(report))
     return 0
 
 
@@ -241,6 +241,7 @@ def _scenario_from_json(obj, seed_override: int | None) -> IntruderScenario:
 
 
 def _cmd_risk(args) -> int:
+    out = _output_path("--out", args.out)
     scenario = _scenario_from_json(_load_json(args.scenario, "scenario"), args.seed)
     x_cols = tuple(c for c in (*scenario.ap_columns, *scenario.u_columns) if c != "y")
     schema = CsvSchema(id_col=args.id_col, coord_cols=tuple(args.coord_cols.split(",")),
@@ -248,7 +249,7 @@ def _cmd_risk(args) -> int:
     masked = _load_dataset(args.masked, schema)
     truth = _load_dataset(args.truth, schema)
     try:
-        validate_scenario(masked, scenario)
+        check_scenario_fits(scenario, masked.x_names, masked.ids)
     except ValueError as err:
         raise UsageError(str(err)) from None
     try:
@@ -269,11 +270,12 @@ def _cmd_risk(args) -> int:
             for t in report.targets
         ],
     }
-    _atomic_write_text(Path(args.out), _json_dumps(payload))
+    _atomic_write_text(out, _json_dumps(payload))
     return 0
 
 
 def _cmd_bias(args) -> int:
+    out = _output_path("--out", args.out)
     schema = _schema_from_args(args)
     data = _load_dataset(args.input, schema)
     kernel = _parse_config("kernel", kernel_from_json, _load_json(args.kernel, "kernel"))
@@ -289,8 +291,7 @@ def _cmd_bias(args) -> int:
     else:
         raise UsageError("provide --beta or --beta-from")
     try:
-        report = bias_mod.first_order_bias(data, beta, kernel, args.family,
-                                           h_step=args.h_step)
+        report = bias_mod.first_order_bias(data, beta, kernel, args.family)
     except (ValueError, np.linalg.LinAlgError) as err:
         raise ComputationError(str(err)) from None
     payload = {
@@ -300,7 +301,7 @@ def _cmd_bias(args) -> int:
         "r0_max_abs": report.r0_max_abs,
         "caveat": report.caveat,
     }
-    _atomic_write_text(Path(args.out), _json_dumps(payload))
+    _atomic_write_text(out, _json_dumps(payload))
     return 0
 
 
@@ -359,6 +360,7 @@ def _read_table(path: str) -> tuple[dict | None, dict[str, list[str]]]:
 
 
 def _cmd_profile(args) -> int:
+    out = _output_path("--out", args.out)
     meta, cols = _read_table(args.study)
     needed = ["kernel", "lam", "mse", "risk"]
     missing = [c for c in needed if c not in cols]
@@ -369,7 +371,7 @@ def _cmd_profile(args) -> int:
         if cols["kernel"][i] in ("unmasked", "aggregated"):
             continue
         lines.append(",".join(cols[c][i] for c in needed))
-    _atomic_write_text(Path(args.out), "\n".join(lines) + "\n")
+    _atomic_write_text(out, "\n".join(lines) + "\n")
     return 0
 
 
@@ -391,7 +393,7 @@ def _series_by_kernel(cols, xcol: str, ycol: str) -> list[charts.Series]:
         pts.sort()
         if pts:
             series.append(charts.Series(name=k, x=tuple(p for p, _ in pts),
-                                        y=tuple(q for _, q in pts), draw_markers=True))
+                                        y=tuple(q for _, q in pts)))
     if not series:
         raise UsageError("no plottable kernel series in the input table")
     return series
@@ -405,6 +407,7 @@ def _baseline(cols, kernel: str, column: str) -> float | None:
 
 
 def _cmd_plot(args) -> int:
+    out = _output_path("--out", args.out)
     meta, cols = _read_table(args.input)
     kind = args.kind
     required = {
@@ -453,7 +456,7 @@ def _cmd_plot(args) -> int:
                                   ref_lines=ref_lines, dots=dots)
     except ValueError as err:
         raise UsageError(str(err)) from None
-    _atomic_write_text(Path(args.out), svg)
+    _atomic_write_text(out, svg)
     return 0
 
 
@@ -511,8 +514,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--beta", default=None,
                    help="comma-separated coefficients, intercept first")
     p.add_argument("--beta-from", default=None, help="fit report JSON to take coefficients from")
-    p.add_argument("--h-step", type=float, default=None,
-                   help="finite-difference step for non-built-in kernels")
     p.add_argument("--out", required=True, help="bias report JSON")
     _add_schema_flags(p)
     p.set_defaults(handler=_cmd_bias)

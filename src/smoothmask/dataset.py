@@ -107,9 +107,6 @@ class SpatialDataset:
     def n_regressors(self) -> int:
         return len(self.x_names)
 
-    def location(self, i: int) -> Location:
-        return Location(float(self.locs[i, 0]), float(self.locs[i, 1]))
-
     def column(self, name: str) -> np.ndarray:
         """A released data column by name; the outcome is addressed as ``"y"``."""
         if name == "y":
@@ -127,20 +124,6 @@ class SpatialDataset:
             y=self.y if y is None else y,
             x_names=self.x_names,
             n=self.n,
-        )
-
-    def take(self, indices) -> "SpatialDataset":
-        """Row subset/resample; duplicate indices are allowed but break id uniqueness,
-        so resampled ids are suffixed with their draw position."""
-        idx = np.asarray(indices, dtype=int)
-        ids = tuple(f"{self.ids[j]}#{k}" for k, j in enumerate(idx))
-        return SpatialDataset(
-            ids=ids,
-            locs=self.locs[idx],
-            x=self.x[idx],
-            y=self.y[idx],
-            x_names=self.x_names,
-            n=None if self.n is None else self.n[idx],
         )
 
 
@@ -300,14 +283,13 @@ class GridSpec:
         iy = np.minimum(iy, self.ny - 1)
         return iy * self.nx + ix
 
-    def cell_center(self, j: int) -> Location:
-        ix, iy = j % self.nx, j // self.nx
+    def centers(self, cells) -> np.ndarray:
+        """(len(cells), 2) centers of the cells with the given row-major indices."""
+        cells = np.asarray(cells, dtype=int)
+        ix, iy = cells % self.nx, cells // self.nx
         dx = (self.xmax - self.xmin) / self.nx
         dy = (self.ymax - self.ymin) / self.ny
-        return Location(self.xmin + (ix + 0.5) * dx, self.ymin + (iy + 0.5) * dy)
-
-    def centers(self) -> np.ndarray:
-        return np.array([self.cell_center(j).as_array() for j in range(self.n_cells)])
+        return np.column_stack([self.xmin + (ix + 0.5) * dx, self.ymin + (iy + 0.5) * dy])
 
 
 @dataclass(frozen=True)
@@ -337,7 +319,7 @@ class AggregatedDataset:
         return len(self.cell_index)
 
     def centers(self) -> np.ndarray:
-        return np.array([self.grid.cell_center(j).as_array() for j in self.cell_index])
+        return self.grid.centers(self.cell_index)
 
     def as_dataset(self) -> SpatialDataset:
         """Cell-level dataset over centroids: x = means, y = summed outcome, n = counts."""

@@ -23,8 +23,7 @@ from typing import Sequence
 
 import numpy as np
 from scipy.linalg.lapack import dgeqp3
-from scipy.special import expit
-from scipy.stats import norm
+from scipy.special import expit, ndtri
 
 FAMILIES = ("poisson-log", "binomial-logit", "gaussian-identity")
 
@@ -252,7 +251,7 @@ def naive_ci(result: FitResult, level: float = 0.95) -> np.ndarray:
         raise ValueError("confidence intervals require a converged fit")
     if not 0.0 < level < 1.0:
         raise ValueError("level must lie in (0, 1)")
-    z = norm.ppf(0.5 * (1.0 + level))
+    z = ndtri(0.5 * (1.0 + level))
     se = result.se
     return np.column_stack([result.beta - z * se, result.beta + z * se])
 
@@ -320,7 +319,7 @@ def population_odds_ratio(result: FitResult, x: np.ndarray, trials: np.ndarray,
     log_or = _logit(p_b) - _logit(p_w)
     grad = grad_b / (p_b * (1.0 - p_b)) - grad_w / (p_w * (1.0 - p_w))
     se = float(math.sqrt(grad @ result.cov @ grad))
-    z = norm.ppf(0.5 * (1.0 + level))
+    z = ndtri(0.5 * (1.0 + level))
     return OddsRatioResult(
         or_value=math.exp(log_or),
         log_or=log_or,

@@ -82,10 +82,6 @@ class KernelFamily(ABC):
         Returns a new array that the caller may modify in place.
         """
 
-    def pair_weight(self, u: Location, s: Location, lam: float) -> float:
-        locs = np.array([u.as_array(), s.as_array()])
-        return float(self.weight_matrix(locs, lam)[0, 1])
-
 
 # Element budget of one row block in ExponentialDecayKernel.weight_matrix:
 # 2**16 float64 values are 512 KiB, so a block's distance temporaries stay in
@@ -229,7 +225,8 @@ class BivariateNormalKernel(ExponentialDecayKernel):
 def eval_weight(kernel: KernelFamily, u: Location, s: Location, lam: float) -> float:
     """W_lambda(u, s) for any family; lam = 0 evaluates the limit weights."""
     _check_lambda(lam)
-    return kernel.pair_weight(u, s, lam)
+    locs = np.array([u.as_array(), s.as_array()])
+    return float(kernel.weight_matrix(locs, lam)[0, 1])
 
 
 # ---------------------------------------------------------------------------

@@ -2,7 +2,8 @@
 
 Masked outcomes/regressors are weighted averages of the originals: the
 row-transform special case of matrix masking, with one shared operator
-applied to the outcome and every regressor column.
+applied to the outcome and every regressor column. A masked release is
+itself a SpatialDataset.
 """
 
 from __future__ import annotations
@@ -40,35 +41,13 @@ class MaskingOperator:
     def n(self) -> int:
         return self.a.shape[0]
 
-    def apply(self, data: SpatialDataset) -> "MaskedDataset":
+    def apply(self, data: SpatialDataset) -> SpatialDataset:
         """Smooth the outcome and all regressor columns; count weights pass through."""
         if data.n_records != self.n:
             raise ValueError(f"operator is {self.n} x {self.n} but dataset has {data.n_records} records")
         if location_fingerprint(data.locs) != self.fingerprint:
             raise ValueError("operator was built on different locations than this dataset")
-        masked = data.replace_values(x=self.a @ data.x, y=self.a @ data.y)
-        return MaskedDataset(data=masked, kernel=self.kernel, lam=self.lam)
-
-
-@dataclass(frozen=True)
-class MaskedDataset:
-    """A smoothed dataset plus the provenance of its masking."""
-
-    data: SpatialDataset
-    kernel: KernelFamily
-    lam: float
-
-    @property
-    def ids(self):
-        return self.data.ids
-
-    @property
-    def x(self) -> np.ndarray:
-        return self.data.x
-
-    @property
-    def y(self) -> np.ndarray:
-        return self.data.y
+        return data.replace_values(x=self.a @ data.x, y=self.a @ data.y)
 
 
 def build_operator(locs, kernel: KernelFamily, lam: float,
@@ -100,13 +79,13 @@ def build_operator(locs, kernel: KernelFamily, lam: float,
 
 
 def mask_dataset(data: SpatialDataset, kernel: KernelFamily, lam: float,
-                 sparsify_threshold: float = 0.0) -> MaskedDataset:
+                 sparsify_threshold: float = 0.0) -> SpatialDataset:
     """Build the operator on the dataset's own locations and apply it."""
     return build_operator(data.locs, kernel, lam, sparsify_threshold).apply(data)
 
 
 def compose_two_step(data: SpatialDataset, grid: GridSpec, kernel: KernelFamily,
-                     lam: float) -> MaskedDataset:
+                     lam: float) -> SpatialDataset:
     """Aggregate to grid cells, then smooth the cell-level data over cell centroids.
 
     The cell outcome is smoothed as a rate (y_plus / n), then rescaled back to
@@ -116,9 +95,7 @@ def compose_two_step(data: SpatialDataset, grid: GridSpec, kernel: KernelFamily,
     cells = agg.as_dataset()
     op = build_operator(cells.locs, kernel, lam)
     rates = agg.y_plus / agg.n
-    smoothed_rates = op.a @ rates
-    smoothed = cells.replace_values(x=op.a @ cells.x, y=smoothed_rates * agg.n)
-    return MaskedDataset(data=smoothed, kernel=kernel, lam=float(lam))
+    return cells.replace_values(x=op.a @ cells.x, y=(op.a @ rates) * agg.n)
 
 
 def operator_to_csv(op: MaskingOperator, path) -> None:

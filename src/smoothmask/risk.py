@@ -1,4 +1,4 @@
-"""Identification disclosure risk of a released masked dataset.
+"""Identification disclosure risk of a release, a masked SpatialDataset.
 
 An intruder holding the true values of the "available" columns for every
 individual matches each of their records against the release. Per-record
@@ -17,7 +17,6 @@ import numpy as np
 from scipy.spatial import ConvexHull, QhullError
 
 from .dataset import SpatialDataset
-from .masking import MaskedDataset
 
 _TIE_RTOL = 1e-9
 # Qhull's facet count grows steeply with dimension. For 1000 Gaussian points on
@@ -90,28 +89,19 @@ class RiskReport:
     note: str = UPPER_BOUND_NOTE
 
 
-def _as_dataset(masked) -> SpatialDataset:
-    return masked.data if isinstance(masked, MaskedDataset) else masked
-
-
 def _column_block(ds: SpatialDataset, names: tuple[str, ...]) -> np.ndarray:
     if not names:
         return np.empty((ds.n_records, 0))
     return np.column_stack([ds.column(name) for name in names])
 
 
-def validate_scenario(masked, scenario: IntruderScenario) -> None:
+def check_scenario_fits(scenario: IntruderScenario, x_names, ids) -> None:
     """Raise ValueError unless the scenario fits the release.
 
-    Its columns must cover exactly the released columns, and every target id
-    must name a released record.
+    The release is described by its regressor names and record ids. The
+    scenario's columns must cover exactly the released columns, and every
+    target id must name a released record.
     """
-    ds = _as_dataset(masked)
-    check_scenario_fits(scenario, ds.x_names, ds.ids)
-
-
-def check_scenario_fits(scenario: IntruderScenario, x_names, ids) -> None:
-    """validate_scenario for a release described by its regressor names and ids."""
     released = set(x_names) | {"y"}
     declared = set(scenario.ap_columns) | set(scenario.u_columns)
     if declared != released:
@@ -223,9 +213,9 @@ class _Context:
     target_indices: tuple[int, ...]
 
 
-def _build_context(masked, truth: SpatialDataset, scenario: IntruderScenario) -> _Context:
-    ds = _as_dataset(masked)
-    validate_scenario(ds, scenario)
+def _build_context(ds: SpatialDataset, truth: SpatialDataset,
+                   scenario: IntruderScenario) -> _Context:
+    check_scenario_fits(scenario, ds.x_names, ds.ids)
     truth_pos = {rid: i for i, rid in enumerate(truth.ids)}
     missing = [rid for rid in ds.ids if rid not in truth_pos]
     if missing:
@@ -277,17 +267,17 @@ def _target_probabilities(ctx: _Context, target_index: int) -> np.ndarray:
     return prod / total
 
 
-def match_probabilities(masked, truth: SpatialDataset, target_id: str,
+def match_probabilities(masked: SpatialDataset, truth: SpatialDataset, target_id: str,
                         scenario: IntruderScenario) -> np.ndarray:
     """Posterior matching probabilities of one intruder record over all released records."""
     ctx = _build_context(masked, truth, scenario)
-    ds = _as_dataset(masked)
-    if target_id not in ds.ids:
+    if target_id not in masked.ids:
         raise ValueError(f"target id {target_id!r} is not a released record")
-    return _target_probabilities(ctx, ds.ids.index(target_id))
+    return _target_probabilities(ctx, masked.ids.index(target_id))
 
 
-def risk_report(masked, truth: SpatialDataset, scenario: IntruderScenario) -> RiskReport:
+def risk_report(masked: SpatialDataset, truth: SpatialDataset,
+                scenario: IntruderScenario) -> RiskReport:
     """Match every intruder record and summarize the expected correct-match rate.
 
     A record is matched to the argmax probability set (ties within 1e-9
@@ -317,7 +307,7 @@ def risk_report(masked, truth: SpatialDataset, scenario: IntruderScenario) -> Ri
     return RiskReport(targets=tuple(targets), expected_correct_rate=rate)
 
 
-def expected_correct_rate(masked, truth: SpatialDataset,
+def expected_correct_rate(masked: SpatialDataset, truth: SpatialDataset,
                           scenario: IntruderScenario) -> float:
     """Dataset-level identification disclosure risk in [0, 1]."""
     return risk_report(masked, truth, scenario).expected_correct_rate

@@ -6,13 +6,12 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field as dataclass_field
-from pathlib import Path
 from typing import Sequence
 
 import numpy as np
-from scipy.stats import norm
+from scipy.special import ndtri
 
-from .dataset import GridSpec, Location, SpatialDataset, aggregate
+from .dataset import GridSpec, SpatialDataset, aggregate
 from .kernels import (
     BlockRegion,
     KernelFamily,
@@ -84,11 +83,6 @@ class BlockedExposure:
 
 
 ExposureField = RadialExposure | DirectionalExposure | BlockedExposure
-
-
-def exposure(field_def: ExposureField, s: Location) -> float:
-    """Exposure value at a single location."""
-    return float(field_def.values(np.array([[s.s1, s.s2]]))[0])
 
 
 def field_to_json(field_def: ExposureField) -> dict:
@@ -255,9 +249,6 @@ class StudyResult:
                 return r
         raise KeyError(f"no study row for kernel={kernel!r}, lam={lam!r}")
 
-    def kernel_rows(self, kernel: str) -> tuple[StudyRow, ...]:
-        return tuple(r for r in self.rows if r.kernel == kernel)
-
 
 STUDY_COLUMNS = ("kernel", "lam", "mean_estimate", "empirical_sd", "mean_naive_se",
                  "mean_naive_var", "bias", "mse", "pct_lo", "pct_hi", "width_ratio",
@@ -282,10 +273,6 @@ def study_csv_text(result: StudyResult) -> str:
     return "\n".join(lines) + "\n"
 
 
-def write_study_csv(result: StudyResult, path) -> None:
-    Path(path).write_text(study_csv_text(result), encoding="utf-8")
-
-
 def risk_utility_profile(result: StudyResult) -> tuple[ProfileRow, ...]:
     """The (mse, risk) pairs traced by the kernel/lambda grid."""
     return tuple(
@@ -300,10 +287,6 @@ def profile_csv_text(rows: Sequence[ProfileRow]) -> str:
     for r in rows:
         lines.append(",".join([r.kernel, _fmt(r.lam), _fmt(r.mse), _fmt(r.risk)]))
     return "\n".join(lines) + "\n"
-
-
-def write_profile_csv(rows: Sequence[ProfileRow], path) -> None:
-    Path(path).write_text(profile_csv_text(rows), encoding="utf-8")
 
 
 # ---------------------------------------------------------------------------
@@ -368,7 +351,7 @@ def run_study(cfg: SimConfig) -> StudyResult:
     scenario = cfg.scenario
 
     model = ModelSpec(family="poisson-log", regressors=_STUDY_X_NAMES, intercept=True)
-    z = float(norm.ppf(0.5 * (1.0 + cfg.ci_level)))
+    z = float(ndtri(0.5 * (1.0 + cfg.ci_level)))
     alpha = 0.5 * (1.0 - cfg.ci_level)
     grid = cfg.grid()
 

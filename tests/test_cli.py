@@ -3,6 +3,10 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -292,6 +296,44 @@ class TestBias:
         err = capsys.readouterr().err
         assert err == "smoothmask: bad kernel config: unknown kernel family 'nope'\n"
         assert not out.exists()
+
+
+class TestOutputCheckedFirst:
+    """A bad --out fails before any computation, for every single-file subcommand."""
+
+    @pytest.mark.parametrize("sub, compute", [
+        ("fit", "smoothmask.cli.fit"),
+        ("risk", "smoothmask.cli.risk_report"),
+        ("bias", "smoothmask.bias.first_order_bias"),
+        ("profile", "smoothmask.cli._read_table"),
+        ("plot", "smoothmask.cli._read_table"),
+    ])
+    def test_out_in_missing_directory_exit_1_before_computing(
+            self, toy, study_dir, tmp_path, capsys, monkeypatch, sub, compute):
+        monkeypatch.setattr(compute, lambda *a, **k: pytest.fail(f"{sub} computed"))
+        inputs = {
+            "fit": ["--in", toy["data"], "--model", toy["model"]],
+            "risk": ["--masked", toy["data"], "--truth", toy["data"],
+                     "--scenario", toy["scenario"]],
+            "bias": ["--in", toy["data"], "--kernel", toy["kernel"], "--beta=-25,4"],
+            "profile": ["--study", study_dir / "study.csv"],
+            "plot": ["--in", study_dir / "study.csv", "--kind", "estimates"],
+        }[sub]
+        out = tmp_path / "nodir" / "out.json"
+        rc = main([sub, *map(str, inputs), "--out", str(out)])
+        assert rc == 1
+        assert capsys.readouterr().err == (
+            f"smoothmask: --out {out}: {tmp_path / 'nodir'} is not a directory\n")
+        assert not out.exists()
+        assert not list(tmp_path.rglob("*.tmp"))
+
+
+def test_import_does_not_load_scipy_stats():
+    src = Path(cli.__file__).resolve().parents[1]
+    code = "import sys, smoothmask; print('scipy.stats' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=os.environ | {"PYTHONPATH": str(src)}, check=True)
+    assert proc.stdout == "False\n"
 
 
 class TestSimulateFailures:

@@ -210,3 +210,14 @@ class TestAggregate:
         cells = aggregate(data, grid).as_dataset()
         assert cells.n is not None
         assert set(np.abs(cells.locs).ravel()) == {0.5}
+
+    def test_centers_equal_per_cell_formula(self):
+        # the vectorised centers keep the scalar per-cell arithmetic, so they
+        # equal it bit for bit
+        grid = GridSpec(-1.3, 2.1, 0.4, 5.0, 7, 3)
+        cells = [0, 4, 6, 7, 13, 20]
+        dx = (grid.xmax - grid.xmin) / grid.nx
+        dy = (grid.ymax - grid.ymin) / grid.ny
+        want = [[grid.xmin + (j % grid.nx + 0.5) * dx, grid.ymin + (j // grid.nx + 0.5) * dy]
+                for j in cells]
+        assert np.array_equal(grid.centers(cells), np.array(want))

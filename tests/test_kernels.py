@@ -166,7 +166,7 @@ class TestSharedProperties:
         w = kernel.weight_matrix(locs, 0.37)
         for i in (0, 3, 7):
             for j in (1, 5, 11):
-                got = kernel.pair_weight(Location(*locs[i]), Location(*locs[j]), 0.37)
+                got = eval_weight(kernel, Location(*locs[i]), Location(*locs[j]), 0.37)
                 assert got == pytest.approx(w[i, j], rel=1e-12, abs=1e-300)
 
     @pytest.mark.parametrize("kernel", ALL_KERNELS, ids=lambda k: type(k).__name__)

@@ -6,6 +6,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from smoothmask import kernels
 from smoothmask.dataset import GridSpec, SpatialDataset
@@ -95,6 +98,25 @@ class TestBuildOperator:
         dense = build_operator(locs, EuclideanKernel(), 0.2)
         assert (op.a == 0.0).sum() > (dense.a == 0.0).sum()
 
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data(), kernel=st.sampled_from(ALL_KERNELS), duplicate=st.booleans(),
+           lam=st.one_of(st.just(0.0), st.floats(0.0, 1e6, exclude_min=True)))
+    def test_property_row_stochastic_and_identity_at_zero(self, data, kernel, duplicate, lam):
+        n = data.draw(st.integers(1, 60), label="n")
+        locs = data.draw(hnp.arrays(float, (n, 2), elements=st.floats(-1.0, 1.0)), label="locs")
+        if duplicate and n > 1:
+            locs[-1] = locs[0]
+        a = build_operator(locs, kernel, lam).a
+        assert (a >= 0.0).all()
+        assert np.abs(a.sum(axis=1) - 1.0).max() <= 1e-12
+        if lam == 0.0:
+            # the limit weights spread each row evenly over its zero-distance
+            # points; ring families put every point of one radius at distance 0
+            ties = kernel.distance_matrix(locs) == 0.0
+            assert np.array_equal(a, ties / ties.sum(axis=1, keepdims=True))
+            if not ties[~np.eye(n, dtype=bool)].any():
+                assert np.array_equal(a, np.eye(n))
+
 
 def unblocked_operator(kernel, locs, lam):
     """Oracle: weights over the whole square distance matrix at once, then row sums."""
@@ -156,7 +178,7 @@ class TestApply:
     def test_counts_not_smoothed(self):
         data = random_dataset(10, seed=9, with_counts=True)
         masked = mask_dataset(data, EuclideanKernel(), 0.5)
-        np.testing.assert_array_equal(masked.data.n, data.n)
+        np.testing.assert_array_equal(masked.n, data.n)
 
 
 class TestConvexityAndSharedWeights:
@@ -218,7 +240,7 @@ class TestComposeTwoStep:
         agg = aggregate(data, grid)
         np.testing.assert_allclose(masked.y, agg.y_plus, rtol=1e-12)
         np.testing.assert_allclose(masked.x, agg.x_bar, rtol=1e-12)
-        np.testing.assert_array_equal(masked.data.n, agg.n)
+        np.testing.assert_array_equal(masked.n, agg.n)
 
     def test_single_cell_nothing_to_smooth(self):
         from smoothmask.dataset import aggregate

@@ -14,11 +14,11 @@ from smoothmask.dataset import SpatialDataset
 from smoothmask.risk import (
     IntruderScenario,
     ap_components,
+    check_scenario_fits,
     expected_correct_rate,
     match_probabilities,
     risk_report,
     u_components,
-    validate_scenario,
 )
 
 
@@ -221,17 +221,37 @@ class TestMatchProbabilities:
         q = match_probabilities(permuted, permuted, "r3", scenario)
         np.testing.assert_allclose(q, p[perm], rtol=0, atol=1e-12)
 
+    @settings(max_examples=50, deadline=None)
+    @given(data=st.data(), integer=st.booleans())
+    def test_property_permutation_equivariance(self, data, integer):
+        n = data.draw(st.integers(2, 30), label="n")
+        elements = st.integers(-3, 3).map(float) if integer else st.floats(-1e3, 1e3)
+        x = data.draw(hnp.arrays(float, n, elements=elements), label="x")
+        y = data.draw(hnp.arrays(float, n, elements=elements), label="y")
+        perm = np.array(data.draw(st.permutations(range(n)), label="perm"))
+        target = f"r{data.draw(st.integers(0, n - 1), label='target')}"
+        dataset = make_dataset(x=x, y=y)
+        permuted = SpatialDataset(
+            ids=tuple(dataset.ids[i] for i in perm),
+            locs=dataset.locs[perm], x=dataset.x[perm], y=dataset.y[perm], x_names=("x",),
+        )
+        scenario = IntruderScenario(ap_columns=("x", "y"))
+        p = match_probabilities(dataset, dataset, target, scenario)
+        q = match_probabilities(permuted, permuted, target, scenario)
+        np.testing.assert_allclose(q, p[perm], rtol=0, atol=1e-12)
+
     def test_scenario_columns_must_cover_release(self):
         data = make_dataset(x=[1.0, 2.0], y=[1.0, 2.0])
         with pytest.raises(ValueError, match="cover"):
             match_probabilities(data, data, "r0", IntruderScenario(ap_columns=("x",)))
 
-    def test_validate_scenario_rejects_unreleased_target(self):
+    def test_check_scenario_fits_rejects_unreleased_target(self):
         data = make_dataset(x=[1.0, 2.0], y=[1.0, 2.0])
-        validate_scenario(data, IntruderScenario(ap_columns=("x", "y"), target_ids=("r1",)))
+        check_scenario_fits(IntruderScenario(ap_columns=("x", "y"), target_ids=("r1",)),
+                            data.x_names, data.ids)
         with pytest.raises(ValueError, match="not present"):
-            validate_scenario(data, IntruderScenario(ap_columns=("x", "y"),
-                                                     target_ids=("r1", "r9")))
+            check_scenario_fits(IntruderScenario(ap_columns=("x", "y"), target_ids=("r1", "r9")),
+                                data.x_names, data.ids)
 
     def test_disjoint_columns_required(self):
         with pytest.raises(ValueError, match="disjoint"):

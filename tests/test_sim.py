@@ -23,7 +23,6 @@ from smoothmask.sim import (
     SimConfig,
     config_from_json,
     default_lambda_grid,
-    exposure,
     field_from_json,
     field_to_json,
     profile_csv_text,
@@ -53,23 +52,23 @@ class TestSampleLocations:
 
 class TestExposureFields:
     def test_radial_at_source(self):
-        assert exposure(RadialExposure(), Location(0.0, 0.0)) == pytest.approx(7.0)
+        assert RadialExposure().values(np.array([[0.0, 0.0]]))[0] == pytest.approx(7.0)
 
     def test_radial_at_scale_distance(self):
         # squared radius equal to the decay scale gives amplitude / e
-        s = Location(math.sqrt(2.5), 0.0)
-        assert exposure(RadialExposure(), s) == pytest.approx(7.0 * math.exp(-1.0), rel=1e-12)
+        s = np.array([[math.sqrt(2.5), 0.0]])
+        assert RadialExposure().values(s)[0] == pytest.approx(7.0 * math.exp(-1.0), rel=1e-12)
 
     def test_blocked_location_is_zero(self):
         field = BlockedExposure()
-        assert exposure(field, Location(0.9, 0.0)) == 0.0      # blocked wedge
-        assert exposure(field, Location(-0.5, 0.0)) > 0.0      # unblocked
+        assert field.values(np.array([[0.9, 0.0]]))[0] == 0.0      # blocked wedge
+        assert field.values(np.array([[-0.5, 0.0]]))[0] > 0.0      # unblocked
 
     def test_directional_formula(self):
         field = DirectionalExposure()
-        s = Location(0.5, 0.0)  # aligned with the default +x direction
+        s = np.array([[0.5, 0.0]])  # aligned with the default +x direction
         want = 7.0 * math.exp(-0.25 / 6.0 - 1.0 / 3.0)
-        assert exposure(field, s) == pytest.approx(want, rel=1e-12)
+        assert field.values(s)[0] == pytest.approx(want, rel=1e-12)
 
     def test_field_json_round_trip(self):
         fields = (
