@@ -47,22 +47,29 @@ def _location_scale_sq(locs: np.ndarray) -> float:
     return scale if scale > 0 else 1.0
 
 
+def _check_h_step(h_step: float) -> float:
+    if not (h_step > 0 and math.isfinite(h_step)):
+        raise ValueError("h_step must be positive and finite")
+    return h_step
+
+
 def r0_matrix(kernel: KernelFamily, locs, h_step: float | None = None) -> np.ndarray:
     """Derivative of the normalized weight matrix at zero smoothness.
 
     Exponential-decay families take the analytic shortcut (exact zero matrix);
     any other family is differenced forward from zero. Rows of the operator
     sum to one at every smoothness, so the derivative's rows sum to zero; the
-    finite difference is re-centered to enforce that.
+    finite difference is re-centered to enforce that. An explicit ``h_step``
+    must be positive and finite even where it goes unused.
     """
+    if h_step is not None:
+        _check_h_step(h_step)
     locs = coords_array(locs)
     n = len(locs)
     if isinstance(kernel, ExponentialDecayKernel) or n == 1:
         return np.zeros((n, n))
     if h_step is None:
-        h_step = 1e-6 * _location_scale_sq(locs)
-    if not (h_step > 0 and math.isfinite(h_step)):
-        raise ValueError("h_step must be positive and finite")
+        h_step = _check_h_step(1e-6 * _location_scale_sq(locs))
     a0 = build_operator(locs, kernel, 0.0).a
     ah = build_operator(locs, kernel, h_step).a
     r = (ah - a0) / h_step

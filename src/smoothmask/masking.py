@@ -25,11 +25,10 @@ def location_fingerprint(locs) -> str:
 
 @dataclass(frozen=True)
 class MaskingOperator:
-    """Dense n x n row-stochastic matrix derived from a kernel family at one lambda."""
+    """Dense n x n row-stochastic matrix, with the fingerprint of the locations it
+    was built on (see build_operator)."""
 
     a: np.ndarray
-    kernel: KernelFamily
-    lam: float
     fingerprint: str
 
     def __post_init__(self) -> None:
@@ -70,12 +69,7 @@ def build_operator(locs, kernel: KernelFamily, lam: float,
     if dead.any():
         raise ValueError(f"row {int(np.argmax(dead))} has all-zero weights; cannot normalize")
     w /= sums[:, None]
-    return MaskingOperator(
-        a=w,
-        kernel=kernel,
-        lam=float(lam),
-        fingerprint=location_fingerprint(locs),
-    )
+    return MaskingOperator(a=w, fingerprint=location_fingerprint(locs))
 
 
 def mask_dataset(data: SpatialDataset, kernel: KernelFamily, lam: float,

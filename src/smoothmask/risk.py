@@ -7,6 +7,13 @@ a distance-based probability on the available columns, a Monte Carlo
 integral over the unobserved true values for the sought columns, and a
 cross-record term fixed at its upper bound of 1. The dataset-level risk is
 the expected percentage of correct matches under argmax matching.
+
+The array work runs on columns and blocks. Distances are summed over
+per-column planes (the sought-column draws as contiguous (rows, mc_draws)
+planes, the Fortran-ordered available columns as contiguous vectors), and the
+targets are normalised, argmax-matched and tie-scored a block of rows at a
+time. With fewer than 8 available or sought columns every value is
+bit-identical to the row-at-a-time form.
 """
 
 from __future__ import annotations
@@ -19,6 +26,13 @@ from scipy.spatial import ConvexHull, QhullError
 from .dataset import SpatialDataset
 
 _TIE_RTOL = 1e-9
+# Element budget of one row block in u_components and _match_rows: 2**13
+# float64 values are 64 KiB, so a block's temporaries stay in cache. Scored
+# rows are then copied into one vector per target: vectors of n floats fill
+# the allocator's free holes as a plain per-target loop's do, while one
+# (k, n) array, or 512 KiB blocks, needed fresh memory and raised the peak
+# RSS of a 1000-record `smoothmask risk` by 0.7 or 0.2 MB.
+_BLOCK_ELEMS = 2 ** 13
 # Qhull's facet count grows steeply with dimension. For 1000 Gaussian points on
 # a 2-CPU x86 machine the hull took 0.2 s in 6 dimensions, 2 s in 7 and 20 s in
 # 8, while scoring 100 draws per record against every row took about 5 s.
@@ -86,6 +100,7 @@ class TargetMatch:
 class RiskReport:
     targets: tuple[TargetMatch, ...]
     expected_correct_rate: float
+    degenerate: int              # targets whose available-column distances were all zero
     note: str = UPPER_BOUND_NOTE
 
 
@@ -116,19 +131,40 @@ def check_scenario_fits(scenario: IntruderScenario, x_names, ids) -> None:
             raise ValueError(f"target ids not present in the released data: {unknown[:3]}")
 
 
+def _sq_distance(planes, point) -> np.ndarray:
+    """Squared Euclidean distance from ``point`` to the entries of ``planes``.
+
+    ``planes`` holds one array per column and ``point`` one value (or a
+    broadcastable column) per column; the squares are added column by column,
+    left to right, the order numpy's inner-axis sum uses below 8 columns.
+    """
+    acc = None
+    for plane, c in zip(planes, point):
+        diff = plane - c
+        diff *= diff
+        if acc is None:
+            acc = diff
+        else:
+            acc += diff
+    return acc
+
+
 def ap_components(masked_ap: np.ndarray, t_ap: np.ndarray) -> tuple[np.ndarray, bool]:
     """Distance-based probability of each released record's available columns.
 
     Returns (components, degenerate). Component j is 1 - d_j / max_k d_k with
     Euclidean d; when every distance is zero the components are all ones and
     the degenerate flag is set (the caller treats the factor as uniform).
+    Distances are summed column by column, which reads contiguous memory when
+    ``masked_ap`` is in Fortran order.
     """
-    diff = masked_ap - t_ap[None, :]
-    d = np.sqrt((diff ** 2).sum(axis=1))
+    d = _sq_distance(masked_ap.T, t_ap)
+    np.sqrt(d, out=d)
     dmax = d.max()
     if dmax == 0.0:
         return np.ones(len(d)), True
-    return 1.0 - d / dmax, False
+    d /= dmax
+    return np.subtract(1.0, d, out=d), False
 
 
 def _farthest_candidates(masked_u: np.ndarray) -> np.ndarray:
@@ -171,20 +207,38 @@ def u_components(masked_u: np.ndarray, preds: np.ndarray, resid_sd: np.ndarray,
     degenerate set every distinct row is a candidate instead. The result
     equals the all-records maximum exactly, at O(n * mc_draws * h) cost for
     h candidates instead of O(n^2 * mc_draws).
+
+    Records are scored in row blocks of about _BLOCK_ELEMS draw values, which
+    take consecutive stretches of one ``standard_normal((n, mc_draws, u_dim))``
+    stream. A block's draws are held as u_dim contiguous (rows, mc_draws)
+    planes, and distances are summed over them column by column. The running
+    maximum is taken over squared distances and rooted once: a correctly
+    rounded square root is monotone, so this is the maximum of the roots.
+    For u_dim below 8 every value equals the (n, mc_draws, u_dim) form
+    bit for bit; from 8 columns on numpy's pairwise inner-axis sum rounds
+    differently, within a few ulp.
     """
     n, u_dim = masked_u.shape
     if u_dim == 0:
         return np.ones(n)
     if np.all(resid_sd == 0.0):
         mc_draws = 1  # all draws identical
-    draws = preds[:, None, :] + rng.standard_normal((n, mc_draws, u_dim)) * resid_sd
-    num = np.sqrt(((draws - masked_u[:, None, :]) ** 2).sum(axis=2))
-    dmax = np.zeros((n, mc_draws))
-    for c in _farthest_candidates(masked_u):
-        np.maximum(dmax, np.sqrt(((draws - c) ** 2).sum(axis=2)), out=dmax)
-    with np.errstate(invalid="ignore", divide="ignore"):
-        ratio = np.where(dmax > 0.0, num / np.where(dmax > 0.0, dmax, 1.0), 0.0)
-    return np.clip(1.0 - ratio, 0.0, 1.0).mean(axis=1)
+    candidates = _farthest_candidates(masked_u)
+    out = np.empty(n)
+    rows = max(1, _BLOCK_ELEMS // (mc_draws * u_dim))
+    for s in range(0, n, rows):
+        z = rng.standard_normal((min(rows, n - s), mc_draws, u_dim))
+        planes = [preds[s:s + rows, k, None] + z[:, :, k] * resid_sd[k] for k in range(u_dim)]
+        del z
+        num = np.sqrt(_sq_distance(planes, masked_u[s:s + rows].T[:, :, None]))
+        dmax = np.zeros_like(num)
+        for c in candidates:
+            np.maximum(dmax, _sq_distance(planes, c), out=dmax)
+        np.sqrt(dmax, out=dmax)
+        with np.errstate(invalid="ignore"):  # inf / inf from overflowing draws
+            ratio = np.divide(num, dmax, out=np.zeros_like(num), where=dmax > 0.0)
+        out[s:s + rows] = np.clip(1.0 - ratio, 0.0, 1.0).mean(axis=1)
+    return out
 
 
 def _regression(masked_ap: np.ndarray, truth_u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -208,7 +262,7 @@ def _regression(masked_ap: np.ndarray, truth_u: np.ndarray) -> tuple[np.ndarray,
 class _Context:
     ds: SpatialDataset
     truth_rows: np.ndarray       # truth values aligned to released record order
-    masked_ap: np.ndarray
+    masked_ap: np.ndarray        # Fortran order: each column is contiguous
     u_comp: np.ndarray           # shared across targets: depends only on record j
     target_indices: tuple[int, ...]
 
@@ -252,28 +306,59 @@ def _build_context(ds: SpatialDataset, truth: SpatialDataset,
     else:
         pos = {rid: i for i, rid in enumerate(ds.ids)}
         target_indices = tuple(pos[t] for t in scenario.target_ids)
-    return _Context(ds=ds, truth_rows=truth_ap, masked_ap=masked_ap,
+    return _Context(ds=ds, truth_rows=truth_ap, masked_ap=np.asfortranarray(masked_ap),
                     u_comp=u_comp, target_indices=target_indices)
 
 
-def _target_probabilities(ctx: _Context, target_index: int) -> np.ndarray:
+def _match_rows(ctx: _Context, target_indices) -> tuple[list[np.ndarray], list[int], list[bool], int]:
+    """Posterior probabilities of the given targets, scored in row blocks.
+
+    Returns one read-only probability vector per target, each target's
+    argmax-set size m (ties within _TIE_RTOL relative), whether the target's
+    own record is in that set, and how many targets had a degenerate
+    available-column factor. Each row gets the elementwise arithmetic and row
+    sum of a lone vector, so blocking changes no value.
+    """
     n = ctx.ds.n_records
-    ap, _degenerate = ap_components(ctx.masked_ap, ctx.truth_rows[target_index])
-    # uniform prior 1/N and cross-record component 1 (upper bound)
-    prod = ap * ctx.u_comp / n
-    total = prod.sum()
-    if total == 0.0:
-        return np.full(n, 1.0 / n)
-    return prod / total
+    k = len(target_indices)
+    probs = []
+    m = np.empty(k, dtype=np.intp)
+    correct = np.empty(k, dtype=bool)
+    degenerate = 0
+    rows = max(1, _BLOCK_ELEMS // n)
+    scratch = np.empty((min(rows, k), n))
+    for s in range(0, k, rows):
+        tix = np.asarray(target_indices[s:s + rows], dtype=np.intp)
+        block = scratch[:len(tix)]
+        for row, t in zip(block, tix):
+            row[:], flag = ap_components(ctx.masked_ap, ctx.truth_rows[t])
+            degenerate += flag
+        # uniform prior 1/n and cross-record component 1 (upper bound)
+        block *= ctx.u_comp
+        block /= n
+        totals = block.sum(axis=1)
+        zero = totals == 0.0
+        totals[zero] = 1.0
+        block /= totals[:, None]
+        block[zero] = 1.0 / n
+        sel = block >= (block.max(axis=1) * (1.0 - _TIE_RTOL))[:, None]
+        m[s:s + rows] = np.count_nonzero(sel, axis=1)
+        correct[s:s + rows] = sel[np.arange(len(tix)), tix]
+        for row in block:
+            p = row.copy()
+            p.setflags(write=False)
+            probs.append(p)
+    return probs, m.tolist(), correct.tolist(), degenerate
 
 
 def match_probabilities(masked: SpatialDataset, truth: SpatialDataset, target_id: str,
                         scenario: IntruderScenario) -> np.ndarray:
-    """Posterior matching probabilities of one intruder record over all released records."""
+    """Posterior matching probabilities of one intruder record over all released
+    records, as a read-only array."""
     ctx = _build_context(masked, truth, scenario)
     if target_id not in masked.ids:
         raise ValueError(f"target id {target_id!r} is not a released record")
-    return _target_probabilities(ctx, masked.ids.index(target_id))
+    return _match_rows(ctx, (masked.ids.index(target_id),))[0][0]
 
 
 def risk_report(masked: SpatialDataset, truth: SpatialDataset,
@@ -282,29 +367,26 @@ def risk_report(masked: SpatialDataset, truth: SpatialDataset,
 
     A record is matched to the argmax probability set (ties within 1e-9
     relative); a tie of size m containing the correct record contributes 1/m.
+    Targets are scored a block of rows at a time (_match_rows); each
+    TargetMatch holds its own read-only probability vector.
     """
     ctx = _build_context(masked, truth, scenario)
+    probs, m, correct, degenerate = _match_rows(ctx, ctx.target_indices)
     targets = []
     total = 0.0
-    for tidx in ctx.target_indices:
-        p = _target_probabilities(ctx, tidx)
-        pmax = p.max()
-        sel = p >= pmax * (1.0 - _TIE_RTOL)
-        m = int(sel.sum())
-        correct = bool(sel[tidx])
-        if correct:
-            total += 1.0 / m
-        p_read = p.copy()
-        p_read.setflags(write=False)
+    for p, tidx, m_t, correct_t in zip(probs, ctx.target_indices, m, correct):
+        if correct_t:
+            total += 1.0 / m_t
         targets.append(TargetMatch(
             target_id=ctx.ds.ids[tidx],
-            probabilities=p_read,
-            m=m,
-            correct_in_argmax=correct,
+            probabilities=p,
+            m=m_t,
+            correct_in_argmax=correct_t,
             prob_correct=float(p[tidx]),
         ))
     rate = total / len(ctx.target_indices)
-    return RiskReport(targets=tuple(targets), expected_correct_rate=rate)
+    return RiskReport(targets=tuple(targets), expected_correct_rate=rate,
+                      degenerate=degenerate)
 
 
 def expected_correct_rate(masked: SpatialDataset, truth: SpatialDataset,

@@ -370,14 +370,14 @@ def run_study(cfg: SimConfig) -> StudyResult:
             op = build_operator(locs, kernel, lam)
             masked_x = op.a @ x
             fits = [fit(model, masked_x, y) for y in (op.a @ Y).T]
-            risk = None
-            if scenario is not None:
-                # a matvec, not a column of the product above: the two can
-                # round differently, and argmax matching flips a near-tie on a
-                # last-bit change
-                masked = truth.replace_values(x=masked_x[:, None], y=op.a @ ys[0])
-                risk = expected_correct_rate(masked, truth, scenario)
-            del op  # the next cell's operator must not coexist with this one
+            # a matvec, not a column of the product above: the two can round
+            # differently, and argmax matching flips a near-tie on a last-bit
+            # change
+            masked = (None if scenario is None
+                      else truth.replace_values(x=masked_x[:, None], y=op.a @ ys[0]))
+            # risk scoring and the next cell's operator must not coexist with this one
+            del op
+            risk = None if masked is None else expected_correct_rate(masked, truth, scenario)
             rows.append(_study_row(name, lam, risk, fits, cfg.beta, z, alpha))
 
     metadata = {

@@ -84,6 +84,18 @@ class TestR0Matrix:
         with pytest.raises(ValueError):
             r0_matrix(poly_kernel, np.array([[0.0, 0.0], [1.0, 0.0]]), h_step=-1.0)
 
+    @pytest.mark.parametrize("h_step", [-1.0, 0.0, float("inf"), float("nan")])
+    def test_bad_h_step_rejected_with_built_in_kernel(self, h_step):
+        # the exponential-decay shortcut must not skip the check
+        data = exposure_dataset(np.random.default_rng(4).uniform(-1, 1, (12, 2)))
+        with pytest.raises(ValueError, match="h_step"):
+            first_order_bias(data, [-2.0, 0.5], EuclideanKernel(), "poisson-log", h_step=h_step)
+
+    @pytest.mark.parametrize("h_step", [-1.0, 0.0, float("inf"), float("nan")])
+    def test_bad_h_step_rejected_with_one_record(self, poly_kernel, h_step):
+        with pytest.raises(ValueError, match="h_step"):
+            r0_matrix(poly_kernel, np.array([[0.3, -0.2]]), h_step=h_step)
+
 
 class TestFirstOrderBias:
     def test_constant_exposure_exactly_zero(self, poly_kernel):

@@ -153,8 +153,8 @@ class TestApply:
 
     def test_uniform_operator_gives_column_means(self):
         data = random_dataset(15, p=2, seed=6)
-        op = MaskingOperator(a=np.full((15, 15), 1.0 / 15.0), kernel=EuclideanKernel(),
-                             lam=math.inf, fingerprint=location_fingerprint(data.locs))
+        op = MaskingOperator(a=np.full((15, 15), 1.0 / 15.0),
+                             fingerprint=location_fingerprint(data.locs))
         masked = op.apply(data)
         np.testing.assert_allclose(masked.y, np.full(15, data.y.mean()), rtol=1e-12)
         for j in range(2):

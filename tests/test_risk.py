@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+from smoothmask import risk
 from smoothmask.dataset import SpatialDataset
 from smoothmask.risk import (
     IntruderScenario,
@@ -49,6 +50,34 @@ def brute_force_u_components(masked_u, preds, resid_sd, mc_draws, rng):
     with np.errstate(invalid="ignore", divide="ignore"):
         ratio = np.where(dmax > 0.0, num / np.where(dmax > 0.0, dmax, 1.0), 0.0)
     return np.clip(1.0 - ratio, 0.0, 1.0).mean(axis=1)
+
+
+def per_target_reference(masked, truth, scenario):
+    """Oracle: score one target at a time, with numpy's row sums of (n, a) arrays.
+
+    This is the row-at-a-time form that the column and block code replaced;
+    both share the context (standardization, regression, sought-column
+    components). Returns ([(probabilities, m, correct, prob_correct)], rate,
+    degenerate count).
+    """
+    ctx = risk._build_context(masked, truth, scenario)
+    masked_ap = np.ascontiguousarray(ctx.masked_ap)
+    n = masked.n_records
+    rows, total, degenerate = [], 0.0, 0
+    for tidx in ctx.target_indices:
+        d = np.sqrt(((masked_ap - ctx.truth_rows[tidx][None, :]) ** 2).sum(axis=1))
+        dmax = d.max()
+        degenerate += dmax == 0.0
+        ap = np.ones(n) if dmax == 0.0 else 1.0 - d / dmax
+        prod = ap * ctx.u_comp / n
+        s = prod.sum()
+        p = np.full(n, 1.0 / n) if s == 0.0 else prod / s
+        sel = p >= p.max() * (1.0 - 1e-9)
+        m, correct = int(sel.sum()), bool(sel[tidx])
+        if correct:
+            total += 1.0 / m
+        rows.append((p, m, correct, float(p[tidx])))
+    return rows, total / len(ctx.target_indices), degenerate
 
 
 def _oracle_inputs():
@@ -93,6 +122,28 @@ class TestApComponents:
         comp, degen = ap_components(np.array([[2.0], [2.0]]), np.array([2.0]))
         assert degen
         np.testing.assert_array_equal(comp, [1.0, 1.0])
+
+    def test_memory_order_does_not_matter(self):
+        rng = np.random.default_rng(12)
+        for a in range(1, 5):
+            c_order = rng.normal(0, 1, (50, a))
+            c_order[::7] = c_order[0]  # ties
+            t = c_order[3] + rng.normal(0, 0.1, a)
+            comp_c, degen_c = ap_components(c_order, t)
+            comp_f, degen_f = ap_components(np.asfortranarray(c_order), t)
+            assert np.array_equal(comp_c, comp_f) and degen_c == degen_f
+
+    @pytest.mark.parametrize("a", [8, 9, 12])
+    def test_eight_or_more_columns_within_tolerance(self, a):
+        # from 8 columns numpy's row sum is pairwise, the column sum is not:
+        # the two agree within a few ulp, far inside 1e-12
+        rng = np.random.default_rng(a)
+        masked_ap = rng.normal(0, 1, (60, a))
+        t = rng.normal(0, 1, a)
+        d = np.sqrt(((masked_ap - t) ** 2).sum(axis=1))
+        comp, degen = ap_components(masked_ap, t)
+        assert not degen
+        np.testing.assert_allclose(comp, 1.0 - d / d.max(), rtol=0, atol=1e-12)
 
 
 class TestUComponents:
@@ -144,6 +195,19 @@ class TestUComponents:
         got = u_components(masked_u, preds, sd, 40, np.random.default_rng(9))
         want = brute_force_u_components(masked_u, preds, sd, 40, np.random.default_rng(9))
         assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("u_dim", [8, 9])
+    def test_eight_or_more_columns_within_tolerance(self, u_dim):
+        # above _HULL_MAX_DIM every distinct row is a candidate, as in the
+        # oracle; from 8 columns only the summation order differs (a few ulp)
+        rng = np.random.default_rng(u_dim)
+        masked_u = rng.normal(0, 1, (40, u_dim))
+        masked_u[5] = masked_u[4]
+        preds = masked_u + rng.normal(0, 0.3, masked_u.shape)
+        sd = rng.uniform(0.1, 1.0, u_dim)
+        got = u_components(masked_u, preds, sd, 30, np.random.default_rng(2))
+        want = brute_force_u_components(masked_u, preds, sd, 30, np.random.default_rng(2))
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
 
     @settings(max_examples=50, deadline=None)
     @given(data=st.data(), integer=st.booleans(), noisy=st.booleans(),
@@ -292,6 +356,15 @@ class TestExpectedCorrectRate:
         assert all(t.m == 2 for t in report.targets)
         assert report.expected_correct_rate == pytest.approx(0.5, rel=1e-12)
 
+    @pytest.mark.parametrize("gap, m", [(1e-10, 2), (1e-7, 1)])
+    def test_tie_tolerance_boundary(self, gap, m):
+        # record r1 trails the target's own record by a relative 2 * gap / 5:
+        # inside the 1e-9 tie tolerance it shares the argmax set, outside not
+        data = make_dataset(x=[0.0, gap, 5.0], y=[0.0, 0.0, 0.0])
+        scenario = IntruderScenario(ap_columns=("x", "y"), standardize=False)
+        target = risk_report(data, data, scenario).targets[0]
+        assert target.m == m and target.correct_in_argmax
+
     def test_conservatism_note_present(self):
         data = make_dataset(x=[1.0, 2.0], y=[3.0, 4.0])
         report = risk_report(data, data, IntruderScenario(ap_columns=("x", "y")))
@@ -303,6 +376,62 @@ class TestExpectedCorrectRate:
         scenario = IntruderScenario(ap_columns=("x", "y"), target_ids=("r1", "r4"))
         report = risk_report(data, data, scenario)
         assert [t.target_id for t in report.targets] == ["r1", "r4"]
+
+    def test_probability_rows_are_read_only(self):
+        rng = np.random.default_rng(13)
+        data = make_dataset(x=rng.normal(0, 1, 12), y=rng.normal(0, 1, 12))
+        scenario = IntruderScenario(ap_columns=("x",), u_columns=("y",), mc_draws=5)
+        report = risk_report(data, data, scenario)
+        for t in (report.targets[0], report.targets[-1]):
+            with pytest.raises(ValueError):
+                t.probabilities[0] = 1.0
+        with pytest.raises(ValueError):
+            match_probabilities(data, data, "r2", scenario)[0] = 1.0
+
+    def test_degenerate_counts_all_identical_records(self):
+        n = 6
+        data = make_dataset(x=np.full(n, 1.5), y=np.full(n, 2.0))
+        report = risk_report(data, data, IntruderScenario(ap_columns=("x", "y")))
+        assert report.degenerate == n
+
+    def test_degenerate_zero_for_distinct_records(self):
+        rng = np.random.default_rng(14)
+        data = make_dataset(x=rng.normal(0, 1, 9), y=rng.normal(0, 1, 9))
+        report = risk_report(data, data, IntruderScenario(ap_columns=("x", "y")))
+        assert report.degenerate == 0
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data(), integer=st.booleans(), standardize=st.booleans(),
+           seed=st.integers(0, 2**16))
+    def test_property_equals_per_target_reference(self, data, integer, standardize, seed):
+        n = data.draw(st.integers(2, 60), label="n")
+        total = data.draw(st.integers(2, 5), label="columns")
+        n_ap = data.draw(st.integers(max(1, total - 2), min(3, total)), label="n_ap")
+        names = [f"x{i}" for i in range(total - 1)] + ["y"]
+        order = data.draw(st.permutations(names), label="order")
+        elements = st.integers(-3, 3).map(float) if integer else st.floats(-1e3, 1e3)
+        values = data.draw(hnp.arrays(float, (2, n, total), elements=elements), label="values")
+        ids = tuple(f"r{i}" for i in range(n))
+        masked, truth = (SpatialDataset(ids=ids, locs=np.zeros((n, 2)), x=v[:, :-1], y=v[:, -1],
+                                        x_names=tuple(names[:-1])) for v in values)
+        subset = data.draw(st.none() | st.lists(st.sampled_from(ids), min_size=1, max_size=n,
+                                                unique=True), label="targets")
+        scenario = IntruderScenario(ap_columns=tuple(order[:n_ap]), u_columns=tuple(order[n_ap:]),
+                                    mc_draws=5, seed=seed, standardize=standardize,
+                                    target_ids=None if subset is None else tuple(subset))
+        report = risk_report(masked, truth, scenario)
+        rows, rate, degenerate = per_target_reference(masked, truth, scenario)
+        assert len(report.targets) == len(rows)
+        for t, (p, m, correct, prob_correct) in zip(report.targets, rows):
+            assert np.array_equal(t.probabilities, p, equal_nan=True)
+            assert (t.m, t.correct_in_argmax) == (m, correct)
+            assert t.prob_correct == prob_correct or (math.isnan(prob_correct)
+                                                      and math.isnan(t.prob_correct))
+        assert report.expected_correct_rate == rate
+        assert report.degenerate == degenerate
+        first = report.targets[0]
+        assert np.array_equal(match_probabilities(masked, truth, first.target_id, scenario),
+                              first.probabilities, equal_nan=True)
 
     def test_truth_must_cover_released_ids(self):
         data = make_dataset(x=[1.0, 2.0], y=[3.0, 4.0])
