@@ -6,6 +6,7 @@ import csv
 import math
 from dataclasses import dataclass
 from pathlib import Path
+from typing import Iterator
 import numpy as np
 
 
@@ -142,14 +143,45 @@ class CsvSchema:
         return cols + ((self.n_col,) if self.n_col else ())
 
 
-def _parse_float(raw: str, column: str, line: int) -> float:
+def _parse_number(raw: str, column: str, line: int) -> float:
     try:
-        value = float(raw)
+        return float(raw)
     except ValueError:
         raise ParseError(f"line {line}: column {column!r} has non-numeric value {raw!r}") from None
+
+
+def _parse_float(raw: str, column: str, line: int) -> float:
+    value = _parse_number(raw, column, line)
     if not math.isfinite(value):
         raise ParseError(f"line {line}: column {column!r} has non-finite value {raw!r}")
     return value
+
+
+def _csv_rows(path) -> tuple[list[str], list[str] | None, Iterator[tuple[int, list[str]]]]:
+    """Split a CSV file into its leading '#' comment lines, its header (None when
+    there is none) and an iterator over its nonblank rows as (file line, cells).
+
+    Iterating raises ParseError at the first row whose cell count differs from
+    the header's, so a caller's checks on the header come first.
+    """
+    with Path(path).open("r", encoding="utf-8", newline="") as fh:
+        lines = fh.readlines()
+    offset = 0
+    while offset < len(lines) and lines[offset].lstrip().startswith("#"):
+        offset += 1
+    reader = csv.reader(lines[offset:])
+    header = next(reader, None)
+
+    def rows():
+        for row in reader:
+            line = offset + reader.line_num  # physical line in the file
+            if not row or all(not cell.strip() for cell in row):
+                continue
+            if len(row) != len(header):
+                raise ParseError(f"line {line}: expected {len(header)} cells, got {len(row)}")
+            yield line, row
+
+    return lines[:offset], None if header is None else [h.strip() for h in header], rows()
 
 
 def load_csv(path, schema: CsvSchema = CsvSchema()) -> SpatialDataset:
@@ -159,16 +191,9 @@ def load_csv(path, schema: CsvSchema = CsvSchema()) -> SpatialDataset:
     Malformed input raises ParseError naming the offending file line.
     """
     path = Path(path)
-    with path.open("r", encoding="utf-8", newline="") as fh:
-        lines = fh.readlines()
-    offset = 0
-    while offset < len(lines) and lines[offset].lstrip().startswith("#"):
-        offset += 1
-    if offset >= len(lines):
+    _, header, rows = _csv_rows(path)
+    if header is None:
         raise ParseError(f"{path}: no header row found")
-    reader = csv.reader(lines[offset:])
-    header = next(reader)
-    header = [h.strip() for h in header]
     missing = [c for c in schema.all_columns() if c not in header]
     if missing:
         raise ParseError(f"{path}: missing required column(s) {missing}; header is {header}")
@@ -180,12 +205,7 @@ def load_csv(path, schema: CsvSchema = CsvSchema()) -> SpatialDataset:
     ys: list[float] = []
     ns: list[float] = []
     seen: set[str] = set()
-    for row in reader:
-        line = offset + reader.line_num  # physical line in the file
-        if not row or all(not cell.strip() for cell in row):
-            continue
-        if len(row) != len(header):
-            raise ParseError(f"line {line}: expected {len(header)} cells, got {len(row)}")
+    for line, row in rows:
         rid = row[col[schema.id_col]].strip()
         if not rid:
             raise ParseError(f"line {line}: empty id")
@@ -368,3 +388,25 @@ def write_aggregated_csv(agg: AggregatedDataset, path) -> None:
             row = [j, repr(float(agg.n[k])), repr(float(agg.y_plus[k]))]
             row += [repr(float(v)) for v in agg.x_bar[k]]
             writer.writerow(row)
+
+
+# ---------------------------------------------------------------------------
+# Typed values of JSON configs; each check raises a ValueError naming the field
+
+def _json_flag(value, field: str) -> bool:
+    if not isinstance(value, bool):
+        raise ValueError(f"{field} must be true or false, got {value!r}")
+    return value
+
+
+def _json_names(value, field: str) -> tuple[str, ...]:
+    if not (isinstance(value, (list, tuple)) and all(isinstance(v, str) for v in value)):
+        raise ValueError(f"{field} must be a list of names, got {value!r}")
+    return tuple(value)
+
+
+def _json_numbers(value, field: str, count: int) -> tuple[float, ...]:
+    if not (isinstance(value, (list, tuple)) and len(value) == count and all(
+            isinstance(v, (int, float)) and not isinstance(v, bool) for v in value)):
+        raise ValueError(f"{field} must be a list of {count} numbers, got {value!r}")
+    return tuple(float(v) for v in value)

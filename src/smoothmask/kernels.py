@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dataset import Location, coords_array
+from .dataset import Location, _json_numbers, coords_array
 
 
 @dataclass(frozen=True)
@@ -239,10 +239,10 @@ def _source_to_json(src: PointSource) -> dict:
 def _source_from_json(obj: dict | None) -> PointSource:
     if obj is None:
         return PointSource()
-    loc = obj.get("loc", [0.0, 0.0])
-    direction = obj.get("direction", [1.0, 0.0])
-    return PointSource(loc=Location(float(loc[0]), float(loc[1])),
-                       direction=(float(direction[0]), float(direction[1])))
+    s1, s2 = _json_numbers(obj.get("loc", [0.0, 0.0]), "source.loc", 2)
+    return PointSource(loc=Location(s1, s2),
+                       direction=_json_numbers(obj.get("direction", [1.0, 0.0]),
+                                               "source.direction", 2))
 
 
 def _region_to_json(region: BlockRegion) -> dict:

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.spatial import ConvexHull, QhullError
 
-from .dataset import SpatialDataset
+from .dataset import SpatialDataset, _json_flag, _json_names
 
 _TIE_RTOL = 1e-9
 # Element budget of one row block in u_components and _match_rows: 2**13
@@ -76,12 +76,12 @@ class IntruderScenario:
 
 def scenario_from_json(obj: dict) -> IntruderScenario:
     return IntruderScenario(
-        ap_columns=tuple(obj["ap_columns"]),
-        u_columns=tuple(obj.get("u_columns", ())),
+        ap_columns=_json_names(obj["ap_columns"], "ap_columns"),
+        u_columns=_json_names(obj.get("u_columns", ()), "u_columns"),
         mc_draws=int(obj.get("mc_draws", 100)),
         seed=int(obj.get("seed", 0)),
-        standardize=bool(obj.get("standardize", True)),
-        target_ids=tuple(obj["target_ids"]) if obj.get("target_ids") else None,
+        standardize=_json_flag(obj.get("standardize", True), "standardize"),
+        target_ids=_json_names(obj["target_ids"], "target_ids") if obj.get("target_ids") else None,
     )
 
 

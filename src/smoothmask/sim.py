@@ -3,6 +3,8 @@ risk-utility summaries per kernel family and smoothness value."""
 
 from __future__ import annotations
 
+import csv
+import io
 import json
 import math
 from dataclasses import dataclass, field as dataclass_field
@@ -11,7 +13,7 @@ from typing import Sequence
 import numpy as np
 from scipy.special import ndtri
 
-from .dataset import GridSpec, SpatialDataset, aggregate
+from .dataset import GridSpec, SpatialDataset, _json_numbers, aggregate
 from .kernels import (
     BlockRegion,
     KernelFamily,
@@ -164,6 +166,13 @@ def _study_ids(n: int) -> tuple[str, ...]:
     return tuple(f"p{i:06d}" for i in range(n))
 
 
+def _is_study_id(record_id: str, n: int) -> bool:
+    """Whether record_id is in _study_ids(n), decided without building the n ids."""
+    digits = record_id[1:]
+    return (record_id[:1] == "p" and digits.isdecimal() and len(digits) < 20
+            and record_id == f"p{int(digits):06d}" and int(digits) < n)
+
+
 @dataclass(frozen=True)
 class SimConfig:
     """Full specification of one replicated masking study."""
@@ -196,6 +205,9 @@ class SimConfig:
             raise ValueError("need at least one kernel to compare")
         if not 0.0 < self.ci_level < 1.0:
             raise ValueError("ci_level must lie in (0, 1)")
+        if not all(map(math.isfinite, self.bounds)):
+            raise ValueError(f"bounds must be finite, got {list(self.bounds)}")
+        self.grid()  # raises unless xmin < xmax, ymin < ymax and nx, ny >= 1
         names = [k for k, _ in self.kernels]
         if len(set(names)) != len(names):
             raise ValueError("kernel names must be unique")
@@ -203,7 +215,9 @@ class SimConfig:
             raise ValueError(f"kernel names {UNMASKED!r}/{AGGREGATED!r} are reserved")
         if self.scenario is not None:
             # checked here, before any fit, against the release run_study makes
-            check_scenario_fits(self.scenario, _STUDY_X_NAMES, _study_ids(self.n_locations))
+            released = [t for t in self.scenario.target_ids or ()
+                        if _is_study_id(t, self.n_locations)]
+            check_scenario_fits(self.scenario, _STUDY_X_NAMES, released)
 
     def grid(self) -> GridSpec:
         xmin, xmax, ymin, ymax = self.bounds
@@ -255,22 +269,21 @@ STUDY_COLUMNS = ("kernel", "lam", "mean_estimate", "empirical_sd", "mean_naive_s
                  "risk", "n_failed", "valid")
 
 
-def _fmt(value) -> str:
-    if value is None:
-        return ""
-    if isinstance(value, bool):
-        return "1" if value else "0"
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
+def _csv_text(columns: Sequence[str], rows) -> str:
+    """One CSV line per row object. csv.writer writes a float by its repr and None
+    as an empty cell, and quotes a kernel name holding ',' or '"'; bools are 1/0."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(columns)
+    for r in rows:
+        cells = [getattr(r, c) for c in columns]
+        writer.writerow([int(v) if isinstance(v, bool) else v for v in cells])
+    return buf.getvalue()
 
 
 def study_csv_text(result: StudyResult) -> str:
-    lines = ["# study " + json.dumps(result.metadata["model"], sort_keys=True)]
-    lines.append(",".join(STUDY_COLUMNS))
-    for r in result.rows:
-        lines.append(",".join(_fmt(getattr(r, c)) for c in STUDY_COLUMNS))
-    return "\n".join(lines) + "\n"
+    return ("# study " + json.dumps(result.metadata["model"], sort_keys=True) + "\n"
+            + _csv_text(STUDY_COLUMNS, result.rows))
 
 
 def risk_utility_profile(result: StudyResult) -> tuple[ProfileRow, ...]:
@@ -283,10 +296,7 @@ def risk_utility_profile(result: StudyResult) -> tuple[ProfileRow, ...]:
 
 
 def profile_csv_text(rows: Sequence[ProfileRow]) -> str:
-    lines = ["kernel,lam,mse,risk"]
-    for r in rows:
-        lines.append(",".join([r.kernel, _fmt(r.lam), _fmt(r.mse), _fmt(r.risk)]))
-    return "\n".join(lines) + "\n"
+    return _csv_text(("kernel", "lam", "mse", "risk"), rows)
 
 
 # ---------------------------------------------------------------------------
@@ -422,7 +432,7 @@ def config_from_json(obj: dict) -> SimConfig:
         n_locations=int(obj.get("n_locations", 1000)),
         replicates=int(obj.get("replicates", 500)),
         lambdas=tuple(float(v) for v in lambdas) if lambdas else default_lambda_grid(),
-        bounds=tuple(float(v) for v in obj.get("bounds", (-1.0, 1.0, -1.0, 1.0))),
+        bounds=_json_numbers(obj.get("bounds", (-1.0, 1.0, -1.0, 1.0)), "bounds", 4),
         grid_nx=int(grid.get("nx", 7)),
         grid_ny=int(grid.get("ny", 7)),
         seed=int(obj.get("seed", 0)),

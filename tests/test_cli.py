@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import copy
+import csv
 import json
 import os
 import subprocess
@@ -10,11 +12,20 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from smoothmask import cli
 from smoothmask.cli import main
 from smoothmask.dataset import CsvSchema, load_csv, write_csv
-from smoothmask.sim import RadialExposure, sample_locations, simulate_outcomes
+from smoothmask.kernels import kernel_from_json
+from smoothmask.risk import scenario_from_json
+from smoothmask.sim import (
+    RadialExposure,
+    config_from_json,
+    sample_locations,
+    simulate_outcomes,
+)
 
 @pytest.fixture
 def toy(tmp_path):
@@ -298,6 +309,122 @@ class TestBias:
         assert not out.exists()
 
 
+class TestFlagErrors:
+    """A bad flag value exits 1 with one line naming the flag, before any output."""
+
+    @pytest.mark.parametrize("sub, flags, message", [
+        ("bias", ["--beta=abc"],
+         "--beta must give 2 finite coefficients (intercept, x1), got ['abc']"),
+        ("bias", ["--beta=1,nan"],
+         "--beta must give 2 finite coefficients (intercept, x1), got ['1', 'nan']"),
+        ("bias", ["--beta=1,2,3"],
+         "--beta must give 2 finite coefficients (intercept, x1), got ['1', '2', '3']"),
+        ("bias", ["--beta-from", "{dir}/list.json"],
+         "the fit report's coefficients must be a JSON object"),
+        ("bias", ["--beta-from", "{dir}/text_coef.json"],
+         "--beta-from must give 2 finite coefficients (intercept, x1), got ['a', 1.0]"),
+        ("fit", ["--level", "2"], "--level must lie in (0, 1), got 2.0"),
+        ("fit", ["--level", "nan"], "--level must lie in (0, 1), got nan"),
+        ("fit", ["--coord-cols", "s1"], "--coord-cols must name exactly two columns"),
+        ("risk", ["--coord-cols", "s1"], "--coord-cols must name exactly two columns"),
+        ("mask", ["--grid-nx", "-2", "--grid-ny", "3"],
+         "--grid-nx must be a finite number >= 0, got -2"),
+    ], ids=["beta_text", "beta_nan", "beta_too_long", "beta_from_list",
+            "beta_from_text_coefficient", "level_2", "level_nan", "fit_one_coord",
+            "risk_one_coord", "grid_nx_negative"])
+    def test_exit_1_one_line_no_output(self, toy, tmp_path, capsys, sub, flags, message):
+        (tmp_path / "list.json").write_text("[1, 2]")
+        (tmp_path / "text_coef.json").write_text(
+            json.dumps({"coefficients": {"intercept": "a", "x1": 1.0}}))
+        inputs = {
+            "mask": ["--in", toy["data"], "--kernel", toy["kernel"], "--lambda", "0.2"],
+            "fit": ["--in", toy["data"], "--model", toy["model"]],
+            "risk": ["--masked", toy["data"], "--truth", toy["data"],
+                     "--scenario", toy["scenario"]],
+            "bias": ["--in", toy["data"], "--kernel", toy["kernel"]],
+        }[sub]
+        out = tmp_path / "out.file"
+        flags = [f.format(dir=tmp_path) for f in flags]
+        rc = main([sub, *map(str, inputs), *flags, "--out", str(out)])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("smoothmask: ") and message in err
+        assert err.count("\n") == 1
+        assert not out.exists()
+
+
+class TestConfigValues:
+    """Config values that crashed or were misread exit 1 naming the field."""
+
+    @pytest.mark.parametrize("kernel, message", [
+        ({"family": "ring", "params": {"source": {"loc": [0.5]}}},
+         "source.loc must be a list of 2 numbers, got [0.5]"),
+        ({"family": "ring", "params": {"source": {"direction": 1}}},
+         "source.direction must be a list of 2 numbers, got 1"),
+    ], ids=["loc_one_number", "direction_not_a_list"])
+    def test_kernel_source_pairs(self, toy, tmp_path, capsys, kernel, message):
+        path = tmp_path / "k.json"
+        path.write_text(json.dumps(kernel))
+        out = tmp_path / "m.csv"
+        rc = main(["mask", "--in", str(toy["data"]), "--kernel", str(path),
+                   "--lambda", "0.2", "--out", str(out)])
+        assert rc == 1
+        assert capsys.readouterr().err == f"smoothmask: bad kernel config: {message}\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("edit, message", [
+        (lambda cfg: cfg.update(field={"type": "radial", "source": {"loc": [1, 2, 3]}}),
+         "source.loc must be a list of 2 numbers, got [1, 2, 3]"),
+        (lambda cfg: cfg.update(bounds=[0, 1, 0]),
+         "bounds must be a list of 4 numbers, got [0, 1, 0]"),
+        (lambda cfg: cfg.update(bounds=[1, 0, 0, 1]),
+         "grid bounds must satisfy xmin < xmax and ymin < ymax"),
+        (lambda cfg: cfg.update(bounds=[0, float("inf"), 0, 1]),
+         "bounds must be finite, got [0.0, inf, 0.0, 1.0]"),
+        (lambda cfg: cfg.update(grid={"nx": 0, "ny": 3}),
+         "grid must have at least one cell per axis"),
+        (lambda cfg: cfg["scenario"].update(standardize="false"),
+         "standardize must be true or false, got 'false'"),
+        (lambda cfg: cfg["scenario"].update(ap_columns="x"),
+         "ap_columns must be a list of names, got 'x'"),
+        (lambda cfg: cfg["scenario"].update(target_ids="p000001"),
+         "target_ids must be a list of names, got 'p000001'"),
+    ], ids=["field_loc_three_numbers", "bounds_three_numbers", "bounds_reversed",
+            "bounds_infinite", "grid_nx_zero", "standardize_string", "ap_columns_string",
+            "target_ids_string"])
+    def test_study_config(self, toy, tmp_path, capsys, monkeypatch, edit, message):
+        monkeypatch.setattr(cli, "run_study", lambda cfg: pytest.fail("study ran"))
+        cfg = json.loads(toy["sim"].read_text())
+        edit(cfg)
+        path = tmp_path / "bad_sim.json"
+        path.write_text(json.dumps(cfg))
+        out = tmp_path / "outC"
+        rc = main(["simulate", "--config", str(path), "--out", str(out)])
+        assert rc == 1
+        assert capsys.readouterr().err == f"smoothmask: bad study config: {message}\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("sub, field, value, message", [
+        ("fit", "intercept", "false", "intercept must be true or false, got 'false'"),
+        ("fit", "regressors", "x1", "regressors must be a list of names, got 'x1'"),
+        ("fit", "log_offset_col", ["n"], "log_offset_col must be a column name, got ['n']"),
+        ("risk", "u_columns", "y", "u_columns must be a list of names, got 'y'"),
+        ("risk", "standardize", 0, "standardize must be true or false, got 0"),
+    ])
+    def test_model_and_scenario(self, toy, tmp_path, capsys, sub, field, value, message):
+        what, flag = {"fit": ("model", "--model"), "risk": ("scenario", "--scenario")}[sub]
+        cfg = json.loads(toy[what].read_text()) | {field: value}
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg))
+        inputs = {"fit": ["--in", toy["data"]],
+                  "risk": ["--masked", toy["data"], "--truth", toy["data"]]}[sub]
+        out = tmp_path / "out.json"
+        rc = main([sub, *map(str, inputs), flag, str(path), "--out", str(out)])
+        assert rc == 1
+        assert capsys.readouterr().err == f"smoothmask: bad {what} config: {message}\n"
+        assert not out.exists()
+
+
 class TestOutputCheckedFirst:
     """A bad --out fails before any computation, for every single-file subcommand."""
 
@@ -465,6 +592,63 @@ class TestSimulateProfilePlot:
         assert not out.exists()
 
 
+class TestKernelNamesInTables:
+    @pytest.fixture(scope="class")
+    def named_study(self, tmp_path_factory):
+        tmp = tmp_path_factory.mktemp("names")
+        cfg = {
+            "field": {"type": "radial"},
+            "kernels": {"ring, wide": {"family": "ring"}, 'say "hi"': {"family": "euclidean"}},
+            "mu": -25.0, "beta": 4.0, "n_locations": 40, "replicates": 4,
+            "lambdas": [0.1, 0.5], "seed": 3,
+            "scenario": {"ap_columns": ["x"], "u_columns": ["y"], "mc_draws": 5},
+        }
+        (tmp / "sim.json").write_text(json.dumps(cfg))
+        assert main(["simulate", "--config", str(tmp / "sim.json"), "--out", str(tmp / "r")]) == 0
+        return tmp / "r"
+
+    def test_study_rows_keep_their_cells(self, named_study):
+        with open(named_study / "study.csv", newline="") as fh:
+            rows = list(csv.reader(line for line in fh if not line.startswith("#")))
+        assert {len(r) for r in rows} == {len(rows[0])}
+        assert [r[0] for r in rows[1:]] == (["unmasked", "aggregated"]
+                                            + ["ring, wide"] * 2 + ['say "hi"'] * 2)
+
+    def test_profile_equals_simulate_profile(self, named_study, tmp_path):
+        out = tmp_path / "prof.csv"
+        assert main(["profile", "--study", str(named_study / "study.csv"),
+                     "--out", str(out)]) == 0
+        assert out.read_text() == (named_study / "profile.csv").read_text()
+
+    def test_plot_names_each_series(self, named_study, tmp_path):
+        out = tmp_path / "mse.svg"
+        assert main(["plot", "--in", str(named_study / "study.csv"), "--kind", "mse",
+                     "--out", str(out)]) == 0
+        svg = out.read_text()
+        assert svg.count("<polyline ") == 2
+        assert ">ring, wide<" in svg and '>say "hi"<' in svg
+
+
+class TestTableErrors:
+    @pytest.mark.parametrize("body, message", [
+        ("kernel,lam,mse,risk\nring,0.1,0.5,0.2,9\n", "line 2: expected 4 cells, got 5"),
+        ("# note\nkernel,lam,mse,risk\nring,0.1,abc,0.2\n",
+         "line 3: column 'mse' has non-numeric value 'abc'"),
+        ("# only a comment\n", "{table}: empty table"),
+    ], ids=["extra_cell", "non_numeric", "no_header"])
+    @pytest.mark.parametrize("sub", ["profile", "plot"])
+    def test_malformed_table_exit_1(self, tmp_path, capsys, sub, body, message):
+        table = tmp_path / "t.csv"
+        table.write_text(body)
+        message = message.format(table=table)
+        out = tmp_path / "out"
+        flags = {"profile": ["--study", str(table)],
+                 "plot": ["--in", str(table), "--kind", "tradeoff"]}[sub]
+        assert main([sub, *flags, "--out", str(out)]) == 1
+        assert capsys.readouterr().err == f"smoothmask: {message}\n"
+        assert not out.exists()
+
+
 class TestDeterminism:
     def test_simulate_byte_identical(self, toy, tmp_path):
         out1, out2 = tmp_path / "r1", tmp_path / "r2"
@@ -558,3 +742,70 @@ class TestPlotFromStudyTable:
                    "--out", str(out)])
         assert rc == 0
         assert out.read_text().count("<polyline ") == 2
+
+
+# Valid configs of every kind `_parse_config` reads; each field of each is mutated.
+_SOURCE = {"loc": [0.2, -0.1], "direction": [0.0, 1.0]}
+_REGION = {"threshold_x": 0.4, "threshold_cos": 0.6, "source": _SOURCE}
+_BVN = {"family": "bivariate_normal", "params": {"var1": 1.0, "var2": 2.0, "rho": 0.3}}
+_STUDY = {
+    "field": {"type": "directional", "source": _SOURCE, "amplitude": 7.0,
+              "radial_scale": 6.0, "direction_scale": 3.0},
+    "kernels": {"ring": {"family": "ring", "params": {"source": _SOURCE}}, "bvn": _BVN},
+    "mu": -25.0, "beta": 4.0, "n_locations": 50, "replicates": 6, "lambdas": [0.1, 0.5],
+    "bounds": [-1.0, 1.0, -1.0, 1.0], "grid": {"nx": 5, "ny": 4}, "seed": 5,
+    "ci_level": 0.9,
+    "scenario": {"ap_columns": ["x"], "u_columns": ["y"], "mc_draws": 15, "seed": 2,
+                 "standardize": False, "target_ids": ["p000001", "p000049"]},
+}
+_VALID_CONFIGS = [
+    ("kernel", kernel_from_json,
+     {"family": "ring_angle", "params": {"source": _SOURCE, "angle_scale": 2.0}}),
+    ("kernel", kernel_from_json, {"family": "ring_block", "params": {"region": _REGION}}),
+    ("kernel", kernel_from_json, _BVN),
+    ("model", cli._model_from_json,
+     {"family": "poisson-log", "regressors": ["x1", "x2"], "intercept": True,
+      "log_offset_col": "n"}),
+    ("scenario", scenario_from_json,
+     {"ap_columns": ["x1"], "u_columns": ["x2", "y"], "mc_draws": 20, "seed": 4,
+      "standardize": True, "target_ids": ["p1", "p2"]}),
+    ("study", config_from_json, _STUDY),
+    ("study", config_from_json,
+     _STUDY | {"field": {"type": "blocked", "region": _REGION, "amplitude": 7.0, "scale": 2.5}}),
+]
+_DELETE = object()
+_JSON_VALUES = st.one_of(
+    st.none(), st.booleans(), st.integers(), st.floats(), st.text(max_size=4),
+    st.lists(st.one_of(st.integers(), st.floats(), st.text(max_size=3)), max_size=5),
+    st.dictionaries(st.text(max_size=3), st.integers(), max_size=3),
+)
+
+
+def _field_paths(obj, prefix=()):
+    """Key paths of every field and list entry in a JSON value."""
+    items = obj.items() if isinstance(obj, dict) else enumerate(obj) \
+        if isinstance(obj, list) else ()
+    for key, value in items:
+        yield prefix + (key,)
+        yield from _field_paths(value, prefix + (key,))
+
+
+class TestConfigMutations:
+    @settings(max_examples=400, deadline=None)
+    @given(data=st.data())
+    def test_mutated_config_parses_or_is_a_usage_error(self, data):
+        what, parse, valid = data.draw(st.sampled_from(_VALID_CONFIGS))
+        path = data.draw(st.sampled_from(list(_field_paths(valid))))
+        value = data.draw(st.one_of(st.just(_DELETE), _JSON_VALUES))
+        obj = copy.deepcopy(valid)
+        parent = obj
+        for key in path[:-1]:
+            parent = parent[key]
+        if value is _DELETE:
+            del parent[path[-1]]
+        else:
+            parent[path[-1]] = value
+        try:
+            cli._parse_config(what, parse, obj)
+        except cli.UsageError as err:
+            assert "\n" not in str(err)
