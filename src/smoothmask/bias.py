@@ -15,10 +15,9 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy.special import expit
 
 from .dataset import SpatialDataset, coords_array
-from .glm import FAMILIES
+from .glm import FAMILIES, _expit
 from .kernels import ExponentialDecayKernel, KernelFamily
 from .masking import build_operator
 
@@ -35,7 +34,7 @@ def _link_functions(family: str):
     if family == "poisson-log":
         return np.exp, np.exp
     if family == "binomial-logit":
-        return expit, lambda eta: expit(eta) * (1.0 - expit(eta))
+        return _expit, lambda eta: _expit(eta) * (1.0 - _expit(eta))
     if family == "gaussian-identity":
         return (lambda eta: eta), (lambda eta: np.ones_like(eta))
     raise ValueError(f"unknown family {family!r}; choose from {FAMILIES}")

@@ -147,6 +147,13 @@ def _add_schema_flags(p: argparse.ArgumentParser, regressor_flags: bool = True) 
         p.add_argument("--n-col", default=None, help="optional count-weight column name")
 
 
+def _seed_override(args) -> int | None:
+    """The --seed flag, which replaces the config's seed when given."""
+    if args.seed is not None and args.seed < 0:
+        raise UsageError(f"--seed must be a non-negative integer, got {args.seed}")
+    return args.seed
+
+
 def _load_dataset(path: str, schema: CsvSchema):
     with _reading("dataset", path):
         return load_csv(path, schema)
@@ -169,8 +176,12 @@ def _cmd_mask(args) -> _Outputs:
     export = args.export_operator and _output_path("--export-operator", args.export_operator)
     if bool(args.grid_nx) != bool(args.grid_ny):
         raise UsageError("two-step masking needs both --grid-nx and --grid-ny")
-    op = None
     if args.grid_nx:
+        unused = [flag for flag, value in (("--export-operator", args.export_operator),
+                                           ("--sparsify", args.sparsify)) if value]
+        if unused:
+            raise UsageError(f"{' and '.join(unused)} cannot be used with two-step "
+                             "masking (--grid-nx/--grid-ny)")
         bounds = (float(np.min(data.locs[:, 0])), float(np.max(data.locs[:, 0])),
                   float(np.min(data.locs[:, 1])), float(np.max(data.locs[:, 1])))
         grid = GridSpec(*bounds, args.grid_nx, args.grid_ny)
@@ -183,7 +194,7 @@ def _cmd_mask(args) -> _Outputs:
     provenance = (f"masked: kernel={json.dumps(kernel_json, sort_keys=True)} "
                   f"lambda={args.lam!r}")
     writers = {out: lambda tmp: write_csv(masked, tmp, schema=out_schema, comment=provenance)}
-    if export and op is not None:
+    if export:
         writers[export] = lambda tmp: operator_to_csv(op, tmp)
     return writers
 
@@ -245,8 +256,9 @@ def _cmd_risk(args) -> _Outputs:
     out = _output_path("--out", args.out)
     scenario = _parse_config("scenario", scenario_from_json,
                              _load_json(args.scenario, "scenario"))
-    if args.seed is not None:
-        scenario = replace(scenario, seed=args.seed)
+    seed = _seed_override(args)
+    if seed is not None:
+        scenario = replace(scenario, seed=seed)
     x_cols = tuple(c for c in (*scenario.ap_columns, *scenario.u_columns) if c != "y")
     schema = _schema_from_args(args, x_cols)
     masked = _load_dataset(args.masked, schema)
@@ -317,8 +329,9 @@ def _cmd_bias(args) -> _Outputs:
 
 def _cmd_simulate(args) -> _Outputs:
     cfg = _parse_config("study", config_from_json, _load_json(args.config, "study config"))
-    if args.seed is not None:
-        cfg = replace(cfg, seed=args.seed)
+    seed = _seed_override(args)
+    if seed is not None:
+        cfg = replace(cfg, seed=seed)
     out_dir = Path(args.out)
     # checked before the study runs: mkdir would fail only after it
     existing = next(p for p in (out_dir, *out_dir.parents) if p.exists())

@@ -405,6 +405,12 @@ def _json_names(value, field: str) -> tuple[str, ...]:
     return tuple(value)
 
 
+def _json_number(value, field: str) -> float:
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ValueError(f"{field} must be a number, got {value!r}")
+    return float(value)
+
+
 def _json_numbers(value, field: str, count: int) -> tuple[float, ...]:
     if not (isinstance(value, (list, tuple)) and len(value) == count and all(
             isinstance(v, (int, float)) and not isinstance(v, bool) for v in value)):

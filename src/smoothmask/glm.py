@@ -13,6 +13,12 @@ weighted least-squares problem of classical IRLS in normal-equation form
 number, so on designs with cond(X) above about 1e6 the fitted means keep
 fewer digits (around 1e-6 relative at cond(X) ~ 1e7) than a least-squares
 solve on sqrt(W) X would give.
+
+The module needs only numpy on its common paths. A design whose full column
+rank is certified by its smallest singular value skips the pivoted QR, and
+the normal quantile and the logistic function are computed here, so scipy's
+LAPACK wrapper is imported only for designs that are near-singular or have
+fewer rows than columns.
 """
 
 from __future__ import annotations
@@ -22,8 +28,6 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy.linalg.lapack import dgeqp3
-from scipy.special import expit, ndtri
 
 FAMILIES = ("poisson-log", "binomial-logit", "gaussian-identity")
 
@@ -31,6 +35,101 @@ _MAX_ITER = 100
 _DEVIANCE_RTOL = 1e-10
 _SCORE_TOL = 1e-6
 _MAX_HALVINGS = 20
+# Safety factor of _check_rank's full-rank certificate, generous against the
+# backward error of Householder QR
+_RANK_CERTIFICATE = 1e3
+_EPS = np.finfo(float).eps
+_TINY = np.finfo(float).tiny
+
+# Coefficients of Cephes ndtri (Moshier), as scipy.special.ndtri uses them:
+# a rational function of (y - 1/2)^2 for exp(-2) < y < 1 - exp(-2), and of
+# 1/sqrt(-2 log y) for the tails below and above exp(-32).
+_NDTRI_P0 = (-5.99633501014107895267e1, 9.80010754185999661536e1,
+             -5.66762857469070293439e1, 1.39312609387279679503e1,
+             -1.23916583867381258016e0)
+_NDTRI_Q0 = (1.95448858338141759834e0, 4.67627912898881538453e0,
+             8.63602421390890590575e1, -2.25462687854119370527e2,
+             2.00260212380060660359e2, -8.20372256168333339912e1,
+             1.59056225126211695515e1, -1.18331621121330003142e0)
+_NDTRI_P1 = (4.05544892305962419923e0, 3.15251094599893866154e1,
+             5.71628192246421288162e1, 4.40805073893200834700e1,
+             1.46849561928858024014e1, 2.18663306850790267539e0,
+             -1.40256079171354495875e-1, -3.50424626827848203418e-2,
+             -8.57456785154685413611e-4)
+_NDTRI_Q1 = (1.57799883256466749731e1, 4.53907635128879210584e1,
+             4.13172038254672030440e1, 1.50425385692907503408e1,
+             2.50464946208309415979e0, -1.42182922854787788574e-1,
+             -3.80806407691578277194e-2, -9.33259480895457427372e-4)
+_NDTRI_P2 = (3.23774891776946035970e0, 6.91522889068984211695e0,
+             3.93881025292474443415e0, 1.33303460815807542389e0,
+             2.01485389549179081538e-1, 1.23716634817820021358e-2,
+             3.01581553508235416007e-4, 2.65806974686737550832e-6,
+             6.23974539184983293730e-9)
+_NDTRI_Q2 = (6.02427039364742014255e0, 3.67983563856160859403e0,
+             1.37702099489081330271e0, 2.16236993594496635890e-1,
+             1.34204006088543189037e-2, 3.28014464682127739104e-4,
+             2.89247864745380683936e-6, 6.79019408009981274425e-9)
+_EXP_MINUS_2 = 0.13533528323661269189
+_SQRT_2PI = 2.50662827463100050242
+
+
+def _polevl(x: float, coefs: tuple[float, ...]) -> float:
+    ans = coefs[0]
+    for c in coefs[1:]:
+        ans = ans * x + c
+    return ans
+
+
+def _p1evl(x: float, coefs: tuple[float, ...]) -> float:
+    """_polevl with an implied leading coefficient of 1."""
+    ans = x + coefs[0]
+    for c in coefs[1:]:
+        ans = ans * x + c
+    return ans
+
+
+def _ndtri(y0: float) -> float:
+    """Standard normal quantile, the Cephes algorithm of scipy.special.ndtri
+    in the same floating-point operations, so the values agree bit for bit."""
+    if y0 == 0.0:
+        return -math.inf
+    if y0 == 1.0:
+        return math.inf
+    if not 0.0 < y0 < 1.0:
+        return math.nan
+    negate = True
+    y = y0
+    if y > 1.0 - _EXP_MINUS_2:
+        y = 1.0 - y
+        negate = False
+    if y > _EXP_MINUS_2:
+        y -= 0.5
+        y2 = y * y
+        x = y + y * (y2 * _polevl(y2, _NDTRI_P0) / _p1evl(y2, _NDTRI_Q0))
+        return x * _SQRT_2PI
+    x = math.sqrt(-2.0 * math.log(y))
+    x0 = x - math.log(x) / x
+    z = 1.0 / x
+    if x < 8.0:  # y > exp(-32)
+        x1 = z * _polevl(z, _NDTRI_P1) / _p1evl(z, _NDTRI_Q1)
+    else:
+        x1 = z * _polevl(z, _NDTRI_P2) / _p1evl(z, _NDTRI_Q2)
+    x = x0 - x1
+    return -x if negate else x
+
+
+def _expit(x: np.ndarray) -> np.ndarray:
+    """Logistic function 1 / (1 + exp(-x)) of an array, in one new array.
+
+    numpy's exp may differ from the C library's in the last bit, so values can
+    differ from scipy.special.expit by an ulp. exp(-x) overflows to inf for
+    x below about -709, which gives the exact limit 0.
+    """
+    out = np.negative(x)
+    with np.errstate(over="ignore"):
+        np.exp(out, out=out)
+    out += 1.0
+    return np.divide(1.0, out, out=out)
 
 
 @dataclass(frozen=True)
@@ -101,18 +200,37 @@ def design_matrix(model: ModelSpec, x: np.ndarray | None, n_rows: int | None = N
 
 
 def _check_rank(X: np.ndarray, names: Sequence[str]) -> None:
-    # dgeqp3 is the pivoted QR behind scipy.linalg.qr(X, mode="r", pivoting=True),
-    # called without that wrapper's per-call checks and workspace query; the
-    # finiteness check it would make is kept with its message
+    """Raise ValueError unless X is finite and of full column rank.
+
+    The verdict and messages are those of the pivoted QR behind
+    scipy.linalg.qr(X, mode="r", pivoting=True): rank counts the |r_kk| above
+    |r_00| * max(N, p) * eps. Most designs are settled by a certificate
+    instead: every |r_kk| of the QR computed in floating point is at least
+    sigma_min(X + E), with ||E|| of order N*p*eps*||X||_F, and |r_00| is at
+    most ||X||_F <= sqrt(p) * sigma_max(X). So when sigma_min(X) exceeds
+    _RANK_CERTIFICATE * (N*p + max(N, p)) * eps * sqrt(p) * sigma_max(X),
+    the QR would report full rank too. The bound must be a normal number, so
+    that subnormal designs, whose QR rounds differently, still take the QR.
+    """
     if not np.isfinite(X).all():
         raise ValueError("array must not contain infs or NaNs")
+    N, p = X.shape
+    if X.size and N >= p:
+        s = np.linalg.svd(X, compute_uv=False)
+        bound = _RANK_CERTIFICATE * (N * p + max(N, p)) * _EPS * math.sqrt(p) * s[0]
+        if s[-1] > bound >= _TINY:
+            return
+    # dgeqp3 is the pivoted QR behind scipy.linalg.qr, called without that
+    # wrapper's per-call checks and workspace query
+    from scipy.linalg.lapack import dgeqp3
+
     diag = np.empty(0)
     if X.size:
         r, piv, _, _, _ = dgeqp3(X)
         diag = np.abs(np.diag(r))
     if diag.size == 0 or diag[0] == 0.0:
         raise ValueError(f"design matrix is identically zero; columns: {list(names)}")
-    tol = diag[0] * max(X.shape) * np.finfo(float).eps
+    tol = diag[0] * max(X.shape) * _EPS
     rank = int((diag > tol).sum())
     if rank < X.shape[1]:
         bad = [names[j - 1] for j in piv[rank:]]  # LAPACK pivots count from 1
@@ -190,7 +308,7 @@ def fit(model: ModelSpec, x: np.ndarray | None, y: np.ndarray, *,
             mu = _poisson_mu(eta)
             w = np.maximum(mu, 1e-290)
         elif family == "binomial-logit":
-            p = np.clip(expit(eta), 1e-12, 1.0 - 1e-12)
+            p = np.clip(_expit(eta), 1e-12, 1.0 - 1e-12)
             mu = trials * p
             w = trials * p * (1.0 - p)
         else:
@@ -251,7 +369,7 @@ def naive_ci(result: FitResult, level: float = 0.95) -> np.ndarray:
         raise ValueError("confidence intervals require a converged fit")
     if not 0.0 < level < 1.0:
         raise ValueError("level must lie in (0, 1)")
-    z = ndtri(0.5 * (1.0 + level))
+    z = _ndtri(0.5 * (1.0 + level))
     se = result.se
     return np.column_stack([result.beta - z * se, result.beta + z * se])
 
@@ -284,7 +402,7 @@ def _group_means(model: ModelSpec, beta: np.ndarray, x: np.ndarray, trials: np.n
         xv = x.copy()
         xv[:, j] = value
         Xd = design_matrix(model, xv)
-        p = expit(Xd @ beta)
+        p = _expit(Xd @ beta)
         out.append((float((trials * p).sum() / wsum), (trials * p * (1.0 - p)) @ Xd / wsum))
     return out
 
@@ -319,7 +437,7 @@ def population_odds_ratio(result: FitResult, x: np.ndarray, trials: np.ndarray,
     log_or = _logit(p_b) - _logit(p_w)
     grad = grad_b / (p_b * (1.0 - p_b)) - grad_w / (p_w * (1.0 - p_w))
     se = float(math.sqrt(grad @ result.cov @ grad))
-    z = ndtri(0.5 * (1.0 + level))
+    z = _ndtri(0.5 * (1.0 + level))
     return OddsRatioResult(
         or_value=math.exp(log_or),
         log_or=log_or,

@@ -14,6 +14,9 @@ planes, the Fortran-ordered available columns as contiguous vectors), and the
 targets are normalised, argmax-matched and tie-scored a block of rows at a
 time. With fewer than 8 available or sought columns every value is
 bit-identical to the row-at-a-time form.
+
+Only the convex hull of three to six sought columns needs scipy (Qhull); it
+is imported there, so scoring up to two sought columns runs on numpy alone.
 """
 
 from __future__ import annotations
@@ -21,7 +24,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.spatial import ConvexHull, QhullError
 
 from .dataset import SpatialDataset, _json_flag, _json_names
 
@@ -37,6 +39,12 @@ _BLOCK_ELEMS = 2 ** 13
 # a 2-CPU x86 machine the hull took 0.2 s in 6 dimensions, 2 s in 7 and 20 s in
 # 8, while scoring 100 draws per record against every row took about 5 s.
 _HULL_MAX_DIM = 6
+# The 2-D hull chain keeps every point within this height of the hull's lower
+# or upper boundary: _COLLINEAR_RTOL of the y span, or _HULL_ROUND times the
+# largest |coordinate|, if larger. Qhull's coplanar points ("Qc") lay within
+# 5.7 eps times the largest |coordinate| of a facet on random 2-D sets.
+_COLLINEAR_RTOL = 2.0 ** -30
+_HULL_ROUND = 2.0 ** 6 * np.finfo(float).eps
 
 UPPER_BOUND_NOTE = (
     "cross-record component fixed at 1; reported probabilities and the "
@@ -70,6 +78,8 @@ class IntruderScenario:
             raise ValueError("the intruder must know at least one column")
         if self.mc_draws < 1:
             raise ValueError("mc_draws must be >= 1")
+        if self.seed < 0:
+            raise ValueError(f"seed must be a non-negative integer, got {self.seed}")
         if self.target_ids is not None:
             object.__setattr__(self, "target_ids", tuple(self.target_ids))
 
@@ -167,22 +177,64 @@ def ap_components(masked_ap: np.ndarray, t_ap: np.ndarray) -> tuple[np.ndarray, 
     return np.subtract(1.0, d, out=d), False
 
 
+def _hull_chain_2d(pts: np.ndarray) -> np.ndarray:
+    """Indices of the points on or near the convex hull of distinct 2-D points.
+
+    ``pts`` is sorted lexicographically, as np.unique returns it. Andrew's
+    monotone chain builds the lower hull left to right and the upper hull
+    right to left. A point a between chain point o and a later point p is
+    dropped only when their cross product is below -tol = -span_x * height,
+    the height set by _COLLINEAR_RTOL and _HULL_ROUND. The cross product is
+    -(height of a beyond the line o-p) * |p_x - o_x|, and that line lies
+    inside the hull, so every point within the height of the boundary stays,
+    points on an edge included; a vertex has a cross product >= 0, and its
+    rounding error is far below tol. The loop runs over Python floats, which
+    is several times faster than over numpy scalars.
+    """
+    xs, ys = pts[:, 0].tolist(), pts[:, 1].tolist()
+    height = max(_COLLINEAR_RTOL * (max(ys) - min(ys)), _HULL_ROUND * float(np.abs(pts).max()))
+    tol = (xs[-1] - xs[0]) * height
+    keep = set()
+    for order in (range(len(xs)), range(len(xs) - 1, -1, -1)):
+        chain = []
+        for i in order:
+            x, y = xs[i], ys[i]
+            while len(chain) >= 2:
+                o, a = chain[-2], chain[-1]
+                ox, oy = xs[o], ys[o]
+                # a NaN from an overflowing product keeps the point
+                if (xs[a] - ox) * (y - oy) - (ys[a] - oy) * (x - ox) < -tol:
+                    chain.pop()
+                else:
+                    break
+            chain.append(i)
+        keep.update(chain)
+    return np.array(sorted(keep))
+
+
 def _farthest_candidates(masked_u: np.ndarray) -> np.ndarray:
     """Released points among which the farthest one from any query must lie.
 
     The farthest point of a finite set from any query is an extreme point of
     the set, so only the convex hull's vertices are needed; in one dimension
-    these are the min and the max. Qhull's coplanar points ("Qc") are kept
-    too: they lie within roundoff of a facet and may tie the farthest vertex
-    to the last ulp. Sets Qhull cannot triangulate (too few points, collinear
-    or flat sets, a constant column) and dimensions above _HULL_MAX_DIM fall
-    back to every distinct row.
+    these are the min and the max. Points within roundoff of the hull's
+    boundary are kept too, since they may tie the farthest vertex to the last
+    ulp. In two dimensions a monotone chain finds them (_hull_chain_2d); in
+    three to _HULL_MAX_DIM, Qhull with its coplanar points ("Qc"), imported
+    from scipy only then. Sets Qhull cannot triangulate (too few points,
+    collinear or flat sets, a constant column) and dimensions above
+    _HULL_MAX_DIM fall back to every distinct row.
     """
-    pts = np.unique(masked_u, axis=0)
+    # asking for the inverse keeps np.unique from importing numpy.ma (~10 ms)
+    pts = np.unique(masked_u, axis=0, return_inverse=True)[0]
     if pts.shape[1] == 1:
         return pts[[0, -1]]
+    if pts.shape[1] == 2:
+        return pts[_hull_chain_2d(pts)]
     if pts.shape[1] > _HULL_MAX_DIM:
         return pts
+    from scipy.spatial import ConvexHull, QhullError
+
     try:
         hull = ConvexHull(pts, qhull_options="Qc")
     except QhullError:
@@ -202,8 +254,9 @@ def u_components(masked_u: np.ndarray, preds: np.ndarray, resid_sd: np.ndarray,
 
     The maximum over k runs over the extreme points of masked_u only
     (_farthest_candidates): the farthest released point from any draw is a
-    vertex of their convex hull, found by Qhull with coplanar points kept so
-    that ties resolve exactly as over all records. When Qhull fails on a
+    vertex of their convex hull, found with the points near its boundary kept
+    so that ties resolve exactly as over all records (a monotone chain for
+    two sought columns, Qhull for three to six). When Qhull fails on a
     degenerate set every distinct row is a candidate instead. The result
     equals the all-records maximum exactly, at O(n * mc_draws * h) cost for
     h candidates instead of O(n^2 * mc_draws).

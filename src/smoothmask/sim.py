@@ -11,9 +11,8 @@ from dataclasses import dataclass, field as dataclass_field
 from typing import Sequence
 
 import numpy as np
-from scipy.special import ndtri
 
-from .dataset import GridSpec, SpatialDataset, _json_numbers, aggregate
+from .dataset import GridSpec, SpatialDataset, _json_number, _json_numbers, aggregate
 from .kernels import (
     BlockRegion,
     KernelFamily,
@@ -29,7 +28,7 @@ from .kernels import (
     kernel_to_json,
 )
 from .masking import build_operator
-from .glm import FitResult, ModelSpec, fit
+from .glm import FitResult, ModelSpec, _ndtri, fit
 from .risk import (
     IntruderScenario,
     check_scenario_fits,
@@ -194,6 +193,11 @@ class SimConfig:
     def __post_init__(self) -> None:
         object.__setattr__(self, "lambdas", tuple(float(v) for v in self.lambdas))
         object.__setattr__(self, "kernels", tuple((str(k), v) for k, v in self.kernels))
+        for name in ("mu", "beta"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be a finite number, got {getattr(self, name)!r}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be a non-negative integer, got {self.seed}")
         if self.replicates < 1:
             raise ValueError("need at least one replicate")
         if self.n_locations < 1:
@@ -361,7 +365,7 @@ def run_study(cfg: SimConfig) -> StudyResult:
     scenario = cfg.scenario
 
     model = ModelSpec(family="poisson-log", regressors=_STUDY_X_NAMES, intercept=True)
-    z = float(ndtri(0.5 * (1.0 + cfg.ci_level)))
+    z = _ndtri(0.5 * (1.0 + cfg.ci_level))
     alpha = 0.5 * (1.0 - cfg.ci_level)
     grid = cfg.grid()
 
@@ -427,8 +431,8 @@ def config_from_json(obj: dict) -> SimConfig:
     return SimConfig(
         field=field_from_json(obj["field"]),
         kernels=kernels,
-        mu=float(obj["mu"]),
-        beta=float(obj["beta"]),
+        mu=_json_number(obj["mu"], "mu"),
+        beta=_json_number(obj["beta"], "beta"),
         n_locations=int(obj.get("n_locations", 1000)),
         replicates=int(obj.get("replicates", 500)),
         lambdas=tuple(float(v) for v in lambdas) if lambdas else default_lambda_grid(),

@@ -329,13 +329,24 @@ class TestFlagErrors:
         ("risk", ["--coord-cols", "s1"], "--coord-cols must name exactly two columns"),
         ("mask", ["--grid-nx", "-2", "--grid-ny", "3"],
          "--grid-nx must be a finite number >= 0, got -2"),
+        ("mask", ["--grid-nx", "3", "--grid-ny", "3", "--sparsify", "0.5"],
+         "--sparsify cannot be used with two-step masking (--grid-nx/--grid-ny)"),
+        ("mask", ["--grid-nx", "3", "--grid-ny", "3", "--export-operator", "{dir}/op.csv",
+                  "--sparsify", "0.5"],
+         "--export-operator and --sparsify cannot be used with two-step masking"),
+        ("risk", ["--seed", "-1"], "--seed must be a non-negative integer, got -1"),
+        ("risk", ["--scenario", "{dir}/negative_seed.json"],
+         "bad scenario config: seed must be a non-negative integer, got -1"),
     ], ids=["beta_text", "beta_nan", "beta_too_long", "beta_from_list",
             "beta_from_text_coefficient", "level_2", "level_nan", "fit_one_coord",
-            "risk_one_coord", "grid_nx_negative"])
+            "risk_one_coord", "grid_nx_negative", "two_step_sparsify",
+            "two_step_export_operator", "risk_seed_negative", "scenario_seed_negative"])
     def test_exit_1_one_line_no_output(self, toy, tmp_path, capsys, sub, flags, message):
         (tmp_path / "list.json").write_text("[1, 2]")
         (tmp_path / "text_coef.json").write_text(
             json.dumps({"coefficients": {"intercept": "a", "x1": 1.0}}))
+        (tmp_path / "negative_seed.json").write_text(
+            json.dumps(json.loads(toy["scenario"].read_text()) | {"seed": -1}))
         inputs = {
             "mask": ["--in", toy["data"], "--kernel", toy["kernel"], "--lambda", "0.2"],
             "fit": ["--in", toy["data"], "--model", toy["model"]],
@@ -351,6 +362,7 @@ class TestFlagErrors:
         assert err.startswith("smoothmask: ") and message in err
         assert err.count("\n") == 1
         assert not out.exists()
+        assert not (tmp_path / "op.csv").exists()
 
 
 class TestConfigValues:
@@ -455,12 +467,61 @@ class TestOutputCheckedFirst:
         assert not list(tmp_path.rglob("*.tmp"))
 
 
-def test_import_does_not_load_scipy_stats():
+def _scipy_modules_after(code: str) -> str:
+    """The scipy modules loaded once ``code`` has run in a fresh interpreter."""
     src = Path(cli.__file__).resolve().parents[1]
-    code = "import sys, smoothmask; print('scipy.stats' in sys.modules)"
+    code += "\nprint(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           env=os.environ | {"PYTHONPATH": str(src)}, check=True)
-    assert proc.stdout == "False\n"
+    return proc.stdout
+
+
+def test_import_does_not_load_scipy_stats():
+    # no scipy module at all: scipy.stats, scipy.special, scipy.linalg and
+    # scipy.spatial each cost tens of MB and most of a second of start-up
+    assert _scipy_modules_after("import sys, smoothmask") == "[]\n"
+
+
+def test_common_commands_do_not_load_scipy(tmp_path):
+    """simulate, mask, risk with two sought columns and Poisson and binomial fits
+    run on numpy alone; scipy is left to near-singular designs and three or
+    more sought columns."""
+    from smoothmask.dataset import SpatialDataset
+
+    rng = np.random.default_rng(8)
+    n = 60
+    trials = rng.integers(20, 200, n).astype(float)
+    x = np.column_stack([rng.normal(0.0, 1.0, n), rng.uniform(0.0, 1.0, n)])
+    data = SpatialDataset(ids=tuple(f"p{i}" for i in range(n)), locs=rng.uniform(-1, 1, (n, 2)),
+                          x=x, y=rng.binomial(trials.astype(int), 0.2).astype(float),
+                          x_names=("x1", "x2"), n=trials)
+    write_csv(data, tmp_path / "data.csv", schema=CsvSchema(x_cols=("x1", "x2"), n_col="n"))
+    files = {
+        "kernel.json": {"family": "euclidean"},
+        "scenario.json": {"ap_columns": ["x1"], "u_columns": ["x2", "y"], "mc_draws": 10},
+        "poisson.json": {"family": "poisson-log", "regressors": ["x1", "x2"]},
+        "binomial.json": {"family": "binomial-logit", "regressors": ["x2"], "trials_col": "n"},
+        "study.json": {"field": {"type": "radial"}, "kernels": {"ring": {"family": "ring"}},
+                       "mu": -25.0, "beta": 4.0, "n_locations": 30, "replicates": 3,
+                       "lambdas": [0.5],
+                       "scenario": {"ap_columns": ["x"], "u_columns": ["y"], "mc_draws": 5}},
+    }
+    for name, obj in files.items():
+        (tmp_path / name).write_text(json.dumps(obj))
+    cols = ["--x-cols", "x1,x2", "--n-col", "n"]
+    commands = [
+        ["simulate", "--config", "study.json", "--out", "study"],
+        ["mask", "--in", "data.csv", "--kernel", "kernel.json", "--lambda", "0.3",
+         "--out", "masked.csv", *cols],
+        ["risk", "--masked", "masked.csv", "--truth", "data.csv", "--scenario", "scenario.json",
+         "--out", "risk.json"],
+        ["fit", "--in", "data.csv", "--model", "poisson.json", "--out", "poisson_fit.json"],
+        ["fit", "--in", "data.csv", "--model", "binomial.json", "--out", "binomial_fit.json"],
+    ]
+    code = (f"import os, sys\nos.chdir({str(tmp_path)!r})\nfrom smoothmask.cli import main\n"
+            f"assert [main(c) for c in {commands!r}] == [0] * {len(commands)}")
+    assert _scipy_modules_after(code) == "[]\n"
+    assert json.loads((tmp_path / "binomial_fit.json").read_text())["converged"] is True
 
 
 class TestSimulateFailures:
@@ -484,6 +545,30 @@ class TestSimulateFailures:
         err = capsys.readouterr().err
         assert err.startswith("smoothmask: bad study config: ")
         assert err.count("\n") == 1
+
+    @pytest.mark.parametrize("edit, message", [
+        (lambda cfg: cfg.update(seed=-1), "seed must be a non-negative integer, got -1"),
+        (lambda cfg: cfg["scenario"].update(seed=-1),
+         "seed must be a non-negative integer, got -1"),
+        (lambda cfg: cfg.update(mu=float("inf")), "mu must be a finite number, got inf"),
+        (lambda cfg: cfg.update(beta=float("nan")), "beta must be a finite number, got nan"),
+        (lambda cfg: cfg.update(mu=[1]), "mu must be a number, got [1]"),
+        (lambda cfg: cfg.update(beta="4"), "beta must be a number, got '4'"),
+    ], ids=["seed", "scenario_seed", "mu_infinite", "beta_nan", "mu_list", "beta_text"])
+    def test_bad_value_exit_1_naming_the_field(self, toy, tmp_path, capsys, monkeypatch,
+                                               edit, message):
+        monkeypatch.setattr(cli, "run_study", lambda cfg: pytest.fail("study ran"))
+        assert self._simulate(toy, tmp_path, edit) == 1
+        assert capsys.readouterr().err == f"smoothmask: bad study config: {message}\n"
+
+    def test_negative_seed_flag_exit_1(self, toy, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "run_study", lambda cfg: pytest.fail("study ran"))
+        out = tmp_path / "outS"
+        rc = main(["simulate", "--config", str(toy["sim"]), "--out", str(out), "--seed", "-3"])
+        assert rc == 1
+        assert capsys.readouterr().err == (
+            "smoothmask: --seed must be a non-negative integer, got -3\n")
+        assert not out.exists()
 
     def test_out_is_existing_file_exit_1(self, toy, tmp_path, capsys, monkeypatch):
         monkeypatch.setattr(cli, "run_study", lambda cfg: pytest.fail("study ran"))

@@ -11,7 +11,7 @@ import pytest
 import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.special import expit
+from scipy.special import expit, ndtri
 
 import smoothmask.glm as glm
 from smoothmask.glm import (
@@ -284,27 +284,70 @@ def _qr_rank_error(X, names):
     return None
 
 
+def _rank_message(X, names):
+    """glm._check_rank's message, or None when it accepts the design."""
+    try:
+        glm._check_rank(X, names)
+    except ValueError as err:
+        return str(err)
+    return None
+
+
 class TestCheckRank:
     def test_diagonal_and_pivots_match_scipy_qr(self, monkeypatch):
+        # near-collinear designs fail the singular-value certificate, so the
+        # verdict comes from the pivoted QR
         calls = []
-        lapack_qr = glm.dgeqp3
+        lapack_qr = scipy.linalg.lapack.dgeqp3
 
         def spy(a):
             out = lapack_qr(a)
             calls.append((a, out))
             return out
 
-        monkeypatch.setattr(glm, "dgeqp3", spy)
+        monkeypatch.setattr(scipy.linalg.lapack, "dgeqp3", spy)
         rng = np.random.default_rng(24)
-        for p in (1, 2, 3):
+        for p, gap in ((2, 1e-9), (3, 1e-9), (4, 1e-15)):
             X = np.hstack([np.ones((50, 1)), rng.normal(0.0, 1.0, (50, p - 1))])
+            X[:, -1] = X[:, -2] + gap * rng.normal(0.0, 1.0, 50)
             X[:, -1] *= 1e3
-            glm._check_rank(X, [f"c{j}" for j in range(p)])
+            names = [f"c{j}" for j in range(p)]
+            assert _rank_message(X, names) == _qr_rank_error(X, names)
         assert len(calls) == 3
         for X, (r, jpvt, *_rest) in calls:
             r_ref, piv_ref = scipy.linalg.qr(X, mode="r", pivoting=True)
             np.testing.assert_array_equal(np.abs(np.diag(r)), np.abs(np.diag(r_ref)))
             np.testing.assert_array_equal(jpvt - 1, piv_ref)
+
+    def test_certified_designs_skip_the_qr(self, monkeypatch):
+        def fail(a):
+            raise AssertionError("pivoted QR called for a well-conditioned design")
+
+        monkeypatch.setattr(scipy.linalg.lapack, "dgeqp3", fail)
+        rng = np.random.default_rng(7)
+        X = np.hstack([np.ones((200, 1)), rng.normal(0.0, 1.0, (200, 2)) * [1e-3, 1e3]])
+        assert _rank_message(X, ["c0", "c1", "c2"]) is None
+
+    @settings(max_examples=300, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 40), p=st.integers(1, 5),
+           kind=st.sampled_from(["scaled", "copy", "sum", "near"]),
+           scale=st.integers(-150, 150), spread=st.integers(0, 10))
+    def test_property_messages_match_scipy_qr(self, seed, n, p, kind, scale, spread):
+        rng = np.random.default_rng(seed)
+        X = rng.normal(0.0, 1.0, (n, p))
+        if rng.random() < 0.5:
+            X[:, 0] = 1.0
+        if p >= 2 and kind != "scaled":
+            (a, b), c = rng.choice(p, 2, replace=False), rng.integers(p)
+            if kind == "copy":        # exactly collinear: a power-of-two multiple
+                X[:, b] = 2.0 ** int(rng.integers(-3, 4)) * X[:, a]
+            elif kind == "sum":       # collinear up to the rounding of the sum
+                X[:, b] = X[:, a] + X[:, c]
+            else:                     # collinear up to a relative gap 1e-16..1e-6
+                X[:, b] = X[:, a] + 10.0 ** -rng.uniform(6, 16) * rng.normal(0.0, 1.0, n)
+        X *= 10.0 ** (scale + rng.uniform(-spread, spread, p))
+        names = [f"c{j}" for j in range(p)]
+        assert _rank_message(X, names) == _qr_rank_error(X, names)
 
     @pytest.mark.parametrize("X", [
         np.column_stack([np.arange(10.0), 2.0 * np.arange(10.0)]),
@@ -349,6 +392,30 @@ class TestNaiveCi:
         fr = _fixed_fit(beta=np.array([0.0]), cov=np.array([[1.0]]))
         with pytest.raises(ValueError):
             naive_ci(fr, 1.0)
+
+
+class TestScipyFreeSpecialFunctions:
+    def test_ndtri_equals_scipy_bit_for_bit(self):
+        rng = np.random.default_rng(17)
+        q = np.concatenate([
+            rng.uniform(0.0, 1.0, 60_000),
+            np.linspace(0.0, 1.0, 20_001),
+            10.0 ** -rng.uniform(0.0, 300.0, 15_000),           # lower tail to 1e-300
+            1.0 - 10.0 ** -rng.uniform(0.0, 16.0, 15_000),      # upper tail to 1 - 1e-16
+            0.5 * (1.0 + rng.uniform(0.0, 1.0, 5_000)),         # the CI levels' quantiles
+            [0.135335283236612, 0.1353352832366127, 0.8646647167633873, 1.2664165549e-14,
+             5e-324, np.nextafter(1.0, 0.0), 0.975, 0.95, -0.5, 1.5, np.nan],
+        ])
+        got = np.array([glm._ndtri(float(v)) for v in q])
+        assert len(q) >= 100_000
+        np.testing.assert_array_equal(got, ndtri(q))
+
+    def test_expit_within_an_ulp_of_scipy(self):
+        # numpy's exp may round differently from the C library's in the last bit
+        x = np.concatenate([np.random.default_rng(3).normal(0.0, 20.0, 100_000),
+                            [-1e4, -745.0, -709.8, 0.0, 36.0, 745.0, 1e4]])
+        np.testing.assert_allclose(glm._expit(x), expit(x), rtol=4e-16, atol=0.0)
+        assert glm._expit(np.array([-1e4]))[0] == 0.0
 
 
 def _fixed_fit(beta, cov):

@@ -227,6 +227,43 @@ class TestUComponents:
         assert np.array_equal(got, want)
 
 
+    @settings(max_examples=150, deadline=None)
+    @given(kind=st.sampled_from(["collinear", "grid", "constant_column", "circle",
+                                 "duplicates", "few"]),
+           n=st.integers(1, 60), scale=st.sampled_from([(1.0, 1.0), (1e6, 1e-6), (1e-3, 1e3)]),
+           offset=st.sampled_from([0.0, 1e4]), noisy=st.booleans(),
+           seed=st.integers(0, 2**32 - 1))
+    def test_property_two_columns_degenerate_sets_equal_oracle(self, kind, n, scale, offset,
+                                                                noisy, seed):
+        # the 2-D monotone chain keeps every point that can attain the maximum
+        rng = np.random.default_rng(seed)
+        t = rng.uniform(-2.0, 2.0, n)
+        masked_u = {
+            "collinear": lambda: np.column_stack([t, rng.normal() * t + rng.normal()]),
+            "grid": lambda: rng.integers(-3, 4, (n, 2)).astype(float),
+            "constant_column": lambda: np.column_stack([t, np.full(n, rng.normal())]),
+            "circle": lambda: np.column_stack([np.cos(np.pi * t), np.sin(np.pi * t)]),
+            "duplicates": lambda: np.repeat(rng.normal(0.0, 1.0, (max(1, n // 4), 2)), 4, 0),
+            "few": lambda: rng.normal(0.0, 1.0, (min(n, 3), 2)),
+        }[kind]() * scale + offset
+        preds = masked_u + rng.normal(0.0, 0.5, masked_u.shape) * scale
+        sd = rng.uniform(0.1, 2.0, 2) * scale if noisy else np.zeros(2)
+        got = u_components(masked_u, preds, sd, 10, np.random.default_rng(seed))
+        want = brute_force_u_components(masked_u, preds, sd, 10, np.random.default_rng(seed))
+        assert np.array_equal(got, want)
+
+    def test_two_column_candidates_contain_the_qhull_candidates(self):
+        from scipy.spatial import ConvexHull
+
+        rng = np.random.default_rng(21)
+        for scale in ((1.0, 1.0), (1e6, 1e-6), (1e-3, 1e3)):
+            for _ in range(100):
+                pts = np.unique(rng.normal(0.0, 1.0, (60, 2)) * scale, axis=0)
+                hull = ConvexHull(pts, qhull_options="Qc")
+                want = np.union1d(hull.vertices, hull.coplanar[:, 0])
+                assert set(want) <= set(risk._hull_chain_2d(pts))
+
+
 class TestMatchProbabilities:
     def test_identity_masking_exact_match_dominates(self):
         # others equidistant from the target, so their components are exactly 0
