@@ -28,8 +28,7 @@ from .dataset import (
     GridSpec,
     ParseError,
     _csv_rows,
-    _json_flag,
-    _json_names,
+    _from_json,
     _parse_number,
     load_csv,
     write_csv,
@@ -112,9 +111,7 @@ def _parse_config(what: str, parse, obj):
         return parse(obj)
     except KeyError as err:
         raise UsageError(f"bad {what} config: missing field {err}") from None
-    except (AttributeError, OverflowError, TypeError, ValueError) as err:
-        # AttributeError: a nested value that should be an object is not one;
-        # OverflowError: a number too large for a float or an int
+    except ValueError as err:
         raise UsageError(f"bad {what} config: {err}") from None
 
 
@@ -205,10 +202,7 @@ def _model_from_json(obj: dict) -> tuple[ModelSpec, str | None, str | None, str 
     for field, column in roles.items():
         if not (column is None or isinstance(column, str)):
             raise ValueError(f"{field} must be a column name, got {column!r}")
-    model = ModelSpec(family=obj["family"],
-                      regressors=_json_names(obj.get("regressors", ()), "regressors"),
-                      intercept=_json_flag(obj.get("intercept", True), "intercept"))
-    return (model, *roles.values())
+    return (_from_json(ModelSpec, obj), *roles.values())
 
 
 def _cmd_fit(args) -> _Outputs:

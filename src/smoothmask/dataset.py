@@ -4,9 +4,12 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass
+import sys
+from dataclasses import MISSING, dataclass, fields, is_dataclass
 from pathlib import Path
-from typing import Iterator
+from types import NoneType, UnionType
+from typing import Iterator, Union, get_args, get_origin, get_type_hints
+
 import numpy as np
 
 
@@ -391,28 +394,101 @@ def write_aggregated_csv(agg: AggregatedDataset, path) -> None:
 
 
 # ---------------------------------------------------------------------------
-# Typed values of JSON configs; each check raises a ValueError naming the field
+# JSON configs: one field walker reads and writes every config dataclass by its
+# type annotations; each check raises a ValueError naming the field.
 
-def _json_flag(value, field: str) -> bool:
-    if not isinstance(value, bool):
-        raise ValueError(f"{field} must be true or false, got {value!r}")
-    return value
-
-
-def _json_names(value, field: str) -> tuple[str, ...]:
-    if not (isinstance(value, (list, tuple)) and all(isinstance(v, str) for v in value)):
-        raise ValueError(f"{field} must be a list of names, got {value!r}")
-    return tuple(value)
+def _is_number(value) -> bool:
+    """Whether a JSON value is a number a float holds: not a bool, nor an integer
+    beyond the float range."""
+    return isinstance(value, float) or (isinstance(value, int) and not isinstance(value, bool)
+                                        and abs(value) <= sys.float_info.max)
 
 
-def _json_number(value, field: str) -> float:
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ValueError(f"{field} must be a number, got {value!r}")
-    return float(value)
+def _json_numbers(value, field: str, count: int | None = None) -> tuple[float, ...]:
+    """A list of numbers, of exactly count of them unless count is None."""
+    if not (isinstance(value, list) and count in (None, len(value))
+            and all(map(_is_number, value))):
+        size = "" if count is None else f"{count} "
+        raise ValueError(f"{field} must be a list of {size}numbers, got {value!r}")
+    return tuple(map(float, value))
 
 
-def _json_numbers(value, field: str, count: int) -> tuple[float, ...]:
-    if not (isinstance(value, (list, tuple)) and len(value) == count and all(
-            isinstance(v, (int, float)) and not isinstance(v, bool) for v in value)):
-        raise ValueError(f"{field} must be a list of {count} numbers, got {value!r}")
-    return tuple(float(v) for v in value)
+def _json_object(value, field: str) -> dict:
+    """A JSON object; null stands for an empty one, whose fields take their defaults."""
+    if not isinstance(value, (dict, NoneType)):
+        raise ValueError(f"{field} must be an object, got {value!r}")
+    return value or {}
+
+
+# annotation -> whether a JSON value is one, what it must be, and the conversion
+_JSON_TYPES = {
+    bool: (lambda v: isinstance(v, bool), "true or false", bool),
+    int: (lambda v: type(v) is int or isinstance(v, float) and v.is_integer(), "an integer", int),
+    float: (_is_number, "a number", float),
+    str: (lambda v: isinstance(v, str), "a string", str),
+    tuple[str, ...]: (lambda v: isinstance(v, list) and all(isinstance(s, str) for s in v),
+                      "a list of names", tuple),
+}
+
+
+def _json_value(hint, value, field: str):
+    """value checked against the type annotation hint and converted to that type:
+    a Location or a tuple of floats is a list of numbers, a nested dataclass is
+    an object, and X | None admits null."""
+    if get_origin(hint) in (Union, UnionType):
+        if value is None:
+            return None
+        (hint,) = (arg for arg in get_args(hint) if arg is not NoneType)
+    if hint is Location:
+        return Location(*_json_numbers(value, field, 2))
+    if is_dataclass(hint):
+        return _from_json(hint, _json_object(value, field), field + ".")
+    if get_origin(hint) is tuple and hint not in _JSON_TYPES:
+        args = get_args(hint)
+        return _json_numbers(value, field, None if args[-1] is Ellipsis else len(args))
+    accepts, what, convert = _JSON_TYPES[hint]
+    if not accepts(value):
+        raise ValueError(f"{field} must be {what}, got {value!r}")
+    return convert(value)
+
+
+def _from_json(cls, obj: dict, prefix: str = "", **decoded):
+    """The dataclass cls read from the JSON object obj, each field from the key
+    of its name by _json_value; an error names the field as prefix + name.
+
+    An absent key takes the field's default, and a missing required field
+    raises KeyError; unknown keys are ignored. A field given in decoded takes
+    that value instead, or its default if the value is MISSING.
+    """
+    hints = get_type_hints(cls)
+    kwargs = {f.name: _json_value(hints[f.name], obj[f.name], prefix + f.name)
+              for f in fields(cls) if f.name in obj and f.name not in decoded}
+    kwargs.update((name, value) for name, value in decoded.items() if value is not MISSING)
+    for f in fields(cls):
+        if f.name not in kwargs and f.default is MISSING and f.default_factory is MISSING:
+            raise KeyError(prefix + f.name)
+    return cls(**kwargs)
+
+
+def _to_json(value):
+    """The JSON form of a config value, which _from_json reads back."""
+    if isinstance(value, Location):
+        return [value.s1, value.s2]
+    if is_dataclass(value):
+        return {f.name: _to_json(getattr(value, f.name)) for f in fields(value)}
+    return [_to_json(v) for v in value] if isinstance(value, tuple) else value
+
+
+def _registered(registry: dict, name, what: str) -> type:
+    """The class a registry lists under the JSON tag name."""
+    if not (isinstance(name, str) and name in registry):
+        raise ValueError(f"unknown {what} {name!r}")
+    return registry[name]
+
+
+def _registered_name(registry: dict, obj, what: str) -> str:
+    """The JSON tag a registry lists the class of obj under."""
+    tags = [name for name, cls in registry.items() if type(obj) is cls]
+    if not tags:
+        raise ValueError(f"{what} {type(obj).__name__} has no JSON form")
+    return tags[0]

@@ -11,8 +11,8 @@ Each IRLS iteration is a Fisher-scoring step: it solves the p x p system
 weighted least-squares problem of classical IRLS in normal-equation form
 (Green 1984; McCullagh & Nelder 1989). Forming X'WX squares the condition
 number, so on designs with cond(X) above about 1e6 the fitted means keep
-fewer digits (around 1e-6 relative at cond(X) ~ 1e7) than a least-squares
-solve on sqrt(W) X would give.
+fewer digits (errors around 1e-6 of the largest fitted mean at cond(X) ~ 1e7)
+than a least-squares solve on sqrt(W) X would give.
 
 The module needs only numpy on its common paths. A design whose full column
 rank is certified by its smallest singular value skips the pivoted QR, and

@@ -14,7 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dataset import Location, _json_numbers, coords_array
+from .dataset import (Location, _from_json, _json_object, _registered, _registered_name,
+                      _to_json, coords_array)
 
 
 @dataclass(frozen=True)
@@ -29,7 +30,12 @@ class PointSource:
         norm = math.hypot(d1, d2)
         if not (math.isfinite(norm) and norm > 0):
             raise ValueError("direction must be a nonzero finite vector")
-        object.__setattr__(self, "direction", (d1 / norm, d2 / norm))
+        # a length within 4 eps of 1 (one pass leaves at most 2.5) is kept, so a
+        # normalised direction stays as it is; a subnormal input takes two passes
+        while abs(norm - 1.0) > 4 * np.finfo(float).eps:
+            d1, d2 = d1 / norm, d2 / norm
+            norm = math.hypot(d1, d2)
+        object.__setattr__(self, "direction", (d1, d2))
 
 
 @dataclass(frozen=True)
@@ -230,74 +236,22 @@ def eval_weight(kernel: KernelFamily, u: Location, s: Location, lam: float) -> f
 
 
 # ---------------------------------------------------------------------------
-# JSON form used by CLI configs: {"family": ..., "params": {...}}
+# JSON form used by CLI configs: {"family": ..., "params": {...}}, where params
+# holds the family's dataclass fields (a Location as [s1, s2])
 
-def _source_to_json(src: PointSource) -> dict:
-    return {"loc": [src.loc.s1, src.loc.s2], "direction": list(src.direction)}
-
-
-def _source_from_json(obj: dict | None) -> PointSource:
-    if obj is None:
-        return PointSource()
-    s1, s2 = _json_numbers(obj.get("loc", [0.0, 0.0]), "source.loc", 2)
-    return PointSource(loc=Location(s1, s2),
-                       direction=_json_numbers(obj.get("direction", [1.0, 0.0]),
-                                               "source.direction", 2))
-
-
-def _region_to_json(region: BlockRegion) -> dict:
-    return {
-        "threshold_x": region.threshold_x,
-        "threshold_cos": region.threshold_cos,
-        "source": _source_to_json(region.source),
-    }
-
-
-def _region_from_json(obj: dict | None) -> BlockRegion:
-    if obj is None:
-        return BlockRegion()
-    return BlockRegion(
-        threshold_x=float(obj.get("threshold_x", 0.4)),
-        threshold_cos=float(obj.get("threshold_cos", 0.625)),
-        source=_source_from_json(obj.get("source")),
-    )
+KERNELS = {
+    "euclidean": EuclideanKernel,
+    "ring": RingKernel,
+    "ring_angle": RingAngleKernel,
+    "ring_block": RingBlockKernel,
+    "bivariate_normal": BivariateNormalKernel,
+}
 
 
 def kernel_to_json(kernel: KernelFamily) -> dict:
-    if isinstance(kernel, EuclideanKernel):
-        return {"family": "euclidean", "params": {}}
-    if isinstance(kernel, RingAngleKernel):
-        return {"family": "ring_angle",
-                "params": {"source": _source_to_json(kernel.source),
-                           "angle_scale": kernel.angle_scale}}
-    if isinstance(kernel, RingBlockKernel):
-        return {"family": "ring_block", "params": {"region": _region_to_json(kernel.region)}}
-    if isinstance(kernel, RingKernel):
-        return {"family": "ring", "params": {"source": _source_to_json(kernel.source)}}
-    if isinstance(kernel, BivariateNormalKernel):
-        return {"family": "bivariate_normal",
-                "params": {"var1": kernel.var1, "var2": kernel.var2, "rho": kernel.rho}}
-    raise ValueError(f"kernel {type(kernel).__name__} has no JSON form")
+    return {"family": _registered_name(KERNELS, kernel, "kernel"), "params": _to_json(kernel)}
 
 
 def kernel_from_json(obj: dict) -> KernelFamily:
-    family = obj.get("family")
-    params = obj.get("params") or {}
-    if family == "euclidean":
-        return EuclideanKernel()
-    if family == "ring":
-        return RingKernel(source=_source_from_json(params.get("source")))
-    if family == "ring_angle":
-        return RingAngleKernel(
-            source=_source_from_json(params.get("source")),
-            angle_scale=float(params.get("angle_scale", 2.0)),
-        )
-    if family == "ring_block":
-        return RingBlockKernel(region=_region_from_json(params.get("region")))
-    if family == "bivariate_normal":
-        return BivariateNormalKernel(
-            var1=float(params.get("var1", 1.0)),
-            var2=float(params.get("var2", 1.0)),
-            rho=float(params.get("rho", 0.0)),
-        )
-    raise ValueError(f"unknown kernel family {family!r}")
+    family = _registered(KERNELS, obj.get("family"), "kernel family")
+    return _from_json(family, _json_object(obj.get("params"), "params"))

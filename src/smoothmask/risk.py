@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dataset import SpatialDataset, _json_flag, _json_names
+from .dataset import SpatialDataset, _from_json
 
 _TIE_RTOL = 1e-9
 # Element budget of one row block in u_components and _match_rows: 2**13
@@ -82,17 +82,13 @@ class IntruderScenario:
             raise ValueError(f"seed must be a non-negative integer, got {self.seed}")
         if self.target_ids is not None:
             object.__setattr__(self, "target_ids", tuple(self.target_ids))
+            if not self.target_ids:
+                raise ValueError("target_ids must name at least one record; "
+                                 "null targets every record")
 
 
 def scenario_from_json(obj: dict) -> IntruderScenario:
-    return IntruderScenario(
-        ap_columns=_json_names(obj["ap_columns"], "ap_columns"),
-        u_columns=_json_names(obj.get("u_columns", ()), "u_columns"),
-        mc_draws=int(obj.get("mc_draws", 100)),
-        seed=int(obj.get("seed", 0)),
-        standardize=_json_flag(obj.get("standardize", True), "standardize"),
-        target_ids=_json_names(obj["target_ids"], "target_ids") if obj.get("target_ids") else None,
-    )
+    return _from_json(IntruderScenario, obj)
 
 
 @dataclass(frozen=True)

@@ -7,22 +7,20 @@ import csv
 import io
 import json
 import math
-from dataclasses import dataclass, field as dataclass_field
+from dataclasses import MISSING, dataclass, field as dataclass_field
 from typing import Sequence
 
 import numpy as np
 
-from .dataset import GridSpec, SpatialDataset, _json_number, _json_numbers, aggregate
+from . import __version__
+from .dataset import (GridSpec, SpatialDataset, _from_json, _json_object, _json_value,
+                      _registered, _registered_name, _to_json, aggregate)
 from .kernels import (
     BlockRegion,
     KernelFamily,
     PointSource,
     _direction_cosines,
     _radius_sq,
-    _region_from_json,
-    _region_to_json,
-    _source_from_json,
-    _source_to_json,
     _unblocked_mask,
     kernel_from_json,
     kernel_to_json,
@@ -86,37 +84,15 @@ class BlockedExposure:
 ExposureField = RadialExposure | DirectionalExposure | BlockedExposure
 
 
+FIELDS = {"radial": RadialExposure, "directional": DirectionalExposure, "blocked": BlockedExposure}
+
+
 def field_to_json(field_def: ExposureField) -> dict:
-    if isinstance(field_def, RadialExposure):
-        return {"type": "radial", "source": _source_to_json(field_def.source),
-                "amplitude": field_def.amplitude, "scale": field_def.scale}
-    if isinstance(field_def, DirectionalExposure):
-        return {"type": "directional", "source": _source_to_json(field_def.source),
-                "amplitude": field_def.amplitude,
-                "radial_scale": field_def.radial_scale,
-                "direction_scale": field_def.direction_scale}
-    if isinstance(field_def, BlockedExposure):
-        return {"type": "blocked", "amplitude": field_def.amplitude, "scale": field_def.scale,
-                "region": _region_to_json(field_def.region)}
-    raise ValueError(f"field {type(field_def).__name__} has no JSON form")
+    return {"type": _registered_name(FIELDS, field_def, "field"), **_to_json(field_def)}
 
 
 def field_from_json(obj: dict) -> ExposureField:
-    kind = obj.get("type")
-    if kind == "radial":
-        return RadialExposure(source=_source_from_json(obj.get("source")),
-                              amplitude=float(obj.get("amplitude", 7.0)),
-                              scale=float(obj.get("scale", 2.5)))
-    if kind == "directional":
-        return DirectionalExposure(source=_source_from_json(obj.get("source")),
-                                   amplitude=float(obj.get("amplitude", 7.0)),
-                                   radial_scale=float(obj.get("radial_scale", 6.0)),
-                                   direction_scale=float(obj.get("direction_scale", 3.0)))
-    if kind == "blocked":
-        return BlockedExposure(region=_region_from_json(obj.get("region")),
-                               amplitude=float(obj.get("amplitude", 7.0)),
-                               scale=float(obj.get("scale", 2.5)))
-    raise ValueError(f"unknown exposure field type {kind!r}")
+    return _from_json(_registered(FIELDS, obj.get("type"), "exposure field type"), obj)
 
 
 # ---------------------------------------------------------------------------
@@ -406,40 +382,33 @@ def run_study(cfg: SimConfig) -> StudyResult:
         "exclusions": {f"{r.kernel}:{r.lam}": r.n_failed for r in rows[2:]}
         | {r.kernel: r.n_failed for r in rows[:2]},
         "risk_note": "risk evaluated on the first replicate's masked data",
-        "version": _package_version(),
+        "version": __version__,
     }
     return StudyResult(rows=tuple(rows), metadata=metadata)
-
-
-def _package_version() -> str:
-    try:
-        from importlib.metadata import version
-
-        return version("smoothmask")
-    except Exception:
-        return "unknown"
 
 
 # ---------------------------------------------------------------------------
 # Config JSON for the command line
 
 def config_from_json(obj: dict) -> SimConfig:
-    kernels = tuple((name, kernel_from_json(kj)) for name, kj in obj["kernels"].items())
-    scenario = scenario_from_json(obj["scenario"]) if obj.get("scenario") else None
-    grid = obj.get("grid") or {}
+    """A study from its JSON form, which has SimConfig's fields but for five:
+    "field" and each named kernel of the "kernels" object are read by their own
+    codecs, the scenario's errors name its fields without a "scenario." prefix,
+    "grid": {"nx", "ny"} holds grid_nx and grid_ny, and a null or empty
+    "lambdas" selects the default grid."""
+    kernels = _json_object(obj["kernels"], "kernels")
+    scenario = obj.get("scenario")
+    grid = _json_object(obj.get("grid"), "grid")
     lambdas = obj.get("lambdas")
-    return SimConfig(
-        field=field_from_json(obj["field"]),
-        kernels=kernels,
-        mu=_json_number(obj["mu"], "mu"),
-        beta=_json_number(obj["beta"], "beta"),
-        n_locations=int(obj.get("n_locations", 1000)),
-        replicates=int(obj.get("replicates", 500)),
-        lambdas=tuple(float(v) for v in lambdas) if lambdas else default_lambda_grid(),
-        bounds=_json_numbers(obj.get("bounds", (-1.0, 1.0, -1.0, 1.0)), "bounds", 4),
-        grid_nx=int(grid.get("nx", 7)),
-        grid_ny=int(grid.get("ny", 7)),
-        seed=int(obj.get("seed", 0)),
-        scenario=scenario,
-        ci_level=float(obj.get("ci_level", 0.95)),
+    return _from_json(
+        SimConfig, obj,
+        field=field_from_json(_json_object(obj["field"], "field")),
+        kernels=tuple((name, kernel_from_json(_json_object(kernel, f"kernels.{name}")))
+                      for name, kernel in kernels.items()),
+        scenario=None if scenario is None
+        else scenario_from_json(_json_object(scenario, "scenario")),
+        lambdas=MISSING if lambdas in (None, [])
+        else _json_value(tuple[float, ...], lambdas, "lambdas"),
+        **{f"grid_{k}": _json_value(int, grid[k], f"grid.{k}") if k in grid else MISSING
+           for k in ("nx", "ny")},
     )

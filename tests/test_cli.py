@@ -17,12 +17,26 @@ from hypothesis import strategies as st
 
 from smoothmask import cli
 from smoothmask.cli import main
-from smoothmask.dataset import CsvSchema, load_csv, write_csv
-from smoothmask.kernels import kernel_from_json
-from smoothmask.risk import scenario_from_json
+from smoothmask.dataset import CsvSchema, Location, load_csv, write_csv
+from smoothmask.glm import ModelSpec
+from smoothmask.kernels import (
+    BivariateNormalKernel,
+    BlockRegion,
+    EuclideanKernel,
+    PointSource,
+    RingAngleKernel,
+    RingBlockKernel,
+    RingKernel,
+    kernel_from_json,
+)
+from smoothmask.risk import IntruderScenario, scenario_from_json
 from smoothmask.sim import (
+    BlockedExposure,
+    DirectionalExposure,
     RadialExposure,
+    SimConfig,
     config_from_json,
+    default_lambda_grid,
     sample_locations,
     simulate_outcomes,
 )
@@ -894,3 +908,182 @@ class TestConfigMutations:
             cli._parse_config(what, parse, obj)
         except cli.UsageError as err:
             assert "\n" not in str(err)
+
+
+# The hand-written codecs the typed walker replaced, frozen as they were. The
+# walker must read every valid config, with any of its optional keys left out,
+# to the same object: so it keeps the defaults these codecs restated.
+def _old_source(obj):
+    if obj is None:
+        return PointSource()
+    s1, s2 = (float(v) for v in obj.get("loc", [0.0, 0.0]))
+    return PointSource(loc=Location(s1, s2),
+                       direction=tuple(float(v) for v in obj.get("direction", [1.0, 0.0])))
+
+
+def _old_region(obj):
+    if obj is None:
+        return BlockRegion()
+    return BlockRegion(threshold_x=float(obj.get("threshold_x", 0.4)),
+                       threshold_cos=float(obj.get("threshold_cos", 0.625)),
+                       source=_old_source(obj.get("source")))
+
+
+def _old_kernel(obj):
+    family = obj.get("family")
+    params = obj.get("params") or {}
+    if family == "euclidean":
+        return EuclideanKernel()
+    if family == "ring":
+        return RingKernel(source=_old_source(params.get("source")))
+    if family == "ring_angle":
+        return RingAngleKernel(source=_old_source(params.get("source")),
+                               angle_scale=float(params.get("angle_scale", 2.0)))
+    if family == "ring_block":
+        return RingBlockKernel(region=_old_region(params.get("region")))
+    if family == "bivariate_normal":
+        return BivariateNormalKernel(var1=float(params.get("var1", 1.0)),
+                                     var2=float(params.get("var2", 1.0)),
+                                     rho=float(params.get("rho", 0.0)))
+    raise ValueError(f"unknown kernel family {family!r}")
+
+
+def _old_field(obj):
+    kind = obj.get("type")
+    if kind == "radial":
+        return RadialExposure(source=_old_source(obj.get("source")),
+                              amplitude=float(obj.get("amplitude", 7.0)),
+                              scale=float(obj.get("scale", 2.5)))
+    if kind == "directional":
+        return DirectionalExposure(source=_old_source(obj.get("source")),
+                                   amplitude=float(obj.get("amplitude", 7.0)),
+                                   radial_scale=float(obj.get("radial_scale", 6.0)),
+                                   direction_scale=float(obj.get("direction_scale", 3.0)))
+    if kind == "blocked":
+        return BlockedExposure(region=_old_region(obj.get("region")),
+                               amplitude=float(obj.get("amplitude", 7.0)),
+                               scale=float(obj.get("scale", 2.5)))
+    raise ValueError(f"unknown exposure field type {kind!r}")
+
+
+def _old_scenario(obj):
+    return IntruderScenario(
+        ap_columns=tuple(obj["ap_columns"]),
+        u_columns=tuple(obj.get("u_columns", ())),
+        mc_draws=int(obj.get("mc_draws", 100)),
+        seed=int(obj.get("seed", 0)),
+        standardize=obj.get("standardize", True),
+        target_ids=tuple(obj["target_ids"]) if obj.get("target_ids") else None,
+    )
+
+
+def _old_study(obj):
+    kernels = tuple((name, _old_kernel(kj)) for name, kj in obj["kernels"].items())
+    scenario = _old_scenario(obj["scenario"]) if obj.get("scenario") else None
+    grid = obj.get("grid") or {}
+    lambdas = obj.get("lambdas")
+    return SimConfig(
+        field=_old_field(obj["field"]), kernels=kernels,
+        mu=float(obj["mu"]), beta=float(obj["beta"]),
+        n_locations=int(obj.get("n_locations", 1000)),
+        replicates=int(obj.get("replicates", 500)),
+        lambdas=tuple(float(v) for v in lambdas) if lambdas else default_lambda_grid(),
+        bounds=tuple(float(v) for v in obj.get("bounds", (-1.0, 1.0, -1.0, 1.0))),
+        grid_nx=int(grid.get("nx", 7)), grid_ny=int(grid.get("ny", 7)),
+        seed=int(obj.get("seed", 0)), scenario=scenario,
+        ci_level=float(obj.get("ci_level", 0.95)),
+    )
+
+
+def _old_model(obj):
+    model = ModelSpec(family=obj["family"], regressors=tuple(obj.get("regressors", ())),
+                      intercept=obj.get("intercept", True))
+    return (model, *(obj.get(f) for f in ("offset_col", "log_offset_col", "trials_col")))
+
+
+_OLD_CODECS = {kernel_from_json: _old_kernel, cli._model_from_json: _old_model,
+               scenario_from_json: _old_scenario, config_from_json: _old_study}
+# left in place: without them both codecs raise, or an empty scenario object
+# was read as no scenario
+_REQUIRED_KEYS = {"family", "type", "field", "kernels", "mu", "beta", "ap_columns"}
+
+
+class TestCodecMatchesHandWritten:
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_same_object_with_optional_keys_left_out(self, data):
+        what, parse, valid = data.draw(st.sampled_from(_VALID_CONFIGS))
+        old = _OLD_CODECS[parse]
+        assert parse(valid) == old(valid)
+        obj = copy.deepcopy(valid)
+        for path in _field_paths(valid):
+            optional = isinstance(path[-1], str) and path[-1] not in _REQUIRED_KEYS \
+                and path[-2:-1] != ("kernels",)  # a kernel's name is not a field
+            if optional and data.draw(st.booleans()):
+                parent = obj
+                for key in path[:-1]:
+                    parent = parent.get(key, {})
+                parent.pop(path[-1], None)
+        assert _outcome(parse, obj) == _outcome(old, obj)
+
+
+def _outcome(parse, obj):
+    """What a codec makes of obj: the config, or the message of its ValueError."""
+    try:
+        return parse(obj)
+    except ValueError as err:
+        return f"ValueError: {err}"
+
+
+def _study_edit(**changes):
+    return "study", lambda cfg: cfg.update(changes)
+
+
+class TestConfigTypes:
+    """Each ill-typed or empty value exits 1 with one line naming its field."""
+
+    @pytest.mark.parametrize("what, edit, message", [
+        (*_study_edit(seed=1.9), "seed must be an integer, got 1.9"),
+        ("study", lambda cfg: cfg["scenario"].update(mc_draws=2.7),
+         "mc_draws must be an integer, got 2.7"),
+        (*_study_edit(n_locations=10.9), "n_locations must be an integer, got 10.9"),
+        (*_study_edit(replicates="50"), "replicates must be an integer, got '50'"),
+        (*_study_edit(ci_level="0.9"), "ci_level must be a number, got '0.9'"),
+        (*_study_edit(field={"type": "radial", "amplitude": "7"}),
+         "amplitude must be a number, got '7'"),
+        ("kernel", lambda cfg: cfg.update(family="ring_angle", params={"angle_scale": "2"}),
+         "angle_scale must be a number, got '2'"),
+        ("kernel", lambda cfg: cfg.update(family="bivariate_normal", params={"var1": True}),
+         "var1 must be a number, got True"),
+        (*_study_edit(lambdas=[True]), "lambdas must be a list of numbers, got [True]"),
+        (*_study_edit(grid={"nx": True}), "grid.nx must be an integer, got True"),
+        (*_study_edit(lambdas="0.1"), "lambdas must be a list of numbers, got '0.1'"),
+        (*_study_edit(kernels=[]), "kernels must be an object, got []"),
+        (*_study_edit(grid=[1]), "grid must be an object, got [1]"),
+        ("kernel", lambda cfg: cfg.update(params=[1]), "params must be an object, got [1]"),
+        (*_study_edit(replicates=[1]), "replicates must be an integer, got [1]"),
+        ("scenario", lambda cfg: cfg.update(target_ids=[]),
+         "target_ids must name at least one record; null targets every record"),
+        ("study", lambda cfg: cfg["scenario"].update(target_ids=[]),
+         "target_ids must name at least one record; null targets every record"),
+    ], ids=["seed_fraction", "mc_draws_fraction", "n_locations_fraction", "replicates_text",
+            "ci_level_text", "amplitude_text", "angle_scale_text", "var1_bool", "lambdas_bool",
+            "grid_nx_bool", "lambdas_text", "kernels_list", "grid_list", "params_list",
+            "replicates_list", "target_ids_empty_risk", "target_ids_empty_simulate"])
+    def test_exit_1_naming_the_field(self, toy, tmp_path, capsys, monkeypatch,
+                                     what, edit, message):
+        monkeypatch.setattr(cli, "run_study", lambda cfg: pytest.fail("study ran"))
+        source = {"study": "sim", "kernel": "kernel", "scenario": "scenario"}[what]
+        cfg = json.loads(toy[source].read_text())
+        edit(cfg)
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg))
+        out = tmp_path / "out"
+        data = str(toy["data"])
+        argv = {"study": ["simulate", "--config", str(path)],
+                "kernel": ["mask", "--in", data, "--kernel", str(path), "--lambda", "0.2"],
+                "scenario": ["risk", "--masked", data, "--truth", data, "--scenario", str(path)],
+                }[what]
+        assert main([*argv, "--out", str(out)]) == 1
+        assert capsys.readouterr().err == f"smoothmask: bad {what} config: {message}\n"
+        assert not out.exists()

@@ -360,6 +360,11 @@ class TestMatchProbabilities:
 
 
 class TestExpectedCorrectRate:
+    def test_empty_target_ids_rejected(self):
+        # an empty tuple would score no targets and divide by zero
+        with pytest.raises(ValueError, match="target_ids must name at least one record"):
+            IntruderScenario(ap_columns=("x", "y"), target_ids=())
+
     def test_identity_masking_distinct_records_rate_one(self):
         rng = np.random.default_rng(9)
         data = make_dataset(x=rng.permutation(20).astype(float),

@@ -9,6 +9,7 @@ import weakref
 import numpy as np
 import pytest
 
+import smoothmask
 from smoothmask import sim
 from smoothmask.dataset import Location
 from smoothmask.kernels import BlockRegion, EuclideanKernel, PointSource, RingKernel
@@ -189,6 +190,9 @@ class TestRunStudy:
     def test_exclusion_metadata(self, study):
         assert UNMASKED in study.metadata["exclusions"]
         assert study.metadata["risk_note"]
+
+    def test_metadata_version_is_the_package_version(self, study):
+        assert study.metadata["version"] == smoothmask.__version__
 
     def test_single_lambda_single_row_per_kernel(self):
         res = run_study(small_config(lambdas=(0.3,), replicates=3, scenario=None))
