@@ -90,8 +90,6 @@ def _reading(what: str, path: str):
         yield
     except FileNotFoundError:
         raise UsageError(f"{what} file not found: {path}") from None
-    except json.JSONDecodeError as err:
-        raise UsageError(f"{what} file {path} is not valid JSON: {err}") from None
     except ParseError as err:
         raise UsageError(str(err)) from None
     except (OSError, UnicodeDecodeError) as err:
@@ -100,19 +98,27 @@ def _reading(what: str, path: str):
 
 def _load_json(path: str, what: str) -> dict:
     with _reading(what, path), open(path, "r", encoding="utf-8") as fh:
-        return json.load(fh)
+        text = fh.read()
+    try:
+        return json.loads(text)
+    except (ValueError, RecursionError) as err:
+        # besides malformed JSON: an integer with more digits than Python's
+        # int-string limit (ValueError) or nesting too deep to parse
+        raise UsageError(f"{what} file {path} is not valid JSON: {err}") from None
 
 
-def _parse_config(what: str, parse, obj):
-    """Apply a JSON config parser; a malformed config becomes a one-line usage error."""
+def _parse_config(what: str, parse, obj, path: str):
+    """Apply a JSON config parser to the contents of the file at ``path``; a
+    malformed config becomes a one-line usage error naming the file."""
     if not isinstance(obj, dict):
-        raise UsageError(f"bad {what} config: expected a JSON object, got {type(obj).__name__}")
+        raise UsageError(f"bad {what} config {path}: expected a JSON object, "
+                         f"got {type(obj).__name__}")
     try:
         return parse(obj)
     except KeyError as err:
-        raise UsageError(f"bad {what} config: missing field {err}") from None
+        raise UsageError(f"bad {what} config {path}: missing field {err}") from None
     except ValueError as err:
-        raise UsageError(f"bad {what} config: {err}") from None
+        raise UsageError(f"bad {what} config {path}: {err}") from None
 
 
 def _json_dumps(obj) -> str:
@@ -164,7 +170,7 @@ def _cmd_mask(args) -> _Outputs:
     schema = _schema_from_args(args)
     data = _load_dataset(args.input, schema)
     kernel_json = _load_json(args.kernel, "kernel")
-    kernel = _parse_config("kernel", kernel_from_json, kernel_json)
+    kernel = _parse_config("kernel", kernel_from_json, kernel_json, args.kernel)
     for flag, value in (("--lambda", args.lam), ("--sparsify", args.sparsify),
                         ("--grid-nx", args.grid_nx), ("--grid-ny", args.grid_ny)):
         if not (math.isfinite(value) and value >= 0):
@@ -210,7 +216,7 @@ def _cmd_fit(args) -> _Outputs:
     if not 0.0 < args.level < 1.0:
         raise UsageError(f"--level must lie in (0, 1), got {args.level!r}")
     model, offset_col, log_offset_col, trials_col = _parse_config(
-        "model", _model_from_json, _load_json(args.model, "model"))
+        "model", _model_from_json, _load_json(args.model, "model"), args.model)
     extra = tuple(c for c in (offset_col, log_offset_col, trials_col) if c)
     schema = _schema_from_args(args, tuple(dict.fromkeys(model.regressors + extra)))
     data = _load_dataset(args.input, schema)
@@ -218,7 +224,8 @@ def _cmd_fit(args) -> _Outputs:
         if model.regressors else None
     offset = None
     if offset_col and log_offset_col:
-        raise UsageError("model config sets both offset_col and log_offset_col")
+        raise UsageError(f"bad model config {args.model}: "
+                         "offset_col and log_offset_col are both set")
     if offset_col:
         offset = data.column(offset_col)
     elif log_offset_col:
@@ -249,7 +256,7 @@ def _cmd_fit(args) -> _Outputs:
 def _cmd_risk(args) -> _Outputs:
     out = _output_path("--out", args.out)
     scenario = _parse_config("scenario", scenario_from_json,
-                             _load_json(args.scenario, "scenario"))
+                             _load_json(args.scenario, "scenario"), args.scenario)
     seed = _seed_override(args)
     if seed is not None:
         scenario = replace(scenario, seed=seed)
@@ -308,7 +315,8 @@ def _cmd_bias(args) -> _Outputs:
     out = _output_path("--out", args.out)
     schema = _schema_from_args(args)
     data = _load_dataset(args.input, schema)
-    kernel = _parse_config("kernel", kernel_from_json, _load_json(args.kernel, "kernel"))
+    kernel = _parse_config("kernel", kernel_from_json, _load_json(args.kernel, "kernel"),
+                           args.kernel)
     beta = _coefficients(args, schema.x_cols)
     report = bias_mod.first_order_bias(data, beta, kernel, args.family)
     payload = {
@@ -322,7 +330,8 @@ def _cmd_bias(args) -> _Outputs:
 
 
 def _cmd_simulate(args) -> _Outputs:
-    cfg = _parse_config("study", config_from_json, _load_json(args.config, "study config"))
+    cfg = _parse_config("study", config_from_json, _load_json(args.config, "study config"),
+                        args.config)
     seed = _seed_override(args)
     if seed is not None:
         cfg = replace(cfg, seed=seed)
@@ -355,7 +364,7 @@ def _read_table(path: str) -> tuple[dict, list[str], list[dict]]:
     for comment in comments:
         stripped = comment.lstrip()[1:].strip()
         if stripped.startswith("study "):
-            with suppress(json.JSONDecodeError):
+            with suppress(ValueError, RecursionError):   # unreadable metadata is left out
                 meta = json.loads(stripped[len("study "):])
     return meta if isinstance(meta, dict) else {}, header, rows
 

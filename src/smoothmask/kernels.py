@@ -2,8 +2,11 @@
 
 Every built-in family evaluates as exp(-d(u, s) / lambda) for a family-specific
 nonnegative internal distance d (infinite across a blocked-region boundary), so
-they share one exponential-decay base class. The abstract KernelFamily admits
-other decay shapes; the masking operator only requires a weight matrix.
+they share one exponential-decay base class. Every such distance is exactly
+symmetric, so the base class builds the weight matrix from its upper triangle
+and mirrors it: each pair of locations is evaluated once. The abstract
+KernelFamily admits other decay shapes; the masking operator only requires a
+weight matrix.
 """
 
 from __future__ import annotations
@@ -103,16 +106,25 @@ class ExponentialDecayKernel(KernelFamily):
         """Internal distances from each row of ``locs`` to each row of ``others``.
 
         ``others`` defaults to ``locs``; that square form has exact zeros on the
-        diagonal and is exactly symmetric. Each entry depends only on its own
-        pair of points, so ``distance_matrix(locs[a:b], locs)`` equals
-        ``distance_matrix(locs)[a:b]`` exactly.
+        diagonal. Each entry depends only on its own pair of points, so
+        ``distance_matrix(locs[a:b], locs)`` equals ``distance_matrix(locs)[a:b]``
+        exactly, and it is exactly symmetric: ``distance_matrix(a, b)`` equals
+        ``distance_matrix(b, a).T`` bit for bit. ``weight_matrix`` relies on
+        that symmetry and computes only the upper triangle; a subclass whose
+        distances are not exactly symmetric must override ``weight_matrix``.
         """
 
     def weight_matrix(self, locs: np.ndarray, lam: float) -> np.ndarray:
-        """exp(-d / lam) over all pairs, built in row blocks of about _BLOCK_ELEMS entries.
+        """exp(-d / lam) over all pairs, each pair evaluated once.
 
-        Blocks keep each distance temporary in cache; the elementwise arithmetic
-        is that of the unblocked form, so every weight is bit-identical to it.
+        Row block [s, e) of about _BLOCK_ELEMS entries copies the weights left
+        of its diagonal block, w[s:e, :s], transposed from the rows above it,
+        then computes the distances from locs[s:e] to locs[s:] only and writes
+        their weights into w[s:e, s:]. Copying into the block's own rows, which
+        exp writes next, keeps the writes contiguous and in cache. The
+        elementwise arithmetic is that of the full square form (d / -lam is
+        -d / lam exactly), and the distances are exactly symmetric, so every
+        weight is bit-identical to it.
         """
         _check_lambda(lam)
         locs = coords_array(locs)
@@ -121,14 +133,15 @@ class ExponentialDecayKernel(KernelFamily):
         rows = max(1, _BLOCK_ELEMS // max(n, 1))
         with np.errstate(over="ignore"):
             for s in range(0, n, rows):
-                d = self.distance_matrix(locs[s:s + rows], locs)
+                e = min(s + rows, n)
+                w[s:e, :s] = w[:s, s:e].T
+                d = self.distance_matrix(locs[s:e], locs[s:])
                 if lam == 0.0:
                     # limit of exp(-d/lam): ties at distance exactly 0 get weight 1
-                    w[s:s + rows] = d == 0.0
+                    w[s:e, s:] = d == 0.0
                 else:
-                    np.negative(d, out=d)
-                    d /= lam
-                    np.exp(d, out=w[s:s + rows])
+                    np.divide(d, -lam, out=d)
+                    np.exp(d, out=w[s:e, s:])
         return w
 
 
@@ -143,9 +156,8 @@ def _coord_diffs(locs: np.ndarray, others: np.ndarray) -> tuple[np.ndarray, np.n
 
 
 def _ring_distance(locs: np.ndarray, others: np.ndarray, source: PointSource) -> np.ndarray:
-    r = _radius_sq(locs, source)
-    r_o = _radius_sq(others, source)
-    return np.abs(r[:, None] - r_o[None, :])
+    d = _radius_sq(locs, source)[:, None] - _radius_sq(others, source)[None, :]
+    return np.abs(d, out=d)
 
 
 @dataclass(frozen=True)
@@ -154,7 +166,9 @@ class EuclideanKernel(ExponentialDecayKernel):
 
     def distance_matrix(self, locs: np.ndarray, others: np.ndarray | None = None) -> np.ndarray:
         d1, d2 = _coord_diffs(locs, locs if others is None else others)
-        return d1 ** 2 + d2 ** 2
+        np.square(d1, out=d1)
+        d1 += np.square(d2, out=d2)
+        return d1
 
 
 @dataclass(frozen=True)
@@ -181,9 +195,11 @@ class RingAngleKernel(ExponentialDecayKernel):
     def distance_matrix(self, locs: np.ndarray, others: np.ndarray | None = None) -> np.ndarray:
         others = locs if others is None else others
         c = _direction_cosines(locs, self.source)
-        c_o = _direction_cosines(others, self.source)
-        return (_ring_distance(locs, others, self.source)
-                + self.angle_scale * np.abs(c[:, None] - c_o[None, :]))
+        t = c[:, None] - _direction_cosines(others, self.source)[None, :]
+        np.abs(t, out=t)
+        t *= self.angle_scale
+        t += _ring_distance(locs, others, self.source)
+        return t
 
 
 @dataclass(frozen=True)
@@ -224,8 +240,18 @@ class BivariateNormalKernel(ExponentialDecayKernel):
     def distance_matrix(self, locs: np.ndarray, others: np.ndarray | None = None) -> np.ndarray:
         a, b, c = self._precision()
         d1, d2 = _coord_diffs(locs, locs if others is None else others)
-        q = a * d1 ** 2 + 2.0 * b * d1 * d2 + c * d2 ** 2
-        return np.maximum(q / 2.0, 0.0)
+        # a * d1**2 + 2.0 * b * d1 * d2 + c * d2**2, then / 2 and clipped at 0,
+        # in that operation order with no further temporaries
+        q = np.square(d1)
+        q *= a
+        d1 *= 2.0 * b
+        d1 *= d2
+        q += d1
+        np.square(d2, out=d2)
+        d2 *= c
+        q += d2
+        q /= 2.0
+        return np.maximum(q, 0.0, out=q)
 
 
 def eval_weight(kernel: KernelFamily, u: Location, s: Location, lam: float) -> float:

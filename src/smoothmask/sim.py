@@ -26,7 +26,7 @@ from .kernels import (
     kernel_to_json,
 )
 from .masking import build_operator
-from .glm import FitResult, ModelSpec, _ndtri, fit
+from .glm import FitResult, ModelSpec, _ndtri, _percentile_interval, fit
 from .risk import (
     IntruderScenario,
     check_scenario_fits,
@@ -302,8 +302,7 @@ def _study_row(kernel: str, lam: float | None, risk: float | None,
     mean_var = float((se ** 2).mean())
     bias = mean_est - true_beta
     mse = bias ** 2 + mean_var
-    lo, hi = (np.percentile(est, [100 * alpha, 100 * (1 - alpha)])
-              if est.size > 1 else (mean_est, mean_est))
+    lo, hi = _percentile_interval(est, alpha) if est.size > 1 else (mean_est, mean_est)
     naive_width = 2.0 * z * mean_se
     pct_width = float(hi - lo)
     width_ratio = naive_width / pct_width if pct_width > 0 else math.nan

@@ -227,7 +227,7 @@ class TestFit:
         rc = main(["fit", "--in", str(toy["data"]), "--model", str(path), "--out", str(out)])
         assert rc == 1
         err = capsys.readouterr().err
-        assert err.startswith("smoothmask: bad model config: ")
+        assert err.startswith(f"smoothmask: bad model config {path}: ")
         assert err.count("\n") == 1
         assert not out.exists()
 
@@ -272,7 +272,7 @@ class TestRisk:
     def test_malformed_scenario_exit_1(self, toy, tmp_path, capsys, scenario):
         assert self._risk(toy, tmp_path, scenario) == 1
         err = capsys.readouterr().err
-        assert err.startswith("smoothmask: bad scenario config: ")
+        assert err.startswith(f"smoothmask: bad scenario config {tmp_path / 'scen.json'}: ")
         assert err.count("\n") == 1
 
     def test_scenario_without_y_exit_1(self, toy, tmp_path, capsys):
@@ -319,7 +319,7 @@ class TestBias:
                    "--beta=-25,4", "--out", str(out)])
         assert rc == 1
         err = capsys.readouterr().err
-        assert err == "smoothmask: bad kernel config: unknown kernel family 'nope'\n"
+        assert err == f"smoothmask: bad kernel config {kernel}: unknown kernel family 'nope'\n"
         assert not out.exists()
 
 
@@ -350,7 +350,7 @@ class TestFlagErrors:
          "--export-operator and --sparsify cannot be used with two-step masking"),
         ("risk", ["--seed", "-1"], "--seed must be a non-negative integer, got -1"),
         ("risk", ["--scenario", "{dir}/negative_seed.json"],
-         "bad scenario config: seed must be a non-negative integer, got -1"),
+         "negative_seed.json: seed must be a non-negative integer, got -1"),
     ], ids=["beta_text", "beta_nan", "beta_too_long", "beta_from_list",
             "beta_from_text_coefficient", "level_2", "level_nan", "fit_one_coord",
             "risk_one_coord", "grid_nx_negative", "two_step_sparsify",
@@ -395,7 +395,7 @@ class TestConfigValues:
         rc = main(["mask", "--in", str(toy["data"]), "--kernel", str(path),
                    "--lambda", "0.2", "--out", str(out)])
         assert rc == 1
-        assert capsys.readouterr().err == f"smoothmask: bad kernel config: {message}\n"
+        assert capsys.readouterr().err == f"smoothmask: bad kernel config {path}: {message}\n"
         assert not out.exists()
 
     @pytest.mark.parametrize("edit, message", [
@@ -427,7 +427,7 @@ class TestConfigValues:
         out = tmp_path / "outC"
         rc = main(["simulate", "--config", str(path), "--out", str(out)])
         assert rc == 1
-        assert capsys.readouterr().err == f"smoothmask: bad study config: {message}\n"
+        assert capsys.readouterr().err == f"smoothmask: bad study config {path}: {message}\n"
         assert not out.exists()
 
     @pytest.mark.parametrize("sub, field, value, message", [
@@ -447,7 +447,7 @@ class TestConfigValues:
         out = tmp_path / "out.json"
         rc = main([sub, *map(str, inputs), flag, str(path), "--out", str(out)])
         assert rc == 1
-        assert capsys.readouterr().err == f"smoothmask: bad {what} config: {message}\n"
+        assert capsys.readouterr().err == f"smoothmask: bad {what} config {path}: {message}\n"
         assert not out.exists()
 
 
@@ -481,10 +481,13 @@ class TestOutputCheckedFirst:
         assert not list(tmp_path.rglob("*.tmp"))
 
 
-def _scipy_modules_after(code: str) -> str:
-    """The scipy modules loaded once ``code`` has run in a fresh interpreter."""
+def _slow_modules_after(code: str) -> str:
+    """The scipy modules, and numpy.ma, loaded once ``code`` has run in a fresh
+    interpreter. numpy.ma is imported by the first np.percentile, or np.unique
+    without return_inverse, and costs about 17 ms."""
     src = Path(cli.__file__).resolve().parents[1]
-    code += "\nprint(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    code += ("\nprint(sorted(m for m in sys.modules"
+             " if m.split('.')[0] == 'scipy' or m == 'numpy.ma'))")
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           env=os.environ | {"PYTHONPATH": str(src)}, check=True)
     return proc.stdout
@@ -493,13 +496,13 @@ def _scipy_modules_after(code: str) -> str:
 def test_import_does_not_load_scipy_stats():
     # no scipy module at all: scipy.stats, scipy.special, scipy.linalg and
     # scipy.spatial each cost tens of MB and most of a second of start-up
-    assert _scipy_modules_after("import sys, smoothmask") == "[]\n"
+    assert _slow_modules_after("import sys, smoothmask") == "[]\n"
 
 
 def test_common_commands_do_not_load_scipy(tmp_path):
     """simulate, mask, risk with two sought columns and Poisson and binomial fits
-    run on numpy alone; scipy is left to near-singular designs and three or
-    more sought columns."""
+    run on numpy alone, without numpy.ma; scipy is left to near-singular designs
+    and three or more sought columns."""
     from smoothmask.dataset import SpatialDataset
 
     rng = np.random.default_rng(8)
@@ -534,8 +537,20 @@ def test_common_commands_do_not_load_scipy(tmp_path):
     ]
     code = (f"import os, sys\nos.chdir({str(tmp_path)!r})\nfrom smoothmask.cli import main\n"
             f"assert [main(c) for c in {commands!r}] == [0] * {len(commands)}")
-    assert _scipy_modules_after(code) == "[]\n"
+    assert _slow_modules_after(code) == "[]\n"
     assert json.loads((tmp_path / "binomial_fit.json").read_text())["converged"] is True
+
+
+def test_bootstrap_does_not_load_scipy_or_numpy_ma():
+    code = ("import sys\nimport numpy as np\nfrom smoothmask import glm, kernels\n"
+            "rng = np.random.default_rng(4)\nn = 40\nx = rng.normal(0.0, 1.0, (n, 1))\n"
+            "y = 1.0 + x[:, 0] + rng.normal(0.0, 0.5, n)\n"
+            "model = glm.ModelSpec('gaussian-identity', ('x',))\n"
+            "glm.bootstrap_ci(model, x, y, statistic=1, b=20, seed=1)\n"
+            "glm.bootstrap_ci(model, x, y, statistic=1, b=20, seed=1,\n"
+            "                 locs=rng.uniform(-1, 1, (n, 2)),\n"
+            "                 remask=(kernels.EuclideanKernel(), 0.3))")
+    assert _slow_modules_after(code) == "[]\n"
 
 
 class TestSimulateFailures:
@@ -557,7 +572,7 @@ class TestSimulateFailures:
     def test_malformed_config_exit_1(self, toy, tmp_path, capsys, edit):
         assert self._simulate(toy, tmp_path, edit) == 1
         err = capsys.readouterr().err
-        assert err.startswith("smoothmask: bad study config: ")
+        assert err.startswith(f"smoothmask: bad study config {tmp_path / 'bad_sim.json'}: ")
         assert err.count("\n") == 1
 
     @pytest.mark.parametrize("edit, message", [
@@ -573,7 +588,8 @@ class TestSimulateFailures:
                                                edit, message):
         monkeypatch.setattr(cli, "run_study", lambda cfg: pytest.fail("study ran"))
         assert self._simulate(toy, tmp_path, edit) == 1
-        assert capsys.readouterr().err == f"smoothmask: bad study config: {message}\n"
+        assert capsys.readouterr().err == (
+            f"smoothmask: bad study config {tmp_path / 'bad_sim.json'}: {message}\n")
 
     def test_negative_seed_flag_exit_1(self, toy, tmp_path, capsys, monkeypatch):
         monkeypatch.setattr(cli, "run_study", lambda cfg: pytest.fail("study ran"))
@@ -607,7 +623,8 @@ class TestSimulateFailures:
                                                       monkeypatch, edit, message):
         monkeypatch.setattr(cli, "run_study", lambda cfg: pytest.fail("study ran"))
         assert self._simulate(toy, tmp_path, edit) == 1
-        assert capsys.readouterr().err == f"smoothmask: bad study config: {message}\n"
+        assert capsys.readouterr().err == (
+            f"smoothmask: bad study config {tmp_path / 'bad_sim.json'}: {message}\n")
 
     def test_failed_study_leaves_no_directory(self, toy, tmp_path, capsys):
         assert self._simulate(toy, tmp_path, lambda cfg: cfg.update(mu=40.0)) == 2
@@ -842,6 +859,46 @@ class TestPlotFromStudyTable:
         assert rc == 0
         assert out.read_text().count("<polyline ") == 2
 
+    def test_unreadable_metadata_comment_is_left_out(self, study_dir, tmp_path):
+        lines = (study_dir / "study.csv").read_text().splitlines(keepends=True)
+        assert lines[0].startswith("# study ")
+        # an integer beyond Python's int-string digit limit
+        lines[0] = '# study {"true_beta": 1' + "0" * 5000 + "}\n"
+        table = tmp_path / "study.csv"
+        table.write_text("".join(lines))
+        out = tmp_path / "estimates.svg"
+        assert main(["plot", "--in", str(table), "--kind", "estimates", "--out", str(out)]) == 0
+        assert "true coefficient" not in out.read_text()
+
+
+class TestUnparseableJson:
+    """JSON that json.load rejects with something other than JSONDecodeError
+    still exits 1 with one line naming the file."""
+
+    @pytest.mark.parametrize("text, reason", [
+        ('{"seed": 1' + "0" * 5000 + "}", "Exceeds the limit (4300 digits)"),
+        ("[" * 100_000 + "]" * 100_000, "maximum recursion depth exceeded"),
+    ], ids=["integer_beyond_digit_limit", "nesting_too_deep"])
+    @pytest.mark.parametrize("sub", ["simulate", "mask", "risk", "fit"])
+    def test_exit_1_naming_the_file(self, toy, tmp_path, capsys, monkeypatch, sub, text,
+                                    reason):
+        monkeypatch.setattr(cli, "run_study", lambda cfg: pytest.fail("study ran"))
+        path = tmp_path / "cfg.json"
+        path.write_text(text)
+        data = str(toy["data"])
+        what, argv = {
+            "simulate": ("study config", ["--config", str(path)]),
+            "mask": ("kernel", ["--in", data, "--kernel", str(path), "--lambda", "0.2"]),
+            "risk": ("scenario", ["--masked", data, "--truth", data, "--scenario", str(path)]),
+            "fit": ("model", ["--in", data, "--model", str(path)]),
+        }[sub]
+        out = tmp_path / "out"
+        assert main([sub, *argv, "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"smoothmask: {what} file {path} is not valid JSON: ")
+        assert reason in err and err.count("\n") == 1
+        assert not out.exists()
+
 
 # Valid configs of every kind `_parse_config` reads; each field of each is mutated.
 _SOURCE = {"loc": [0.2, -0.1], "direction": [0.0, 1.0]}
@@ -905,9 +962,9 @@ class TestConfigMutations:
         else:
             parent[path[-1]] = value
         try:
-            cli._parse_config(what, parse, obj)
+            cli._parse_config(what, parse, obj, "cfg.json")
         except cli.UsageError as err:
-            assert "\n" not in str(err)
+            assert "\n" not in str(err) and str(err).startswith(f"bad {what} config cfg.json: ")
 
 
 # The hand-written codecs the typed walker replaced, frozen as they were. The
@@ -1085,5 +1142,5 @@ class TestConfigTypes:
                 "scenario": ["risk", "--masked", data, "--truth", data, "--scenario", str(path)],
                 }[what]
         assert main([*argv, "--out", str(out)]) == 1
-        assert capsys.readouterr().err == f"smoothmask: bad {what} config: {message}\n"
+        assert capsys.readouterr().err == f"smoothmask: bad {what} config {path}: {message}\n"
         assert not out.exists()

@@ -133,4 +133,4 @@ class TestReadmeConfigs:
     def test_example_parses(self, block):
         obj = json.loads(block)
         what, parse = _parser(obj)
-        cli._parse_config(what, parse, obj)
+        cli._parse_config(what, parse, obj, "README.md")

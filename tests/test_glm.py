@@ -11,6 +11,7 @@ import pytest
 import scipy.linalg
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 from scipy.special import expit, ndtri
 
 import smoothmask.glm as glm
@@ -421,6 +422,30 @@ class TestScipyFreeSpecialFunctions:
                             [-1e4, -745.0, -709.8, 0.0, 36.0, 745.0, 1e4]])
         np.testing.assert_allclose(glm._expit(x), expit(x), rtol=4e-16, atol=0.0)
         assert glm._expit(np.array([-1e4]))[0] == 0.0
+
+
+class TestPercentileInterval:
+    """The numpy.ma-free interval equals np.percentile's linear method bit for bit."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(values=st.one_of(
+        hnp.arrays(np.float64, st.integers(1, 80), elements=st.floats(-1e6, 1e6)),
+        # ties, both signed zeros, and the R=2 smallest sample
+        hnp.arrays(np.float64, st.integers(2, 40),
+                   elements=st.sampled_from([-1.5, -0.0, 0.0, 2.0, 7.25])),
+        hnp.arrays(np.float64, 2, elements=st.floats(-1e3, 1e3)),
+        st.builds(np.full, st.integers(2, 40), st.floats(-1e3, 1e3)),
+        hnp.arrays(np.float64, st.integers(1, 20), elements=st.floats()),
+    ), alpha=st.one_of(st.sampled_from([0.025, 0.05, 0.005, 0.25, 0.5, 0.0]),
+                       st.floats(0.0, 0.5), st.floats(0.5, 1.0)))
+    @example(values=np.array([3.0, 1.0]), alpha=0.025)
+    @example(values=np.full(5, 2.5), alpha=0.05)
+    @example(values=np.array([0.0, -0.0, 0.0, -0.0]), alpha=0.3)
+    def test_bit_identical_to_numpy(self, values, alpha):
+        with np.errstate(invalid="ignore"):
+            want = np.percentile(values, [100.0 * alpha, 100.0 * (1.0 - alpha)])
+            got = glm._percentile_interval(values.copy(), alpha)
+        assert np.array(got).tobytes() == want.tobytes()
 
 
 def _fixed_fit(beta, cov):

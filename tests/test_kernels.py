@@ -222,6 +222,95 @@ class TestCrossDistance:
             assert np.array_equal(kernel.weight_matrix(locs, lam), want)
 
 
+# coordinates that stress exact symmetry: signed zeros, a repeated radius, and
+# points on both sides of the default blocked region (x > 0.4 and a small angle
+# from the +x axis is blocked), whose ring_block distance is infinite
+_SPECIAL_POINTS = ((0.0, 0.0), (-0.0, 0.0), (0.0, -0.0), (-0.0, -0.0), (0.0, 0.5), (-0.0, 0.5),
+                   (0.5, 0.0), (0.5, -0.0), (1.0, 0.1), (0.9, -0.2), (0.4, 0.0), (-0.5, -0.5))
+
+
+@st.composite
+def _symmetry_locs(draw, max_rows: int = 25) -> np.ndarray:
+    point = st.one_of(st.tuples(st.floats(-2, 2), st.floats(-2, 2)),
+                      st.sampled_from(_SPECIAL_POINTS))
+    rows = draw(st.lists(point, min_size=1, max_size=max_rows))
+    # duplicated rows, anywhere in the array
+    dups = draw(st.lists(st.integers(0, len(rows) - 1), max_size=5))
+    return np.array(rows + [rows[i] for i in dups], dtype=float).reshape(-1, 2)
+
+
+def _bits(a: np.ndarray) -> bytes:
+    return np.ascontiguousarray(a).tobytes()
+
+
+def _plain_distance(kernel, locs: np.ndarray, others: np.ndarray) -> np.ndarray:
+    """Each family's distance as one expression, in the operation order that the
+    in-place arithmetic of distance_matrix must keep."""
+    d1 = locs[:, None, 0] - others[None, :, 0]
+    d2 = locs[:, None, 1] - others[None, :, 1]
+    if isinstance(kernel, EuclideanKernel):
+        return d1 ** 2 + d2 ** 2
+    if isinstance(kernel, BivariateNormalKernel):
+        a, b, c = kernel._precision()
+        return np.maximum((a * d1 ** 2 + 2.0 * b * d1 * d2 + c * d2 ** 2) / 2.0, 0.0)
+    source = kernel.region.source if isinstance(kernel, RingBlockKernel) else kernel.source
+    ring = np.abs(kernels._radius_sq(locs, source)[:, None]
+                  - kernels._radius_sq(others, source)[None, :])
+    if isinstance(kernel, RingAngleKernel):
+        cos = kernels._direction_cosines
+        return ring + kernel.angle_scale * np.abs(cos(locs, source)[:, None]
+                                                  - cos(others, source)[None, :])
+    if isinstance(kernel, RingBlockKernel):
+        side = kernels._unblocked_mask
+        ring[side(locs, kernel.region)[:, None] != side(others, kernel.region)[None, :]] = np.inf
+    return ring
+
+
+class TestSymmetryContract:
+    """weight_matrix evaluates each pair once and mirrors it, which is exact only
+    because every built-in distance is exactly symmetric."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(kernel=st.sampled_from(ALL_KERNELS), locs=_symmetry_locs(), others=_symmetry_locs())
+    def test_distances_exactly_symmetric(self, kernel, locs, others):
+        square = kernel.distance_matrix(locs)
+        assert _bits(square) == _bits(square.T)
+        assert _bits(kernel.distance_matrix(locs, others)) == \
+            _bits(kernel.distance_matrix(others, locs).T)
+
+    @settings(max_examples=100, deadline=None)
+    @given(kernel=st.sampled_from(ALL_KERNELS), locs=_symmetry_locs(), others=_symmetry_locs())
+    def test_in_place_arithmetic_equals_plain_expressions(self, kernel, locs, others):
+        assert _bits(kernel.distance_matrix(locs, others)) == \
+            _bits(_plain_distance(kernel, locs, others))
+
+    def test_ring_block_crossing_pairs_are_infinite(self):
+        locs = np.array(_SPECIAL_POINTS)
+        d = RingBlockKernel().distance_matrix(locs)
+        assert np.isinf(d).any() and np.isfinite(d).any()
+        assert _bits(d) == _bits(d.T)
+
+    @pytest.mark.parametrize("kernel", ALL_KERNELS, ids=lambda k: type(k).__name__)
+    @pytest.mark.parametrize("n, budget", [(1, 2 ** 16), (7, 2 ** 16), (82, 2 ** 16),
+                                           (300, 2 ** 16), (300, 1000), (97, 97)])
+    def test_weight_build_computes_each_pair_once(self, kernel, n, budget):
+        locs = np.random.default_rng(n).uniform(-1, 1, (n, 2))
+        sizes = []
+        original = type(kernel).distance_matrix
+
+        def counted(self, *args):
+            d = original(self, *args)
+            sizes.append(d.size)
+            return d
+
+        with mock.patch.object(kernels, "_BLOCK_ELEMS", budget), \
+                mock.patch.object(type(kernel), "distance_matrix", counted):
+            kernel.weight_matrix(locs, 0.3)
+        rows = max(1, budget // n)
+        assert sum(sizes) <= n * (n + 1) // 2 + n * rows
+        assert max(sizes) <= max(budget, n)
+
+
 class TestValidation:
     def test_bivariate_requires_positive_definite(self):
         with pytest.raises(ValueError):
