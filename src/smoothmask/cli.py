@@ -267,7 +267,7 @@ def _cmd_risk(args) -> _Outputs:
     try:
         check_scenario_fits(scenario, masked.x_names, masked.ids)
     except ValueError as err:
-        raise UsageError(str(err)) from None
+        raise UsageError(f"bad scenario config {args.scenario}: {err}") from None
     report = risk_report(masked, truth, scenario)
     payload = {
         "expected_correct_rate": report.expected_correct_rate,
@@ -278,7 +278,7 @@ def _cmd_risk(args) -> _Outputs:
                 "m": t.m,
                 "correct_in_argmax": t.correct_in_argmax,
                 "prob_correct": t.prob_correct,
-                "max_prob": float(t.probabilities.max()),
+                "max_prob": t.max_prob,
             }
             for t in report.targets
         ],

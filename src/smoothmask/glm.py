@@ -238,20 +238,21 @@ def _check_rank(X: np.ndarray, names: Sequence[str]) -> None:
 
 
 def _poisson_mu(eta: np.ndarray) -> np.ndarray:
-    return np.exp(np.clip(eta, -500.0, 500.0))
+    return np.exp(np.minimum(np.maximum(eta, -500.0), 500.0))
 
 
 def _deviance(family: str, y: np.ndarray, mu: np.ndarray, trials: np.ndarray | None) -> float:
     if family == "poisson-log":
-        term = np.where(y > 0, y * np.log(np.where(y > 0, y, 1.0) / mu), 0.0)
-        return float(2.0 * np.sum(term - (y - mu)))
+        pos = y > 0
+        term = np.where(pos, y * np.log(np.where(pos, y, 1.0) / mu), 0.0)
+        return float(2.0 * (term - (y - mu)).sum())
     if family == "binomial-logit":
         n = trials
         with np.errstate(divide="ignore", invalid="ignore"):
             t1 = np.where(y > 0, y * np.log(y / mu), 0.0)
             t2 = np.where(n - y > 0, (n - y) * np.log((n - y) / (n - mu)), 0.0)
-        return float(2.0 * np.sum(t1 + t2))
-    return float(np.sum((y - mu) ** 2))
+        return float(2.0 * (t1 + t2).sum())
+    return float(((y - mu) ** 2).sum())
 
 
 def fit(model: ModelSpec, x: np.ndarray | None, y: np.ndarray, *,
@@ -273,9 +274,7 @@ def fit(model: ModelSpec, x: np.ndarray | None, y: np.ndarray, *,
     X = design_matrix(model, x, n_rows=N)
     if X.shape[0] != N:
         raise ValueError("regressor rows do not match outcome length")
-    if offset is None:
-        offset = np.zeros(N)
-    else:
+    if offset is not None:
         offset = np.asarray(offset, dtype=float).ravel()
         if not np.isfinite(offset).all():
             raise ValueError("offset must be finite")
@@ -295,15 +294,18 @@ def fit(model: ModelSpec, x: np.ndarray | None, y: np.ndarray, *,
 
     # family-specific initialization (robust standard starts)
     if family == "poisson-log":
-        beta, *_ = np.linalg.lstsq(X, np.log(y + 0.5) - offset, rcond=None)
+        start = np.log(y + 0.5)
     elif family == "binomial-logit":
         frac = (y + 0.5) / (trials + 1.0)
-        beta, *_ = np.linalg.lstsq(X, np.log(frac / (1.0 - frac)) - offset, rcond=None)
+        start = np.log(frac / (1.0 - frac))
     else:
-        beta, *_ = np.linalg.lstsq(X, y - offset, rcond=None)
+        start = y
+    beta, *_ = np.linalg.lstsq(X, start if offset is None else start - offset, rcond=None)
 
     def state(beta_vec):
-        eta = X @ beta_vec + offset
+        eta = X @ beta_vec
+        if offset is not None:
+            eta += offset
         if family == "poisson-log":
             mu = _poisson_mu(eta)
             w = np.maximum(mu, 1e-290)
@@ -336,7 +338,7 @@ def fit(model: ModelSpec, x: np.ndarray | None, y: np.ndarray, *,
         # dominate the relative change forever
         rel = abs(dev - dev_new) / (abs(dev_new) + 0.1)
         beta, mu, w, score, dev = beta_new, mu_new, w_new, score_new, dev_new
-        if rel <= _DEVIANCE_RTOL and np.max(np.abs(score)) <= _SCORE_TOL:
+        if rel <= _DEVIANCE_RTOL and abs(score).max() <= _SCORE_TOL:
             converged = True
             break
 
@@ -359,7 +361,7 @@ def fit(model: ModelSpec, x: np.ndarray | None, y: np.ndarray, *,
         iterations=it,
         converged=converged,
         n_obs=N,
-        max_abs_score=float(np.max(np.abs(score))),
+        max_abs_score=float(abs(score).max()),
     )
 
 

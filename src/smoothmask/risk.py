@@ -12,8 +12,12 @@ The array work runs on columns and blocks. Distances are summed over
 per-column planes (the sought-column draws as contiguous (rows, mc_draws)
 planes, the Fortran-ordered available columns as contiguous vectors), and the
 targets are normalised, argmax-matched and tie-scored a block of rows at a
-time. With fewer than 8 available or sought columns every value is
-bit-identical to the row-at-a-time form.
+time in one reused scratch array. Of each target's probability row only the
+maximum, the own-record probability and the argmax set's size and hit are
+kept, so scoring k targets against n records holds O(block * n + k) memory;
+match_probabilities returns one target's whole row. With fewer than 8
+available or sought columns every value is bit-identical to the
+row-at-a-time form.
 
 Only the convex hull of three to six sought columns needs scipy (Qhull); it
 is imported there, so scoring up to two sought columns runs on numpy alone.
@@ -28,12 +32,12 @@ import numpy as np
 from .dataset import SpatialDataset, _from_json
 
 _TIE_RTOL = 1e-9
-# Element budget of one row block in u_components and _match_rows: 2**13
-# float64 values are 64 KiB, so a block's temporaries stay in cache. Scored
-# rows are then copied into one vector per target: vectors of n floats fill
-# the allocator's free holes as a plain per-target loop's do, while one
-# (k, n) array, or 512 KiB blocks, needed fresh memory and raised the peak
-# RSS of a 1000-record `smoothmask risk` by 0.7 or 0.2 MB.
+# Element budget of one row block in u_components and _scored_blocks: 2**13
+# float64 values are 64 KiB, so a block's temporaries stay in cache. Risk
+# scoring reuses one such block for every target and keeps four numbers per
+# target: k probability rows of n floats (8 MB for 1000 targets of 1000
+# records) would stay in the heap under a study's next operator and raise
+# its peak RSS.
 _BLOCK_ELEMS = 2 ** 13
 # Qhull's facet count grows steeply with dimension. For 1000 Gaussian points on
 # a 2-CPU x86 machine the hull took 0.2 s in 6 dimensions, 2 s in 7 and 20 s in
@@ -93,10 +97,14 @@ def scenario_from_json(obj: dict) -> IntruderScenario:
 
 @dataclass(frozen=True)
 class TargetMatch:
-    """Matching outcome for one intruder record."""
+    """Matching outcome for one intruder record.
+
+    Only summaries of the record's probability row are kept; the row itself
+    comes from match_probabilities.
+    """
 
     target_id: str
-    probabilities: np.ndarray    # over released records, sums to 1
+    max_prob: float              # largest matching probability over released records
     m: int                       # size of the argmax set (ties within 1e-9 relative)
     correct_in_argmax: bool
     prob_correct: float
@@ -155,20 +163,23 @@ def _sq_distance(planes, point) -> np.ndarray:
     return acc
 
 
-def ap_components(masked_ap: np.ndarray, t_ap: np.ndarray) -> tuple[np.ndarray, bool]:
+def ap_components(masked_ap: np.ndarray, t_ap: np.ndarray,
+                  out: np.ndarray | None = None) -> tuple[np.ndarray, bool]:
     """Distance-based probability of each released record's available columns.
 
     Returns (components, degenerate). Component j is 1 - d_j / max_k d_k with
     Euclidean d; when every distance is zero the components are all ones and
     the degenerate flag is set (the caller treats the factor as uniform).
     Distances are summed column by column, which reads contiguous memory when
-    ``masked_ap`` is in Fortran order.
+    ``masked_ap`` is in Fortran order. The components are written into
+    ``out`` when it is given.
     """
     d = _sq_distance(masked_ap.T, t_ap)
-    np.sqrt(d, out=d)
+    d = np.sqrt(d, out=d if out is None else out)
     dmax = d.max()
     if dmax == 0.0:
-        return np.ones(len(d)), True
+        d[:] = 1.0
+        return d, True
     d /= dmax
     return np.subtract(1.0, d, out=d), False
 
@@ -359,29 +370,25 @@ def _build_context(ds: SpatialDataset, truth: SpatialDataset,
                     u_comp=u_comp, target_indices=target_indices)
 
 
-def _match_rows(ctx: _Context, target_indices) -> tuple[list[np.ndarray], list[int], list[bool], int]:
-    """Posterior probabilities of the given targets, scored in row blocks.
+def _scored_blocks(ctx: _Context, target_indices):
+    """Posterior probabilities of the given targets, a block of rows at a time.
 
-    Returns one read-only probability vector per target, each target's
-    argmax-set size m (ties within _TIE_RTOL relative), whether the target's
-    own record is in that set, and how many targets had a degenerate
-    available-column factor. Each row gets the elementwise arithmetic and row
-    sum of a lone vector, so blocking changes no value.
+    Yields (target indices, probabilities, degenerate count) per block of
+    about _BLOCK_ELEMS values: the probabilities are a (rows, n) view of one
+    scratch array, overwritten by the next block, and the count is how many
+    of the block's targets had a degenerate available-column factor. Each row
+    gets the elementwise arithmetic and row sum of a lone vector, so blocking
+    changes no value.
     """
     n = ctx.ds.n_records
-    k = len(target_indices)
-    probs = []
-    m = np.empty(k, dtype=np.intp)
-    correct = np.empty(k, dtype=bool)
-    degenerate = 0
     rows = max(1, _BLOCK_ELEMS // n)
-    scratch = np.empty((min(rows, k), n))
-    for s in range(0, k, rows):
+    scratch = np.empty((min(rows, len(target_indices)), n))
+    for s in range(0, len(target_indices), rows):
         tix = np.asarray(target_indices[s:s + rows], dtype=np.intp)
         block = scratch[:len(tix)]
+        degenerate = 0
         for row, t in zip(block, tix):
-            row[:], flag = ap_components(ctx.masked_ap, ctx.truth_rows[t])
-            degenerate += flag
+            degenerate += ap_components(ctx.masked_ap, ctx.truth_rows[t], out=row)[1]
         # uniform prior 1/n and cross-record component 1 (upper bound)
         block *= ctx.u_comp
         block /= n
@@ -390,14 +397,7 @@ def _match_rows(ctx: _Context, target_indices) -> tuple[list[np.ndarray], list[i
         totals[zero] = 1.0
         block /= totals[:, None]
         block[zero] = 1.0 / n
-        sel = block >= (block.max(axis=1) * (1.0 - _TIE_RTOL))[:, None]
-        m[s:s + rows] = np.count_nonzero(sel, axis=1)
-        correct[s:s + rows] = sel[np.arange(len(tix)), tix]
-        for row in block:
-            p = row.copy()
-            p.setflags(write=False)
-            probs.append(p)
-    return probs, m.tolist(), correct.tolist(), degenerate
+        yield tix, block, degenerate
 
 
 def match_probabilities(masked: SpatialDataset, truth: SpatialDataset, target_id: str,
@@ -407,7 +407,10 @@ def match_probabilities(masked: SpatialDataset, truth: SpatialDataset, target_id
     ctx = _build_context(masked, truth, scenario)
     if target_id not in masked.ids:
         raise ValueError(f"target id {target_id!r} is not a released record")
-    return _match_rows(ctx, (masked.ids.index(target_id),))[0][0]
+    _, block, _ = next(_scored_blocks(ctx, (masked.ids.index(target_id),)))
+    p = block[0].copy()
+    p.setflags(write=False)
+    return p
 
 
 def risk_report(masked: SpatialDataset, truth: SpatialDataset,
@@ -416,23 +419,27 @@ def risk_report(masked: SpatialDataset, truth: SpatialDataset,
 
     A record is matched to the argmax probability set (ties within 1e-9
     relative); a tie of size m containing the correct record contributes 1/m.
-    Targets are scored a block of rows at a time (_match_rows); each
-    TargetMatch holds its own read-only probability vector.
+    Targets are scored a block of rows at a time (_scored_blocks), and each
+    TargetMatch keeps only its row's maximum, its own-record probability and
+    its argmax set's size and hit: scoring k targets holds O(block * n + k)
+    memory, not one probability vector per target.
     """
     ctx = _build_context(masked, truth, scenario)
-    probs, m, correct, degenerate = _match_rows(ctx, ctx.target_indices)
     targets = []
     total = 0.0
-    for p, tidx, m_t, correct_t in zip(probs, ctx.target_indices, m, correct):
-        if correct_t:
-            total += 1.0 / m_t
-        targets.append(TargetMatch(
-            target_id=ctx.ds.ids[tidx],
-            probabilities=p,
-            m=m_t,
-            correct_in_argmax=correct_t,
-            prob_correct=float(p[tidx]),
-        ))
+    degenerate = 0
+    for tix, block, block_degenerate in _scored_blocks(ctx, ctx.target_indices):
+        degenerate += block_degenerate
+        top = block.max(axis=1)
+        sel = block >= (top * (1.0 - _TIE_RTOL))[:, None]
+        own = np.arange(len(tix)), tix
+        for t, max_p, p_t, m_t, correct_t in zip(
+                tix.tolist(), top.tolist(), block[own].tolist(),
+                np.count_nonzero(sel, axis=1).tolist(), sel[own].tolist()):
+            if correct_t:
+                total += 1.0 / m_t
+            targets.append(TargetMatch(target_id=ctx.ds.ids[t], max_prob=max_p, m=m_t,
+                                       correct_in_argmax=correct_t, prob_correct=p_t))
     rate = total / len(ctx.target_indices)
     return RiskReport(targets=tuple(targets), expected_correct_rate=rate,
                       degenerate=degenerate)

@@ -285,6 +285,18 @@ class TestRisk:
         assert rc == 1
         assert "target ids not present in the released data: ['zz']" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("scenario, message", [
+        ({"ap_columns": ["x1"], "u_columns": []},
+         "scenario columns ['x1'] must cover exactly the released columns ['x1', 'y']"),
+        ({"ap_columns": ["x1", "y"], "target_ids": ["p1", "zz"]},
+         "target ids not present in the released data: ['zz']"),
+    ], ids=["columns", "target_ids"])
+    def test_scenario_not_fitting_the_release_names_the_file(self, toy, tmp_path, capsys,
+                                                            scenario, message):
+        assert self._risk(toy, tmp_path, scenario) == 1
+        err = capsys.readouterr().err
+        assert err == f"smoothmask: bad scenario config {tmp_path / 'scen.json'}: {message}\n"
+
 
 class TestBias:
     def test_bias_report(self, toy, tmp_path):

@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -388,7 +390,7 @@ class TestExpectedCorrectRate:
         assert 0.0 <= r1.expected_correct_rate <= 1.0
         assert r1.expected_correct_rate == r2.expected_correct_rate
         for t1, t2 in zip(r1.targets, r2.targets):
-            np.testing.assert_array_equal(t1.probabilities, t2.probabilities)
+            assert (t1.max_prob, t1.prob_correct) == (t2.max_prob, t2.prob_correct)
 
     def test_ties_counted_fractionally(self):
         # two pairs of duplicated records: each target ties its duplicate
@@ -425,10 +427,29 @@ class TestExpectedCorrectRate:
         scenario = IntruderScenario(ap_columns=("x",), u_columns=("y",), mc_draws=5)
         report = risk_report(data, data, scenario)
         for t in (report.targets[0], report.targets[-1]):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                t.max_prob = 1.0
             with pytest.raises(ValueError):
-                t.probabilities[0] = 1.0
+                match_probabilities(data, data, t.target_id, scenario)[0] = 1.0
         with pytest.raises(ValueError):
             match_probabilities(data, data, "r2", scenario)[0] = 1.0
+
+    def test_report_keeps_no_probability_rows(self):
+        # one probability row per target would be 2000 * 2000 floats, 32 MB
+        rng = np.random.default_rng(15)
+        n = 2000
+        data = make_dataset(x=rng.normal(0, 1, n), y=rng.normal(0, 1, n))
+        truth = data.replace_values(y=data.y + rng.normal(0, 0.5, n))
+        scenario = IntruderScenario(ap_columns=("x",), u_columns=("y",), mc_draws=20)
+        risk_report(data, truth, dataclasses.replace(scenario, target_ids=("r0",)))  # lazy imports
+        tracemalloc.start()
+        try:
+            report = risk_report(data, truth, scenario)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(report.targets) == n
+        assert peak < 4 * 2 ** 20
 
     def test_degenerate_counts_all_identical_records(self):
         n = 6
@@ -465,15 +486,13 @@ class TestExpectedCorrectRate:
         rows, rate, degenerate = per_target_reference(masked, truth, scenario)
         assert len(report.targets) == len(rows)
         for t, (p, m, correct, prob_correct) in zip(report.targets, rows):
-            assert np.array_equal(t.probabilities, p, equal_nan=True)
+            assert np.array_equal(match_probabilities(masked, truth, t.target_id, scenario),
+                                  p, equal_nan=True)
             assert (t.m, t.correct_in_argmax) == (m, correct)
-            assert t.prob_correct == prob_correct or (math.isnan(prob_correct)
-                                                      and math.isnan(t.prob_correct))
+            for got, want in ((t.max_prob, float(p.max())), (t.prob_correct, prob_correct)):
+                assert got == want or (math.isnan(want) and math.isnan(got))
         assert report.expected_correct_rate == rate
         assert report.degenerate == degenerate
-        first = report.targets[0]
-        assert np.array_equal(match_probabilities(masked, truth, first.target_id, scenario),
-                              first.probabilities, equal_nan=True)
 
     def test_truth_must_cover_released_ids(self):
         data = make_dataset(x=[1.0, 2.0], y=[3.0, 4.0])
