@@ -5,7 +5,6 @@ of the released data."""
 __version__ = "0.1.0"
 
 from .dataset import (
-    AggregatedDataset,
     CsvSchema,
     GridSpec,
     Location,
@@ -13,7 +12,6 @@ from .dataset import (
     SpatialDataset,
     aggregate,
     load_csv,
-    write_aggregated_csv,
     write_csv,
 )
 from .kernels import (

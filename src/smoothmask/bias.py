@@ -40,6 +40,16 @@ def _link_functions(family: str):
     raise ValueError(f"unknown family {family!r}; choose from {FAMILIES}")
 
 
+# rows of the integrand formed at once in first_order_bias: its temporaries hold
+# about _BLOCK_ELEMS values each, not n * n
+_BLOCK_ELEMS = 2 ** 16
+
+
+def _derivative_vanishes(kernel: KernelFamily, n: int) -> bool:
+    """Whether the normalized-weight derivative at zero is exactly zero."""
+    return isinstance(kernel, ExponentialDecayKernel) or n == 1
+
+
 def _location_scale_sq(locs: np.ndarray) -> float:
     span = locs.max(axis=0) - locs.min(axis=0)
     scale = float(span[0] ** 2 + span[1] ** 2)
@@ -65,7 +75,7 @@ def r0_matrix(kernel: KernelFamily, locs, h_step: float | None = None) -> np.nda
         _check_h_step(h_step)
     locs = coords_array(locs)
     n = len(locs)
-    if isinstance(kernel, ExponentialDecayKernel) or n == 1:
+    if _derivative_vanishes(kernel, n):
         return np.zeros((n, n))
     if h_step is None:
         h_step = _check_h_step(1e-6 * _location_scale_sq(locs))
@@ -116,12 +126,22 @@ def first_order_bias(data: SpatialDataset, beta, kernel: KernelFamily, family: s
     eta = X @ beta
     heta = h(eta)
     hpe = h_prime(eta)
-    r0 = r0_matrix(kernel, data.locs, h_step)
+    n = data.n_records
+    if h_step is not None:
+        _check_h_step(h_step)
+    r0 = None if _derivative_vanishes(kernel, n) else r0_matrix(kernel, data.locs, h_step)
     # centered integrand: rows of r0 sum to zero, so subtracting the target's
     # own value leaves the sum unchanged while cancelling exactly when the
-    # exposure (or the link curvature) is constant
-    c = (heta[None, :] - heta[:, None]) - hpe[:, None] * (eta[None, :] - eta[:, None])
-    w = (c * r0).sum(axis=1)
+    # exposure (or the link curvature) is constant. It is formed a block of
+    # rows at a time, and a vanishing r0 is the scalar 0.0, so no n x n array
+    # is built for it; each row sum is the one over the full matrix bit for bit
+    # (0, or nan where the integrand overflows).
+    w = np.empty(n)
+    rows = max(1, _BLOCK_ELEMS // n)
+    for lo in range(0, n, rows):
+        t = slice(lo, lo + rows)
+        c = (heta[None, :] - heta[t, None]) - hpe[t, None] * (eta[None, :] - eta[t, None])
+        w[t] = (c * (0.0 if r0 is None else r0[t])).sum(axis=1)
     s1 = X.T @ w
     s2 = -(X * hpe[:, None]).T @ X
     s2 = 0.5 * (s2 + s2.T)
@@ -136,7 +156,7 @@ def first_order_bias(data: SpatialDataset, beta, kernel: KernelFamily, family: s
         beta_prime0=beta_prime,
         s1bar=s1,
         s2bar=s2,
-        r0_max_abs=float(np.abs(r0).max()),
+        r0_max_abs=0.0 if r0 is None else float(np.abs(r0).max()),
         family=family,
     )
 

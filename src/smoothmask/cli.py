@@ -33,7 +33,7 @@ from .dataset import (
     load_csv,
     write_csv,
 )
-from .glm import ModelSpec, fit, naive_ci
+from .glm import FAMILIES, ModelSpec, fit, naive_ci
 from .kernels import kernel_from_json
 from .masking import build_operator, compose_two_step, operator_to_csv
 from .risk import check_scenario_fits, risk_report, scenario_from_json
@@ -474,8 +474,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("bias", help="first-order coefficient bias at zero smoothing")
     p.add_argument("--in", dest="input", required=True, help="dataset CSV")
     p.add_argument("--kernel", required=True, help="kernel JSON file")
-    p.add_argument("--family", default="poisson-log",
-                   choices=("poisson-log", "binomial-logit", "gaussian-identity"))
+    p.add_argument("--family", default="poisson-log", choices=FAMILIES)
     p.add_argument("--beta", default=None,
                    help="comma-separated coefficients, intercept first")
     p.add_argument("--beta-from", default=None, help="fit report JSON to take coefficients from")

@@ -1,4 +1,5 @@
-"""Spatial data model: records at point locations, CSV ingestion, grid aggregation."""
+"""Spatial data model: records at point locations, CSV ingestion, and grid
+aggregation into a cell-level SpatialDataset."""
 
 from __future__ import annotations
 
@@ -284,10 +285,6 @@ class GridSpec:
         if self.nx < 1 or self.ny < 1:
             raise ValueError("grid must have at least one cell per axis")
 
-    @property
-    def n_cells(self) -> int:
-        return self.nx * self.ny
-
     def cell_indices(self, locs: np.ndarray) -> np.ndarray:
         """Row-major cell index (iy * nx + ix) per location; raises if out of bounds."""
         locs = coords_array(locs)
@@ -315,82 +312,28 @@ class GridSpec:
         return np.column_stack([self.xmin + (ix + 0.5) * dx, self.ymin + (iy + 0.5) * dy])
 
 
-@dataclass(frozen=True)
-class AggregatedDataset:
-    """Per-cell summaries: member count, summed outcome, mean regressor vector.
+def aggregate(data: SpatialDataset, grid: GridSpec) -> SpatialDataset:
+    """The cell-level dataset of the records grouped into grid cells.
 
-    Cells with no members are omitted; the aggregated outcome model has no
-    term for an empty cell.
-    """
-
-    cell_index: tuple[int, ...]
-    n: np.ndarray             # members per cell
-    y_plus: np.ndarray        # summed outcome per cell
-    x_bar: np.ndarray         # (cells, p) mean regressors
-    x_names: tuple[str, ...]
-    grid: GridSpec
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "n", _readonly(self.n))
-        object.__setattr__(self, "y_plus", _readonly(self.y_plus))
-        object.__setattr__(self, "x_bar", _readonly(np.atleast_2d(self.x_bar)))
-        object.__setattr__(self, "x_names", tuple(self.x_names))
-        object.__setattr__(self, "cell_index", tuple(int(j) for j in self.cell_index))
-
-    @property
-    def n_cells(self) -> int:
-        return len(self.cell_index)
-
-    def centers(self) -> np.ndarray:
-        return self.grid.centers(self.cell_index)
-
-    def as_dataset(self) -> SpatialDataset:
-        """Cell-level dataset over centroids: x = means, y = summed outcome, n = counts."""
-        return SpatialDataset(
-            ids=tuple(f"cell_{j}" for j in self.cell_index),
-            locs=self.centers(),
-            x=self.x_bar,
-            y=self.y_plus,
-            x_names=self.x_names,
-            n=self.n,
-        )
-
-
-def aggregate(data: SpatialDataset, grid: GridSpec) -> AggregatedDataset:
-    """Group records into grid cells: summed outcomes and mean regressors per cell.
-
-    np.bincount adds each cell's records in record order, so the sums equal
-    a sequential loop over the records bit for bit.
+    Each occupied cell j is a record with id ``cell_{j}`` at the cell center,
+    whose x is the members' mean regressors, y their summed outcome and n their
+    count. Empty cells are omitted; the aggregated outcome model has no term
+    for them. np.bincount adds each cell's records in record order, so the
+    sums equal a sequential loop over the records bit for bit.
     """
     occupied, cell = np.unique(grid.cell_indices(data.locs), return_inverse=True)
     counts = np.bincount(cell).astype(float)
-    y_plus = np.bincount(cell, weights=data.y)
-    x_bar = np.empty((len(occupied), data.n_regressors))
+    x_sum = np.empty((len(occupied), data.n_regressors))
     for k in range(data.n_regressors):
-        x_bar[:, k] = np.bincount(cell, weights=data.x[:, k])
-    x_bar /= counts[:, None]
-    return AggregatedDataset(
-        cell_index=tuple(int(j) for j in occupied),
-        n=counts,
-        y_plus=y_plus,
-        x_bar=x_bar,
+        x_sum[:, k] = np.bincount(cell, weights=data.x[:, k])
+    return SpatialDataset(
+        ids=tuple(f"cell_{j}" for j in occupied),
+        locs=grid.centers(occupied),
+        x=x_sum / counts[:, None],
+        y=np.bincount(cell, weights=data.y),
         x_names=data.x_names,
-        grid=grid,
+        n=counts,
     )
-
-
-def write_aggregated_csv(agg: AggregatedDataset, path) -> None:
-    """Aggregated output CSV: cell_j, n_j, y_plus, x_bar_1..x_bar_p."""
-    path = Path(path)
-    with path.open("w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(
-            ["cell_j", "n_j", "y_plus"] + [f"x_bar_{k + 1}" for k in range(len(agg.x_names))]
-        )
-        for k, j in enumerate(agg.cell_index):
-            row = [j, repr(float(agg.n[k])), repr(float(agg.y_plus[k]))]
-            row += [repr(float(v)) for v in agg.x_bar[k]]
-            writer.writerow(row)
 
 
 # ---------------------------------------------------------------------------

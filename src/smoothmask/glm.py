@@ -508,7 +508,8 @@ def bootstrap_ci(model: ModelSpec, x: np.ndarray, y: np.ndarray, *,
     """Nonparametric bootstrap over rows, resampled with replacement.
 
     ``statistic`` is a coefficient index into the design (intercept first) or
-    the string "log_or" (requires binomial trials and ``group``). The default
+    the string "log_or" (requires binomial trials and ``group``); any other
+    value raises ValueError before the first refit. The default
     resamples the given (typically masked) rows directly; passing
     ``remask=(kernel, lam)`` together with ``locs`` instead resamples the
     original rows and rebuilds the masking operator on each resample before
@@ -517,15 +518,24 @@ def bootstrap_ci(model: ModelSpec, x: np.ndarray, y: np.ndarray, *,
     """
     if b < 2:
         raise ValueError("bootstrap needs at least 2 replicates")
+    k = len(model.coef_names)
+    if statistic == "log_or":
+        if group is None or trials is None:
+            raise ValueError("log_or statistic requires binomial trials and a group column")
+    elif not (isinstance(statistic, (int, np.integer)) and -k <= statistic < k):
+        raise ValueError(f"statistic must be 'log_or' or an index into the coefficients "
+                         f"{model.coef_names}, got {statistic!r}")
     y = np.asarray(y, dtype=float).ravel()
     x = np.asarray(x, dtype=float)
     if x.ndim == 1:
         x = x[:, None]
+    trials = None if trials is None else np.asarray(trials, dtype=float).ravel()
+    offset = None if offset is None else np.asarray(offset, dtype=float).ravel()
     N = y.size
     if remask is not None:
         if locs is None:
             raise ValueError("remasking strategy requires the record locations")
-        from .masking import build_operator  # local import avoids a cycle
+        from .masking import build_operator  # looked up per call: a rebound one is used
         kernel, lam = remask
         locs = np.asarray(locs, dtype=float)
     values = []
@@ -534,8 +544,8 @@ def bootstrap_ci(model: ModelSpec, x: np.ndarray, y: np.ndarray, *,
         rng = np.random.default_rng([seed, i])
         idx = rng.integers(0, N, size=N)
         xi, yi = x[idx], y[idx]
-        ti = None if trials is None else np.asarray(trials, dtype=float).ravel()[idx]
-        oi = None if offset is None else np.asarray(offset, dtype=float).ravel()[idx]
+        ti = None if trials is None else trials[idx]
+        oi = None if offset is None else offset[idx]
         if remask is not None:
             op = build_operator(locs[idx], kernel, lam)
             xi, yi = op.a @ xi, op.a @ yi
@@ -549,14 +559,12 @@ def bootstrap_ci(model: ModelSpec, x: np.ndarray, y: np.ndarray, *,
             failed += 1
             continue
         if statistic == "log_or":
-            if group is None or ti is None:
-                raise ValueError("log_or statistic requires binomial trials and a group column")
             try:
                 values.append(_log_or_at(model, fr.beta, xi, ti, group))
             except ValueError:
                 failed += 1
         else:
-            values.append(float(fr.beta[int(statistic)]))
+            values.append(float(fr.beta[statistic]))
     if failed > 0.1 * b:
         raise RuntimeError(f"{failed} of {b} bootstrap refits failed to converge")
     arr = np.asarray(values)

@@ -3,7 +3,8 @@
 Masked outcomes/regressors are weighted averages of the originals: the
 row-transform special case of matrix masking, with one shared operator
 applied to the outcome and every regressor column. A masked release is
-itself a SpatialDataset.
+itself a SpatialDataset, and so is the grid aggregation a two-step release
+smooths.
 """
 
 from __future__ import annotations
@@ -80,16 +81,15 @@ def mask_dataset(data: SpatialDataset, kernel: KernelFamily, lam: float,
 
 def compose_two_step(data: SpatialDataset, grid: GridSpec, kernel: KernelFamily,
                      lam: float) -> SpatialDataset:
-    """Aggregate to grid cells, then smooth the cell-level data over cell centroids.
+    """Aggregate to grid cells (a SpatialDataset, see aggregate), then smooth the
+    cell-level data over the cell centers.
 
-    The cell outcome is smoothed as a rate (y_plus / n), then rescaled back to
-    a count by the unsmoothed cell size; counts themselves are never smoothed.
+    The cell outcome is smoothed as a rate (y / n), then rescaled back to a
+    count by the unsmoothed cell size; counts themselves are never smoothed.
     """
-    agg = aggregate(data, grid)
-    cells = agg.as_dataset()
-    op = build_operator(cells.locs, kernel, lam)
-    rates = agg.y_plus / agg.n
-    return cells.replace_values(x=op.a @ cells.x, y=(op.a @ rates) * agg.n)
+    cells = aggregate(data, grid)
+    a = build_operator(cells.locs, kernel, lam).a
+    return cells.replace_values(x=a @ cells.x, y=(a @ (cells.y / cells.n)) * cells.n)
 
 
 def operator_to_csv(op: MaskingOperator, path) -> None:

@@ -404,9 +404,9 @@ def match_probabilities(masked: SpatialDataset, truth: SpatialDataset, target_id
                         scenario: IntruderScenario) -> np.ndarray:
     """Posterior matching probabilities of one intruder record over all released
     records, as a read-only array."""
-    ctx = _build_context(masked, truth, scenario)
     if target_id not in masked.ids:
         raise ValueError(f"target id {target_id!r} is not a released record")
+    ctx = _build_context(masked, truth, scenario)
     _, block, _ = next(_scored_blocks(ctx, (masked.ids.index(target_id),)))
     p = block[0].copy()
     p.setflags(write=False)

@@ -346,7 +346,7 @@ def run_study(cfg: SimConfig) -> StudyResult:
 
     def agg_fit(y: np.ndarray) -> FitResult:
         agg = aggregate(truth.replace_values(y=y), grid)
-        return fit(model, agg.x_bar, agg.y_plus, offset=np.log(agg.n))
+        return fit(model, agg.x, agg.y, offset=np.log(agg.n))
 
     risk_unmasked = None if scenario is None else expected_correct_rate(truth, truth, scenario)
     rows = [

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -120,6 +122,18 @@ class TestFirstOrderBias:
         rep = first_order_bias(data, [-2.0, 0.5], kernel, "poisson-log")
         assert np.all(rep.beta_prime0 == 0.0)
         assert rep.r0_max_abs == 0.0
+
+    def test_built_in_kernel_holds_no_n_by_n_array(self):
+        n = 2000
+        data = exposure_dataset(np.random.default_rng(3).uniform(-1, 1, (n, 2)))
+        tracemalloc.start()
+        try:
+            rep = first_order_bias(data, [-2.0, 0.5], EuclideanKernel(), "poisson-log")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert np.all(rep.beta_prime0 == 0.0)
+        assert peak < n * n * 8   # less than one n x n float array
 
     def test_polynomial_kernel_matches_expected_score_oracle(self, poly_kernel):
         # oracle: solve the expected-score equation at two small smoothness

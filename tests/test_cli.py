@@ -832,12 +832,12 @@ class TestModelColumnRoles:
         from smoothmask.dataset import SpatialDataset
 
         rng = np.random.default_rng(71)
-        n_cells = 30
-        trials = rng.integers(50, 400, n_cells).astype(float)
-        frac = rng.uniform(0, 1, n_cells)
+        k = 30
+        trials = rng.integers(50, 400, k).astype(float)
+        frac = rng.uniform(0, 1, k)
         deaths = rng.binomial(trials.astype(int), expit(-2.0 + 0.9 * frac)).astype(float)
-        cells = SpatialDataset(ids=tuple(f"c{i}" for i in range(n_cells)),
-                               locs=rng.uniform(-1, 1, (n_cells, 2)),
+        cells = SpatialDataset(ids=tuple(f"c{i}" for i in range(k)),
+                               locs=rng.uniform(-1, 1, (k, 2)),
                                x=frac[:, None], y=deaths, x_names=("frac",), n=trials)
         csv_path = tmp_path / "cells.csv"
         write_csv(cells, csv_path)

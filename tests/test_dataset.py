@@ -13,7 +13,6 @@ from smoothmask.dataset import (
     SpatialDataset,
     aggregate,
     load_csv,
-    write_aggregated_csv,
     write_csv,
 )
 
@@ -106,10 +105,10 @@ class TestAggregate:
         data = random_dataset(20, p=2, seed=1)
         grid = GridSpec(-1, 1, -1, 1, 1, 1)
         agg = aggregate(data, grid)
-        assert agg.n_cells == 1
+        assert agg.n_records == 1
         assert agg.n[0] == 20
-        np.testing.assert_allclose(agg.y_plus[0], data.y.sum(), rtol=1e-12)
-        np.testing.assert_allclose(agg.x_bar[0], data.x.mean(axis=0), rtol=1e-12)
+        np.testing.assert_allclose(agg.y[0], data.y.sum(), rtol=1e-12)
+        np.testing.assert_allclose(agg.x[0], data.x.mean(axis=0), rtol=1e-12)
 
     def test_one_point_per_quadrant(self):
         data = SpatialDataset(
@@ -120,10 +119,10 @@ class TestAggregate:
             x_names=("x1",),
         )
         agg = aggregate(data, GridSpec(-1, 1, -1, 1, 2, 2))
-        assert agg.n_cells == 4
+        assert agg.n_records == 4
         np.testing.assert_array_equal(agg.n, [1, 1, 1, 1])
-        np.testing.assert_array_equal(agg.y_plus, [10.0, 20.0, 30.0, 40.0])
-        assert agg.cell_index == (0, 1, 2, 3)
+        np.testing.assert_array_equal(agg.y, [10.0, 20.0, 30.0, 40.0])
+        assert agg.ids == ("cell_0", "cell_1", "cell_2", "cell_3")
 
     def test_group_by_oracle_1000_points(self):
         data = random_dataset(1000, p=2, seed=7)
@@ -137,13 +136,13 @@ class TestAggregate:
             ix = min(int((s1 + 1) / 2 * 7), 6)
             iy = min(int((s2 + 1) / 2 * 7), 6)
             groups.setdefault(iy * 7 + ix, []).append(i)
-        assert set(groups) == set(agg.cell_index)
-        for k, j in enumerate(agg.cell_index):
+        assert {f"cell_{j}" for j in groups} == set(agg.ids)
+        for k, j in enumerate(int(rid.removeprefix("cell_")) for rid in agg.ids):
             members = groups[j]
             assert agg.n[k] == len(members)
-            np.testing.assert_allclose(agg.y_plus[k], sum(data.y[i] for i in members), rtol=1e-12)
+            np.testing.assert_allclose(agg.y[k], sum(data.y[i] for i in members), rtol=1e-12)
             np.testing.assert_allclose(
-                agg.x_bar[k], data.x[members].mean(axis=0), rtol=1e-10)
+                agg.x[k], data.x[members].mean(axis=0), rtol=1e-10)
 
     @pytest.mark.parametrize("p", [0, 1, 3])
     @pytest.mark.parametrize("n, nx, ny", [(1000, 7, 7), (30, 9, 9), (200, 1, 1)])
@@ -165,17 +164,18 @@ class TestAggregate:
             x_bar[k] += data.x[i]
         x_bar /= counts[:, None]
         agg = aggregate(data, grid)
-        assert agg.cell_index == tuple(int(j) for j in occupied)
+        assert agg.ids == tuple(f"cell_{j}" for j in occupied)
         assert np.array_equal(agg.n, counts)
-        assert np.array_equal(agg.y_plus, y_plus)
-        assert agg.x_bar.shape == (len(occupied), p)
-        assert np.array_equal(agg.x_bar, x_bar)
+        assert np.array_equal(agg.y, y_plus)
+        assert agg.x.shape == (len(occupied), p)
+        assert np.array_equal(agg.x, x_bar)
+        assert agg.x_names == data.x_names
 
     def test_conservation(self):
         data = random_dataset(500, p=3, seed=9)
         agg = aggregate(data, GridSpec(-1, 1, -1, 1, 5, 4))
-        assert agg.y_plus.sum() == pytest.approx(data.y.sum(), rel=0, abs=1e-10 * abs(data.y).sum())
-        totals = (agg.n[:, None] * agg.x_bar).sum(axis=0)
+        assert agg.y.sum() == pytest.approx(data.y.sum(), rel=0, abs=1e-10 * abs(data.y).sum())
+        totals = (agg.n[:, None] * agg.x).sum(axis=0)
         np.testing.assert_allclose(totals, data.x.sum(axis=0), rtol=1e-10)
 
     def test_boundary_goes_to_higher_cell(self):
@@ -194,22 +194,26 @@ class TestAggregate:
     def test_empty_cells_dropped(self):
         data = SpatialDataset(ids=("a",), locs=[[0.1, 0.1]], x=[[1.0]], y=[1.0], x_names=("x1",))
         agg = aggregate(data, GridSpec(0, 1, 0, 1, 3, 3))
-        assert agg.n_cells == 1
+        assert agg.n_records == 1
 
-    def test_aggregated_csv_columns(self, tmp_path):
-        data = random_dataset(50, p=2, seed=5)
-        agg = aggregate(data, GridSpec(-1, 1, -1, 1, 2, 2))
-        path = tmp_path / "agg.csv"
-        write_aggregated_csv(agg, path)
-        header = path.read_text().splitlines()[0]
-        assert header == "cell_j,n_j,y_plus,x_bar_1,x_bar_2"
-
-    def test_as_dataset_centroids(self):
+    def test_cell_centroids(self):
         data = random_dataset(50, seed=6)
         grid = GridSpec(-1, 1, -1, 1, 2, 2)
-        cells = aggregate(data, grid).as_dataset()
+        cells = aggregate(data, grid)
         assert cells.n is not None
         assert set(np.abs(cells.locs).ravel()) == {0.5}
+
+    def test_csv_round_trip(self, tmp_path):
+        # an aggregated dataset is written and read back by the record CSV
+        # dialect, with its counts in the n column, bit for bit
+        data = random_dataset(300, p=2, seed=5)
+        cells = aggregate(data, GridSpec(-1, 1, -1, 1, 4, 3))
+        path = tmp_path / "cells.csv"
+        write_csv(cells, path)
+        back = load_csv(path, CsvSchema(x_cols=cells.x_names, n_col="n"))
+        assert back.ids == cells.ids
+        for name in ("locs", "x", "y", "n"):
+            assert np.array_equal(getattr(back, name), getattr(cells, name)), name
 
     def test_centers_equal_per_cell_formula(self):
         # the vectorised centers keep the scalar per-cell arithmetic, so they

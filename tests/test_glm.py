@@ -635,6 +635,31 @@ class TestBootstrap:
         assert res.lower < res.upper
         assert res.se > 0
 
+    @pytest.mark.parametrize("missing", ["trials", "group"])
+    def test_log_or_without_trials_or_group_rejected_before_refits(self, monkeypatch, missing):
+        def no_refit(*args, **kwargs):
+            raise AssertionError("refit before the statistic was checked")
+
+        monkeypatch.setattr(glm, "fit", no_refit)
+        x, y, n = _aggregated_binomial(seed=21, cells=20)
+        kwargs = {"trials": n, "group": "frac"}
+        del kwargs[missing]
+        with pytest.raises(ValueError, match="log_or statistic requires"):
+            bootstrap_ci(ModelSpec("binomial-logit", ("frac", "other")), x, y,
+                         statistic="log_or", b=10, seed=2, **kwargs)
+
+    @pytest.mark.parametrize("statistic", [7, -3, 1.0, "1"])
+    def test_statistic_not_a_coefficient_index_rejected_before_refits(self, monkeypatch,
+                                                                      statistic):
+        def no_refit(*args, **kwargs):
+            raise AssertionError("refit before the statistic was checked")
+
+        monkeypatch.setattr(glm, "fit", no_refit)
+        x = np.linspace(0.0, 1.0, 20)[:, None]
+        with pytest.raises(ValueError, match="statistic must be"):
+            bootstrap_ci(ModelSpec("gaussian-identity", ("x",)), x, 1.0 + x[:, 0],
+                         statistic=statistic, b=10, seed=1)
+
     def test_needs_two_replicates(self):
         with pytest.raises(ValueError):
             bootstrap_ci(GAUSSIAN, np.zeros((5, 2)), np.zeros(5), statistic=0, b=1, seed=0)

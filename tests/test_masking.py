@@ -238,8 +238,8 @@ class TestComposeTwoStep:
         grid = GridSpec(-1, 1, -1, 1, 4, 4)
         masked = compose_two_step(data, grid, EuclideanKernel(), 0.0)
         agg = aggregate(data, grid)
-        np.testing.assert_allclose(masked.y, agg.y_plus, rtol=1e-12)
-        np.testing.assert_allclose(masked.x, agg.x_bar, rtol=1e-12)
+        np.testing.assert_allclose(masked.y, agg.y, rtol=1e-12)
+        np.testing.assert_allclose(masked.x, agg.x, rtol=1e-12)
         np.testing.assert_array_equal(masked.n, agg.n)
 
     def test_single_cell_nothing_to_smooth(self):
@@ -249,7 +249,7 @@ class TestComposeTwoStep:
         grid = GridSpec(-1, 1, -1, 1, 1, 1)
         masked = compose_two_step(data, grid, EuclideanKernel(), 0.8)
         agg = aggregate(data, grid)
-        np.testing.assert_allclose(masked.y, agg.y_plus, rtol=1e-12)
+        np.testing.assert_allclose(masked.y, agg.y, rtol=1e-12)
 
     def test_rates_match_weighted_average_oracle(self):
         from smoothmask.dataset import aggregate
@@ -262,7 +262,6 @@ class TestComposeTwoStep:
         lam = 0.4
         masked = compose_two_step(data, grid, EuclideanKernel(), lam)
         agg = aggregate(data, grid)
-        centers = agg.centers()
-        rates = agg.y_plus / agg.n
-        want = brute_force_masked(centers, rates, euclid_weight, lam)
+        rates = agg.y / agg.n
+        want = brute_force_masked(agg.locs, rates, euclid_weight, lam)
         np.testing.assert_allclose(masked.y, want * agg.n, atol=1e-10, rtol=0)

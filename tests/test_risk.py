@@ -348,6 +348,16 @@ class TestMatchProbabilities:
         with pytest.raises(ValueError, match="cover"):
             match_probabilities(data, data, "r0", IntruderScenario(ap_columns=("x",)))
 
+    def test_unreleased_target_rejected_before_matching(self, monkeypatch):
+        def no_matching(*args, **kwargs):
+            raise AssertionError("sought-column components computed for an unreleased target")
+
+        monkeypatch.setattr(risk, "u_components", no_matching)
+        data = make_dataset(x=[1.0, 2.0, 4.0], y=[1.0, 3.0, 2.0])
+        scenario = IntruderScenario(ap_columns=("x",), u_columns=("y",), mc_draws=5)
+        with pytest.raises(ValueError, match="'r9' is not a released record"):
+            match_probabilities(data, data, "r9", scenario)
+
     def test_check_scenario_fits_rejects_unreleased_target(self):
         data = make_dataset(x=[1.0, 2.0], y=[1.0, 2.0])
         check_scenario_fits(IntruderScenario(ap_columns=("x", "y"), target_ids=("r1",)),
