@@ -268,6 +268,10 @@ def _cmd_risk(args) -> _Outputs:
         check_scenario_fits(scenario, masked.x_names, masked.ids)
     except ValueError as err:
         raise UsageError(f"bad scenario config {args.scenario}: {err}") from None
+    truth_ids = set(truth.ids)
+    missing = [rid for rid in masked.ids if rid not in truth_ids]
+    if missing:
+        raise UsageError(f"truth file {args.truth} lacks released record ids, e.g. {missing[:3]}")
     report = risk_report(masked, truth, scenario)
     payload = {
         "expected_correct_rate": report.expected_correct_rate,

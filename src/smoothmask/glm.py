@@ -514,7 +514,19 @@ def bootstrap_ci(model: ModelSpec, x: np.ndarray, y: np.ndarray, *,
     ``remask=(kernel, lam)`` together with ``locs`` instead resamples the
     original rows and rebuilds the masking operator on each resample before
     fitting. Replicate draws are seeded by (seed, replicate index), so results
-    do not depend on execution order.
+    do not depend on execution order. ``x`` rows, ``trials``, ``offset`` and
+    ``locs`` must each have one entry per outcome.
+
+    A remasked resample is built on its m distinct drawn records only (about
+    0.632 N of them), with the repeats folded in as multiplicity weights.
+    With c_k the number of draws of record k, row i of the N x N operator on
+    the drawn locations maps v[idx] to
+    sum_j W(idx_i, idx_j) v[idx_j] / sum_j W(idx_i, idx_j)
+    = sum_k W(idx_i, k) c_k v_k / sum_k W(idx_i, k) c_k.
+    So with A_D the m x m operator on the distinct records and
+    V = A_D @ [c, c*x, c*y], the masked values of record r are
+    V[r, 1:] / V[r, 0]: A_D's own row normalisation cancels in the ratio.
+    This equals the N x N product up to rounding.
     """
     if b < 2:
         raise ValueError("bootstrap needs at least 2 replicates")
@@ -532,24 +544,34 @@ def bootstrap_ci(model: ModelSpec, x: np.ndarray, y: np.ndarray, *,
     trials = None if trials is None else np.asarray(trials, dtype=float).ravel()
     offset = None if offset is None else np.asarray(offset, dtype=float).ravel()
     N = y.size
+    for name, arg in (("x", x), ("trials", trials), ("offset", offset), ("locs", locs)):
+        if arg is not None and np.shape(arg)[:1] != (N,):
+            raise ValueError(f"{name} must have one entry per outcome ({N}), "
+                             f"got shape {np.shape(arg)}")
     if remask is not None:
         if locs is None:
             raise ValueError("remasking strategy requires the record locations")
         from .masking import build_operator  # looked up per call: a rebound one is used
         kernel, lam = remask
         locs = np.asarray(locs, dtype=float)
+        xy = np.column_stack([x, y])
     values = []
     failed = 0
     for i in range(b):
         rng = np.random.default_rng([seed, i])
         idx = rng.integers(0, N, size=N)
-        xi, yi = x[idx], y[idx]
         ti = None if trials is None else trials[idx]
         oi = None if offset is None else offset[idx]
-        if remask is not None:
-            op = build_operator(locs[idx], kernel, lam)
-            xi, yi = op.a @ xi, op.a @ yi
-            del op  # the next resample's operator must not coexist with this one
+        if remask is None:
+            xi, yi = x[idx], y[idx]
+        else:
+            counts = np.bincount(idx)
+            drawn = np.flatnonzero(counts)
+            c = counts[drawn][:, None]
+            # one operator on the distinct drawn records, freed with this statement
+            v = build_operator(locs[drawn], kernel, lam).a @ np.hstack([c, c * xy[drawn]])
+            masked = (v[:, 1:] / v[:, :1])[np.searchsorted(drawn, idx)]
+            xi, yi = masked[:, :-1], masked[:, -1]
         try:
             fr = fit(model, xi, yi, trials=ti, offset=oi)
         except (ValueError, np.linalg.LinAlgError):

@@ -96,8 +96,7 @@ def operator_to_csv(op: MaskingOperator, path) -> None:
     """Audit export of the full matrix. Releasing the weights together with the
     smoothness value enables reconstruction of the originals whenever the
     matrix is invertible, so exported operators must be handled as confidential."""
-    header = ",".join(f"a_{j}" for j in range(op.n))
-    rows = [",".join(repr(float(v)) for v in op.a[i]) for i in range(op.n)]
-    text = header + "\n" + "\n".join(rows) + "\n"
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(text)
+        fh.write(",".join(f"a_{j}" for j in range(op.n)) + "\n")
+        for row in op.a:   # one row at a time: the text of the whole matrix is never held
+            fh.write(",".join(map(repr, row.tolist())) + "\n")

@@ -297,6 +297,21 @@ class TestRisk:
         err = capsys.readouterr().err
         assert err == f"smoothmask: bad scenario config {tmp_path / 'scen.json'}: {message}\n"
 
+    def test_truth_lacking_released_ids_names_the_file(self, toy, tmp_path, capsys):
+        from smoothmask.dataset import SpatialDataset
+
+        data = toy["dataset"]
+        truth = tmp_path / "truth.csv"
+        write_csv(SpatialDataset(ids=data.ids[3:], locs=data.locs[3:], x=data.x[3:],
+                                 y=data.y[3:], x_names=data.x_names), truth)
+        out = tmp_path / "risk.json"
+        rc = main(["risk", "--masked", str(toy["data"]), "--truth", str(truth),
+                   "--scenario", str(toy["scenario"]), "--out", str(out)])
+        assert rc == 1
+        assert capsys.readouterr().err == (f"smoothmask: truth file {truth} lacks released "
+                                           "record ids, e.g. ['p0', 'p1', 'p2']\n")
+        assert not out.exists()
+
 
 class TestBias:
     def test_bias_report(self, toy, tmp_path):

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import gc
 import math
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -15,6 +16,7 @@ from hypothesis.extra import numpy as hnp
 from scipy.special import expit, ndtri
 
 import smoothmask.glm as glm
+from smoothmask import masking
 from smoothmask.glm import (
     ModelSpec,
     bootstrap_ci,
@@ -22,6 +24,13 @@ from smoothmask.glm import (
     log_or_gradient,
     naive_ci,
     population_odds_ratio,
+)
+from smoothmask.kernels import (
+    BivariateNormalKernel,
+    EuclideanKernel,
+    RingAngleKernel,
+    RingBlockKernel,
+    RingKernel,
 )
 
 POISSON = ModelSpec("poisson-log", ("x",))
@@ -549,6 +558,27 @@ def _or_fit(model, beta):
                          converged=True, n_obs=100, max_abs_score=0.0)
 
 
+@st.composite
+def _remask_inputs(draw):
+    """Locations (some shared), two regressors, an outcome, optional binomial
+    trials, and one of the five kernel families at a smoothness that may be 0."""
+    n = draw(st.integers(2, 30))
+    coord = st.floats(-2, 2, allow_subnormal=False)
+    pool = draw(st.lists(st.tuples(coord, coord), min_size=1, max_size=n))
+    locs = np.array([pool[draw(st.integers(0, len(pool) - 1))] for _ in range(n)])
+    values = hnp.arrays(float, (n, 3), elements=st.floats(-1e3, 1e3, allow_subnormal=False))
+    v = draw(values)
+    trials = None
+    if draw(st.booleans()):
+        trials = np.array(draw(st.lists(st.integers(1, 50), min_size=n, max_size=n)), float)
+        v[:, 2] = np.floor(np.abs(v[:, 2]) / 1e3 * trials)
+    kernel = draw(st.sampled_from([EuclideanKernel(), RingKernel(), RingAngleKernel(),
+                                   RingBlockKernel(),
+                                   BivariateNormalKernel(var1=0.9, var2=1.4, rho=-0.3)]))
+    lam = draw(st.one_of(st.just(0.0), st.floats(1e-3, 10.0)))
+    return locs, v[:, :2], v[:, 2], trials, kernel, lam
+
+
 class TestBootstrap:
     def test_degenerate_exact_relation_zero_se(self):
         rng = np.random.default_rng(16)
@@ -580,8 +610,6 @@ class TestBootstrap:
         assert abs(res.se - analytic_se) / analytic_se < 0.25
 
     def test_remask_strategy_runs_and_is_deterministic(self):
-        from smoothmask.kernels import EuclideanKernel
-
         rng = np.random.default_rng(19)
         n = 60
         locs = rng.uniform(-1, 1, (n, 2))
@@ -596,9 +624,6 @@ class TestBootstrap:
         assert a.se > 0
 
     def test_remask_holds_one_operator_at_a_time(self, monkeypatch):
-        from smoothmask import masking
-        from smoothmask.kernels import EuclideanKernel
-
         built = []
         build = masking.build_operator
 
@@ -617,6 +642,75 @@ class TestBootstrap:
         bootstrap_ci(ModelSpec("gaussian-identity", ("x",)), x, y, statistic=1, b=4,
                      seed=3, locs=locs, remask=(EuclideanKernel(), 0.3))
         assert len(built) == 4
+
+    @settings(max_examples=150, deadline=None)
+    @given(data=_remask_inputs(), seed=st.integers(0, 2 ** 32 - 1), b=st.integers(2, 4))
+    def test_remasked_resample_equals_operator_on_all_draws(self, data, seed, b):
+        # Each refit sees rows idx of build_operator(locs[idx]).a @ [x, y][idx], within
+        # 1e-13 of the largest |value| (the N x N product and the multiplicity-weighted
+        # m x m product round differently), and each operator is built on exactly the
+        # distinct drawn records.
+        locs, x, y, trials, kernel, lam = data
+        n = len(y)
+        model = ModelSpec("binomial-logit" if trials is not None else "gaussian-identity",
+                          ("x1", "x2"))
+        fits, built = [], []
+        build = masking.build_operator
+
+        def recording_fit(model, xi, yi, trials=None, offset=None):
+            fits.append((np.array(xi), np.array(yi), trials))
+            return _or_fit(model, np.zeros(3))
+
+        def recording_build(locs, *args, **kwargs):
+            built.append(np.array(locs))
+            return build(locs, *args, **kwargs)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(glm, "fit", recording_fit)
+            mp.setattr(masking, "build_operator", recording_build)
+            bootstrap_ci(model, x, y, statistic=1, b=b, seed=seed, trials=trials,
+                         locs=locs, remask=(kernel, lam))
+        assert len(fits) == len(built) == b
+        v = np.column_stack([x, y])
+        for i, ((xi, yi, ti), drawn_locs) in enumerate(zip(fits, built)):
+            idx = np.random.default_rng([seed, i]).integers(0, n, size=n)
+            np.testing.assert_array_equal(drawn_locs, locs[np.flatnonzero(np.bincount(idx))])
+            want = build(locs[idx], kernel, lam).a @ v[idx]
+            assert np.abs(np.column_stack([xi, yi]) - want).max() <= 1e-13 * np.abs(v).max()
+            if trials is not None:
+                np.testing.assert_array_equal(ti, trials[idx])
+
+    def test_remask_holds_less_than_one_full_operator(self):
+        n = 1000
+        rng = np.random.default_rng(24)
+        locs = rng.uniform(-1, 1, (n, 2))
+        x = rng.normal(0, 1, (n, 1))
+        y = 0.5 + 1.2 * x[:, 0] + rng.normal(0, 0.2, n)
+        tracemalloc.start()
+        try:
+            bootstrap_ci(ModelSpec("gaussian-identity", ("x",)), x, y, statistic=1, b=2,
+                         seed=3, locs=locs, remask=(EuclideanKernel(), 0.3))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < n * n * 8   # less than one n x n float array
+
+    @pytest.mark.parametrize("size", [30, 50], ids=["short", "long"])
+    @pytest.mark.parametrize("name", ["x", "trials", "offset", "locs"])
+    def test_argument_length_checked_before_refits(self, monkeypatch, name, size):
+        def no_refit(*args, **kwargs):
+            raise AssertionError("refit before the input lengths were checked")
+
+        monkeypatch.setattr(glm, "fit", no_refit)
+        n = 40
+        rng = np.random.default_rng(25)
+        kwargs = {"x": rng.uniform(0, 1, (n, 1)), "trials": np.full(n, 10.0),
+                  "offset": np.zeros(n), "locs": rng.uniform(-1, 1, (n, 2))}
+        kwargs[name] = np.resize(kwargs[name], (size, *kwargs[name].shape[1:]))
+        y = rng.integers(0, 11, n).astype(float)
+        with pytest.raises(ValueError, match=f"^{name} must have one entry per outcome"):
+            bootstrap_ci(ModelSpec("binomial-logit", ("x",)), y=y, statistic=1, b=10, seed=1,
+                         remask=(EuclideanKernel(), 0.3), **kwargs)
 
     def test_failure_rate_raises(self, monkeypatch):
         monkeypatch.setattr(glm, "_MAX_ITER", 1)

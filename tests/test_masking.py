@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -25,6 +26,7 @@ from smoothmask.masking import (
     compose_two_step,
     location_fingerprint,
     mask_dataset,
+    operator_to_csv,
 )
 
 from conftest import random_dataset
@@ -141,6 +143,25 @@ class TestBlockedBuild:
                 for lam in (0.0, 0.05, 1.0):
                     got = build_operator(locs, kernel, lam).a
                     assert np.array_equal(got, unblocked_operator(kernel, locs, lam)), (n, lam)
+
+
+class TestOperatorExport:
+    def test_streams_rows_with_unchanged_bytes(self, tmp_path):
+        n = 400
+        locs = np.random.default_rng(7).uniform(-1, 1, (n, 2))
+        op = build_operator(locs, EuclideanKernel(), 0.3)
+        path = tmp_path / "operator.csv"
+        tracemalloc.start()
+        try:
+            operator_to_csv(op, path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # the text of the whole matrix, as the export has always formatted it
+        want = (",".join(f"a_{j}" for j in range(n)) + "\n"
+                + "\n".join(",".join(repr(float(v)) for v in row) for row in op.a) + "\n")
+        assert path.read_bytes() == want.encode("utf-8")
+        assert peak < len(want) / 16   # a few rows, not the file
 
 
 class TestApply:
