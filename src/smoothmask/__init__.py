@@ -39,6 +39,7 @@ from .glm import (
     FitResult,
     ModelSpec,
     OddsRatioResult,
+    OutOfRangeError,
     bootstrap_ci,
     fit,
     naive_ci,

@@ -2,10 +2,12 @@
 
 The derivative of the estimand with respect to the smoothness parameter at
 zero is assembled from the derivative of the normalized weight matrix and the
-link function. For the built-in exponential-decay weight families that
-derivative vanishes identically, so the approximation reports zero there even
-though masked-data estimates are generally biased at positive smoothness; the
-report carries this caveat.
+link function. For the built-in exponential-decay weight families (and for a
+single record) that derivative vanishes identically, so the report is exactly
+zero and costs O(n): no n x n array is formed. Any other kernel's derivative
+is differenced forward from zero (r0_matrix) at O(n^2) memory. Masked-data
+estimates are generally biased at positive smoothness even where the
+derivative vanishes; the report carries this caveat.
 """
 
 from __future__ import annotations
@@ -38,11 +40,6 @@ def _link_functions(family: str):
     if family == "gaussian-identity":
         return (lambda eta: eta), (lambda eta: np.ones_like(eta))
     raise ValueError(f"unknown family {family!r}; choose from {FAMILIES}")
-
-
-# rows of the integrand formed at once in first_order_bias: its temporaries hold
-# about _BLOCK_ELEMS values each, not n * n
-_BLOCK_ELEMS = 2 ** 16
 
 
 def _derivative_vanishes(kernel: KernelFamily, n: int) -> bool:
@@ -123,28 +120,25 @@ def first_order_bias(data: SpatialDataset, beta, kernel: KernelFamily, family: s
     if X.shape[1] != beta.size:
         raise ValueError(f"beta has {beta.size} entries for a {X.shape[1]}-column design")
     h, h_prime = _link_functions(family)
-    eta = X @ beta
-    heta = h(eta)
-    hpe = h_prime(eta)
-    n = data.n_records
     if h_step is not None:
         _check_h_step(h_step)
-    r0 = None if _derivative_vanishes(kernel, n) else r0_matrix(kernel, data.locs, h_step)
+    eta = X @ beta
+    # the link derivative overflows to inf for Poisson with eta > 709: s2bar
+    # then holds inf or nan, quietly, and a vanishing derivative stays zero
+    with np.errstate(over="ignore", invalid="ignore"):
+        hpe = h_prime(eta)
+        s2 = -(X * hpe[:, None]).T @ X
+        s2 = 0.5 * (s2 + s2.T)
+    if _derivative_vanishes(kernel, data.n_records):
+        return BiasReport(beta_prime0=np.zeros(beta.size), s1bar=np.zeros(beta.size),
+                          s2bar=s2, r0_max_abs=0.0, family=family)
+    r0 = r0_matrix(kernel, data.locs, h_step)
+    heta = h(eta)
     # centered integrand: rows of r0 sum to zero, so subtracting the target's
     # own value leaves the sum unchanged while cancelling exactly when the
-    # exposure (or the link curvature) is constant. It is formed a block of
-    # rows at a time, and a vanishing r0 is the scalar 0.0, so no n x n array
-    # is built for it; each row sum is the one over the full matrix bit for bit
-    # (0, or nan where the integrand overflows).
-    w = np.empty(n)
-    rows = max(1, _BLOCK_ELEMS // n)
-    for lo in range(0, n, rows):
-        t = slice(lo, lo + rows)
-        c = (heta[None, :] - heta[t, None]) - hpe[t, None] * (eta[None, :] - eta[t, None])
-        w[t] = (c * (0.0 if r0 is None else r0[t])).sum(axis=1)
-    s1 = X.T @ w
-    s2 = -(X * hpe[:, None]).T @ X
-    s2 = 0.5 * (s2 + s2.T)
+    # exposure (or the link curvature) is constant
+    c = (heta[None, :] - heta[:, None]) - hpe[:, None] * (eta[None, :] - eta[:, None])
+    s1 = X.T @ (c * r0).sum(axis=1)
     if not s1.any():
         beta_prime = np.zeros_like(s1)
     else:
@@ -152,13 +146,8 @@ def first_order_bias(data: SpatialDataset, beta, kernel: KernelFamily, family: s
             beta_prime = -np.linalg.solve(s2, s1)
         except np.linalg.LinAlgError as err:
             raise ValueError("expected-score curvature matrix is singular") from err
-    return BiasReport(
-        beta_prime0=beta_prime,
-        s1bar=s1,
-        s2bar=s2,
-        r0_max_abs=0.0 if r0 is None else float(np.abs(r0).max()),
-        family=family,
-    )
+    return BiasReport(beta_prime0=beta_prime, s1bar=s1, s2bar=s2,
+                      r0_max_abs=float(np.abs(r0).max()), family=family)
 
 
 def function_bias(beta_prime0, grad_f, lam: float) -> float:

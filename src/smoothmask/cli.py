@@ -33,7 +33,7 @@ from .dataset import (
     load_csv,
     write_csv,
 )
-from .glm import FAMILIES, ModelSpec, fit, naive_ci
+from .glm import FAMILIES, ModelSpec, OutOfRangeError, fit, naive_ci
 from .kernels import kernel_from_json
 from .masking import build_operator, compose_two_step, operator_to_csv
 from .risk import check_scenario_fits, risk_report, scenario_from_json
@@ -122,7 +122,12 @@ def _parse_config(what: str, parse, obj, path: str):
 
 
 def _json_dumps(obj) -> str:
-    return json.dumps(obj, indent=2, sort_keys=True) + "\n"
+    """Strict JSON: a NaN or infinite value is a numerical failure, not a token
+    that JSON parsers reject."""
+    try:
+        return json.dumps(obj, indent=2, sort_keys=True, allow_nan=False) + "\n"
+    except ValueError:
+        raise ValueError("the report holds a non-finite value (NaN or infinity)") from None
 
 
 def _schema_from_args(args, x_cols: tuple[str, ...] | None = None) -> CsvSchema:
@@ -234,7 +239,12 @@ def _cmd_fit(args) -> _Outputs:
             raise UsageError(f"log offset column {log_offset_col!r} must be positive")
         offset = np.log(vals)
     trials = data.column(trials_col) if trials_col else None
-    result = fit(model, x, data.y, trials=trials, offset=offset)
+    try:
+        result = fit(model, x, data.y, trials=trials, offset=offset)
+    except OutOfRangeError as err:
+        column = {"y": schema.y_col, "trials": trials_col}[err.role]
+        raise UsageError(f"data file {args.input}, column {column!r}, "
+                         f"record {data.ids[err.row]!r}: {err}") from None
     ci = naive_ci(result, args.level) if result.converged else None
     report = {
         "family": model.family,

@@ -40,6 +40,9 @@ _MAX_HALVINGS = 20
 _RANK_CERTIFICATE = 1e3
 _EPS = np.finfo(float).eps
 _TINY = np.finfo(float).tiny
+# A masked binomial outcome sum_j a_ij y_j with every y_j <= trials rounds to at
+# most trials * (1 + (2n + 1) eps): below this relative excess for n < 2e5
+_TRIALS_RTOL = 1e-10
 
 # Coefficients of Cephes ndtri (Moshier), as scipy.special.ndtri uses them:
 # a rational function of (y - 1/2)^2 for exp(-2) < y < 1 - exp(-2), and of
@@ -237,6 +240,20 @@ def _check_rank(X: np.ndarray, names: Sequence[str]) -> None:
         raise ValueError(f"design matrix is rank deficient; collinear column(s): {bad}")
 
 
+class OutOfRangeError(ValueError):
+    """A value of fit's argument ``role`` ("y" or "trials") out of its range;
+    ``row`` is the first such row."""
+
+    def __init__(self, message: str, role: str, row: int):
+        super().__init__(message)
+        self.role, self.row = role, row
+
+
+def _check_range(bad: np.ndarray, role: str, message: str) -> None:
+    if bad.any():
+        raise OutOfRangeError(message, role, int(bad.argmax()))
+
+
 def _poisson_mu(eta: np.ndarray) -> np.ndarray:
     return np.exp(np.minimum(np.maximum(eta, -500.0), 500.0))
 
@@ -252,7 +269,8 @@ def _deviance(family: str, y: np.ndarray, mu: np.ndarray, trials: np.ndarray | N
             t1 = np.where(y > 0, y * np.log(y / mu), 0.0)
             t2 = np.where(n - y > 0, (n - y) * np.log((n - y) / (n - mu)), 0.0)
         return float(2.0 * (t1 + t2).sum())
-    return float(((y - mu) ** 2).sum())
+    with np.errstate(over="ignore"):   # inf: fit halves the step, or reports it
+        return float(((y - mu) ** 2).sum())
 
 
 def fit(model: ModelSpec, x: np.ndarray | None, y: np.ndarray, *,
@@ -265,9 +283,11 @@ def fit(model: ModelSpec, x: np.ndarray | None, y: np.ndarray, *,
     deviance is halved up to 20 times.
 
     Non-integer outcomes are accepted for the count families (quasi-likelihood:
-    the estimating equations are unchanged). Convergence requires the relative
-    deviance change to fall below 1e-10 and the score to vanish (max component
-    <= 1e-6) within 100 iterations; otherwise the result is flagged.
+    the estimating equations are unchanged); a binomial outcome at most
+    _TRIALS_RTOL above its trials, masking's rounding, counts as the trials.
+    Other values out of range raise OutOfRangeError. Convergence requires the
+    relative deviance change to fall below 1e-10 and the score to vanish (max
+    component <= 1e-6) within 100 iterations; otherwise the result is flagged.
     """
     y = np.asarray(y, dtype=float).ravel()
     N = y.size
@@ -280,16 +300,15 @@ def fit(model: ModelSpec, x: np.ndarray | None, y: np.ndarray, *,
             raise ValueError("offset must be finite")
     family = model.family
     if family == "poisson-log":
-        if (y < 0).any():
-            raise ValueError("poisson outcomes must be nonnegative")
+        _check_range(y < 0, "y", "poisson outcomes must be nonnegative")
     elif family == "binomial-logit":
         if trials is None:
             raise ValueError("binomial-logit requires per-row trial counts")
         trials = np.asarray(trials, dtype=float).ravel()
-        if (trials <= 0).any():
-            raise ValueError("trial counts must be positive")
-        if ((y < 0) | (y > trials)).any():
-            raise ValueError("binomial outcomes must satisfy 0 <= y <= trials")
+        _check_range(trials <= 0, "trials", "trial counts must be positive")
+        _check_range((y < 0) | (y > trials * (1.0 + _TRIALS_RTOL)), "y",
+                     "binomial outcomes must satisfy 0 <= y <= trials")
+        y = np.minimum(y, trials)
     _check_rank(X, model.coef_names)
 
     # family-specific initialization (robust standard starts)
@@ -389,28 +408,31 @@ class OddsRatioResult:
     p_unexposed: float
 
 
-def _group_means(model: ModelSpec, beta: np.ndarray, x: np.ndarray, trials: np.ndarray,
-                 group: str) -> list[tuple[float, np.ndarray]]:
-    """Trial-weighted mean predicted probability and its gradient in beta, with
-    the group regressor forced to 1 and then to 0."""
+def _log_odds_ratio(model: ModelSpec, beta: np.ndarray, x: np.ndarray, trials: np.ndarray,
+                    group: str) -> tuple[float, np.ndarray, float, float]:
+    """Population log odds ratio at ``beta``, its gradient in beta, and the exposed
+    and unexposed probabilities: trial-weighted mean predictions with the group
+    regressor forced to 1 and to 0. ValueError unless both lie in (0, 1)."""
     x = np.asarray(x, dtype=float)
     if x.ndim == 1:
         x = x[:, None]
     j = model.regressors.index(group)
     trials = np.asarray(trials, dtype=float).ravel()
     wsum = trials.sum()
-    out = []
-    for value in (1.0, 0.0):
+    means = []
+    for name, value in (("exposed", 1.0), ("unexposed", 0.0)):
         xv = x.copy()
         xv[:, j] = value
         Xd = design_matrix(model, xv)
         p = _expit(Xd @ beta)
-        out.append((float((trials * p).sum() / wsum), (trials * p * (1.0 - p)) @ Xd / wsum))
-    return out
-
-
-def _logit(p: float) -> float:
-    return math.log(p) - math.log1p(-p)
+        mean = float((trials * p).sum() / wsum)
+        if mean <= 0.0 or mean >= 1.0:
+            raise ValueError(f"{name} summary probability is {mean}; odds ratio undefined")
+        means.append((mean, (trials * p * (1.0 - p)) @ Xd / wsum))
+    (p_b, grad_b), (p_w, grad_w) = means
+    log_or = (math.log(p_b) - math.log1p(-p_b)) - (math.log(p_w) - math.log1p(-p_w))
+    grad = grad_b / (p_b * (1.0 - p_b)) - grad_w / (p_w * (1.0 - p_w))
+    return log_or, grad, p_b, p_w
 
 
 def population_odds_ratio(result: FitResult, x: np.ndarray, trials: np.ndarray,
@@ -420,7 +442,8 @@ def population_odds_ratio(result: FitResult, x: np.ndarray, trials: np.ndarray,
     The designated group regressor (a fraction in [0, 1]) is forced to 1 and
     to 0 with all other regressors untouched; predictions are averaged with
     the trial counts as weights. Invariant to centering/scaling of the other
-    regressors because it is a function of predicted values only.
+    regressors because it is a function of predicted values only. The value
+    and its gradient come from _log_odds_ratio, as in every odds-ratio caller.
     """
     if result.model.family != "binomial-logit":
         raise ValueError("population odds ratio is defined for binomial-logit fits")
@@ -432,12 +455,7 @@ def population_odds_ratio(result: FitResult, x: np.ndarray, trials: np.ndarray,
     j = result.model.regressors.index(group)
     if ((x[:, j] < -1e-9) | (x[:, j] > 1.0 + 1e-9)).any():
         raise ValueError("group regressor must be a fraction in [0, 1]")
-    (p_b, grad_b), (p_w, grad_w) = _group_means(result.model, result.beta, x, trials, group)
-    for name, val in (("exposed", p_b), ("unexposed", p_w)):
-        if val <= 0.0 or val >= 1.0:
-            raise ValueError(f"{name} summary probability is {val}; odds ratio undefined")
-    log_or = _logit(p_b) - _logit(p_w)
-    grad = grad_b / (p_b * (1.0 - p_b)) - grad_w / (p_w * (1.0 - p_w))
+    log_or, grad, p_b, p_w = _log_odds_ratio(result.model, result.beta, x, trials, group)
     se = float(math.sqrt(grad @ result.cov @ grad))
     z = _ndtri(0.5 * (1.0 + level))
     return OddsRatioResult(
@@ -453,15 +471,9 @@ def population_odds_ratio(result: FitResult, x: np.ndarray, trials: np.ndarray,
 
 def log_or_gradient(result: FitResult, x: np.ndarray, trials: np.ndarray,
                     group: str) -> np.ndarray:
-    """Analytic gradient of the population log odds ratio w.r.t. the coefficients."""
-    (p_b, grad_b), (p_w, grad_w) = _group_means(result.model, result.beta, x, trials, group)
-    return grad_b / (p_b * (1.0 - p_b)) - grad_w / (p_w * (1.0 - p_w))
-
-
-def _log_or_at(model: ModelSpec, beta: np.ndarray, x: np.ndarray, trials: np.ndarray,
-               group: str) -> float:
-    (p_b, _), (p_w, _) = _group_means(model, beta, x, trials, group)
-    return _logit(p_b) - _logit(p_w)
+    """Analytic gradient of the population log odds ratio w.r.t. the coefficients;
+    ValueError where the odds ratio is undefined."""
+    return _log_odds_ratio(result.model, result.beta, x, trials, group)[1]
 
 
 def _percentile_interval(values: np.ndarray, alpha: float) -> tuple[float, float]:
@@ -574,19 +586,14 @@ def bootstrap_ci(model: ModelSpec, x: np.ndarray, y: np.ndarray, *,
             xi, yi = masked[:, :-1], masked[:, -1]
         try:
             fr = fit(model, xi, yi, trials=ti, offset=oi)
+            if not fr.converged:
+                failed += 1
+            elif statistic == "log_or":
+                values.append(_log_odds_ratio(model, fr.beta, xi, ti, group)[0])
+            else:
+                values.append(float(fr.beta[statistic]))
         except (ValueError, np.linalg.LinAlgError):
             failed += 1
-            continue
-        if not fr.converged:
-            failed += 1
-            continue
-        if statistic == "log_or":
-            try:
-                values.append(_log_or_at(model, fr.beta, xi, ti, group))
-            except ValueError:
-                failed += 1
-        else:
-            values.append(float(fr.beta[statistic]))
     if failed > 0.1 * b:
         raise RuntimeError(f"{failed} of {b} bootstrap refits failed to converge")
     arr = np.asarray(values)

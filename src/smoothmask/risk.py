@@ -349,17 +349,14 @@ def _build_context(ds: SpatialDataset, truth: SpatialDataset,
         ap_sd = sds(masked_ap)
         masked_ap = masked_ap / ap_sd
         truth_ap = truth_ap / ap_sd
-        if masked_u.shape[1]:
-            u_sd = sds(masked_u)
-            masked_u = masked_u / u_sd
-            truth_u = truth_u / u_sd
+        u_sd = sds(masked_u)
+        masked_u = masked_u / u_sd
+        truth_u = truth_u / u_sd
 
-    if scenario.u_columns:
-        preds, resid_sd = _regression(masked_ap, truth_u)
-        rng = np.random.default_rng([scenario.seed])
-        u_comp = u_components(masked_u, preds, resid_sd, scenario.mc_draws, rng)
-    else:
-        u_comp = np.ones(ds.n_records)
+    # with no sought columns u_components returns ones
+    preds, resid_sd = _regression(masked_ap, truth_u)
+    rng = np.random.default_rng([scenario.seed])
+    u_comp = u_components(masked_u, preds, resid_sd, scenario.mc_draws, rng)
 
     if scenario.target_ids is None:
         target_indices = tuple(range(ds.n_records))

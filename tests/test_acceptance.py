@@ -383,8 +383,8 @@ def test_criterion_08_glm_correctness():
         up, dn = fr_b.beta.copy(), fr_b.beta.copy()
         up[k] += h
         dn[k] -= h
-        fd[k] = (glm._log_or_at(model_b, up, xb, n, "frac")
-                 - glm._log_or_at(model_b, dn, xb, n, "frac")) / (2 * h)
+        fd[k] = (glm._log_odds_ratio(model_b, up, xb, n, "frac")[0]
+                 - glm._log_odds_ratio(model_b, dn, xb, n, "frac")[0]) / (2 * h)
     np.testing.assert_allclose(grad, fd, atol=1e-5, rtol=0)
 
     base = population_odds_ratio(fr_b, xb, n, "frac")

@@ -135,6 +135,18 @@ class TestFirstOrderBias:
         assert np.all(rep.beta_prime0 == 0.0)
         assert peak < n * n * 8   # less than one n x n float array
 
+    @pytest.mark.parametrize("kernel, n", [(EuclideanKernel(), 1), (EuclideanKernel(), 3),
+                                           (RingKernel(), 50), (PolynomialDecayKernel(), 1)],
+                             ids=["euclidean-1", "euclidean-3", "ring-50", "polynomial-1"])
+    def test_vanishing_derivative_exactly_zero_where_the_link_overflows(self, kernel, n):
+        # exp(800) overflows; the report is still exactly zero, with no
+        # RuntimeWarning (an error under this suite's warning filter)
+        data = exposure_dataset(np.random.default_rng(5).uniform(-1, 1, (n, 2)))
+        rep = first_order_bias(data, [800.0, 0.0], kernel, "poisson-log")
+        assert rep.beta_prime0.tolist() == [0.0, 0.0]
+        assert rep.s1bar.tolist() == [0.0, 0.0]
+        assert rep.r0_max_abs == 0.0
+
     def test_polynomial_kernel_matches_expected_score_oracle(self, poly_kernel):
         # oracle: solve the expected-score equation at two small smoothness
         # values by fitting the expected masked data, then difference

@@ -209,6 +209,47 @@ class TestFit:
         assert rc == 2
         assert not (toy["dir"] / "f.json").exists()
 
+    def test_non_finite_report_exit_2(self, tmp_path, capsys):
+        # a gaussian fit to outcomes near +-1e200 has an infinite deviance and
+        # infinite standard errors, which strict JSON cannot hold
+        data = tmp_path / "huge.csv"
+        data.write_text("id,s1,s2,x1,y\n" + "".join(
+            f"r{i},{i / 10},{i / 20},{0.3 * i * (-1) ** (i // 3)},{(-1) ** i * 1e200 * (1 + i / 10)}\n"
+            for i in range(10)))
+        model = tmp_path / "gaussian.json"
+        model.write_text(json.dumps({"family": "gaussian-identity", "regressors": ["x1"]}))
+        rc = main(["fit", "--in", str(data), "--model", str(model),
+                   "--out", str(tmp_path / "fit.json")])
+        assert rc == 2
+        assert capsys.readouterr().err == ("smoothmask: computation failed: the report holds "
+                                           "a non-finite value (NaN or infinity)\n")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["gaussian.json", "huge.csv"]
+
+    @pytest.mark.parametrize("family, y, n, column, record, message", [
+        ("poisson-log", [2, -1, 3, -4], None, "cases", "c1",
+         "poisson outcomes must be nonnegative"),
+        ("binomial-logit", [2, 1, 9, 12], [5, 5, 5, 5], "cases", "c2",
+         "binomial outcomes must satisfy 0 <= y <= trials"),
+        ("binomial-logit", [2, 1, 3, 0], [5, 5, 0, -1], "n", "c2",
+         "trial counts must be positive"),
+    ], ids=["negative_poisson", "above_trials", "trials_not_positive"])
+    def test_out_of_range_data_exit_1_naming_file_column_and_record(
+            self, tmp_path, capsys, family, y, n, column, record, message):
+        data = tmp_path / "cells.csv"
+        data.write_text("id,s1,s2,x1,cases" + ("" if n is None else ",n") + "\n" + "".join(
+            f"c{i},{i / 10},{i / 5},{i / 4},{y[i]}" + ("" if n is None else f",{n[i]}") + "\n"
+            for i in range(4)))
+        model = tmp_path / "model.json"
+        model.write_text(json.dumps({"family": family, "regressors": ["x1"]}
+                                    | ({} if n is None else {"trials_col": "n"})))
+        out = tmp_path / "fit.json"
+        rc = main(["fit", "--in", str(data), "--model", str(model), "--out", str(out),
+                   "--y-col", "cases"])
+        assert rc == 1
+        assert capsys.readouterr().err == (f"smoothmask: data file {data}, column '{column}', "
+                                           f"record '{record}': {message}\n")
+        assert not out.exists()
+
     def test_malformed_model_json_exit_1(self, toy, tmp_path):
         bad = tmp_path / "bad.json"
         bad.write_text("{not json")
@@ -332,6 +373,23 @@ class TestBias:
         rc = main(["bias", "--in", str(toy["data"]), "--kernel", str(toy["ring"]),
                    "--family", "poisson-log", "--beta-from", str(fit_out), "--out", str(out)])
         assert rc == 0
+
+    def test_overflowing_link_reports_exact_zero_in_strict_json(self, tmp_path, capsys):
+        data = tmp_path / "three.csv"
+        data.write_text("id,s1,s2,x1,y\nr0,0.0,0.0,0.0,1\nr1,0.1,0.2,0.5,2\nr2,0.3,0.1,1.0,0\n")
+        kernel = tmp_path / "euclidean.json"
+        kernel.write_text(json.dumps({"family": "euclidean", "params": {}}))
+        out = tmp_path / "bias.json"
+        rc = main(["bias", "--in", str(data), "--kernel", str(kernel), "--beta=800,0",
+                   "--out", str(out)])
+        assert rc == 0
+        assert capsys.readouterr().err == ""
+
+        def reject(token):
+            raise ValueError(f"non-standard JSON token {token}")
+
+        report = json.loads(out.read_text(), parse_constant=reject)
+        assert report["beta_prime0"] == [0.0, 0.0]
 
     def test_requires_beta(self, toy, tmp_path):
         rc = main(["bias", "--in", str(toy["data"]), "--kernel", str(toy["kernel"]),

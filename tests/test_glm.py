@@ -101,6 +101,38 @@ class TestFit:
         with pytest.raises(ValueError, match="trial"):
             fit(ModelSpec("binomial-logit", ("x",)), np.zeros(4), np.zeros(4))
 
+    def test_masked_binomial_outcomes_rounded_above_trials_count_as_trials(self):
+        # masking outcomes that equal their trial count rounds a few of them
+        # an ulp or so above it; fit treats those as the trial count
+        locs, x, y, trials = _binomial_at_trials()
+        a = masking.build_operator(locs, EuclideanKernel(), 0.01).a
+        mx, my = a @ x, a @ y
+        assert (my > trials).any() and (my <= trials * (1.0 + 1e-14)).all()
+        model = ModelSpec("binomial-logit", ("x",))
+        fr = fit(model, mx, my, trials=trials)
+        clamped = fit(model, mx, np.minimum(my, trials), trials=trials)
+        assert fr.converged
+        assert np.array_equal(fr.beta, clamped.beta) and fr.deviance == clamped.deviance
+
+    def test_binomial_outcome_beyond_rounding_rejected(self):
+        y = np.array([1.0, 5.0 * (1.0 + 1e-10), 5.0 * (1.0 + 1e-8), 5.0 * (1.0 + 1e-8)])
+        with pytest.raises(glm.OutOfRangeError, match="0 <= y <= trials") as info:
+            fit(ModelSpec("binomial-logit", ("x",)), np.arange(4.0), y, trials=np.full(4, 5.0))
+        assert (info.value.role, info.value.row) == ("y", 2)
+
+    @pytest.mark.parametrize("family, y, trials, role, row", [
+        ("poisson-log", [1.0, 2.0, -0.5, 3.0, -1.0], None, "y", 2),
+        ("binomial-logit", [1.0, -1.0, 2.0, 9.0, 1.0], [5.0] * 5, "y", 1),
+        ("binomial-logit", [1.0, 2.0, 9.0, 1.0, 1.0], [5.0] * 5, "y", 2),
+        ("binomial-logit", [1.0, 2.0, 0.0, 1.0, 0.0], [5.0, 5.0, 5.0, 0.0, -2.0], "trials", 3),
+    ], ids=["poisson_negative", "binomial_negative", "binomial_above_trials", "trials_zero"])
+    def test_out_of_range_error_names_role_and_first_row(self, family, y, trials, role, row):
+        with pytest.raises(glm.OutOfRangeError) as info:
+            fit(ModelSpec(family, ("x",)), np.arange(5.0), np.array(y),
+                trials=None if trials is None else np.array(trials))
+        assert isinstance(info.value, ValueError)
+        assert (info.value.role, info.value.row) == (role, row)
+
     def test_binomial_recovers_logit(self):
         rng = np.random.default_rng(8)
         n = rng.integers(20, 60, 200).astype(float)
@@ -457,6 +489,15 @@ class TestPercentileInterval:
         assert np.array(got).tobytes() == want.tobytes()
 
 
+def _binomial_at_trials(n=200):
+    """Records with 25 trials each, all of them events where s1 < 0."""
+    rng = np.random.default_rng(0)
+    locs = rng.uniform(-1, 1, (n, 2))
+    trials = np.full(n, 25.0)
+    y = np.where(locs[:, 0] < 0, 25.0, rng.integers(0, 25, n).astype(float))
+    return locs, rng.normal(0, 1, (n, 1)), y, trials
+
+
 def _fixed_fit(beta, cov):
     model = ModelSpec("gaussian-identity", tuple(f"c{i}" for i in range(len(beta) - 1)) if len(beta) > 1 else ())
     return glm.FitResult(model=model, beta=beta, cov=cov, information=np.linalg.inv(cov),
@@ -535,9 +576,30 @@ class TestPopulationOddsRatio:
             up, dn = fr.beta.copy(), fr.beta.copy()
             up[k] += h
             dn[k] -= h
-            fd[k] = (glm._log_or_at(model, up, x, n, "frac")
-                     - glm._log_or_at(model, dn, x, n, "frac")) / (2 * h)
+            fd[k] = (glm._log_odds_ratio(model, up, x, n, "frac")[0]
+                     - glm._log_odds_ratio(model, dn, x, n, "frac")[0]) / (2 * h)
         np.testing.assert_allclose(grad, fd, atol=1e-5, rtol=0)
+
+    def test_one_log_odds_ratio_behind_every_caller(self):
+        x, y, n = _aggregated_binomial(seed=16)
+        model = ModelSpec("binomial-logit", ("frac", "other"))
+        fr = fit(model, x, y, trials=n)
+        log_or, grad, p_b, p_w = glm._log_odds_ratio(model, fr.beta, x, n, "frac")
+        res = population_odds_ratio(fr, x, n, "frac")
+        assert (res.log_or, res.p_exposed, res.p_unexposed) == (log_or, p_b, p_w)
+        assert res.log_or_se_naive == math.sqrt(grad @ fr.cov @ grad)
+        assert np.array_equal(log_or_gradient(fr, x, n, "frac"), grad)
+
+    @pytest.mark.parametrize("beta, message", [
+        ([800.0, 0.0], "exposed summary probability is 1.0"),
+        ([-800.0, 0.0], "exposed summary probability is 0.0"),
+        ([0.0, -900.0], "exposed summary probability is 0.0"),
+    ])
+    def test_gradient_undefined_at_degenerate_probability(self, beta, message):
+        fr = _or_fit(ModelSpec("binomial-logit", ("frac",)), np.array(beta))
+        with pytest.raises(ValueError, match=message + "; odds ratio undefined"):
+            log_or_gradient(fr, np.array([[0.2], [0.5], [0.9]]), np.array([10.0, 20.0, 30.0]),
+                            "frac")
 
     def test_requires_binomial_fit(self):
         fr = _fixed_fit(beta=np.array([0.0, 1.0]), cov=np.eye(2))
@@ -622,6 +684,23 @@ class TestBootstrap:
         b = bootstrap_ci(model, x, y, **kwargs)
         assert (a.se, a.lower, a.upper) == (b.se, b.lower, b.upper)
         assert a.se > 0
+
+    def test_remasked_outcomes_rounded_above_trials_refit(self, monkeypatch):
+        # each remasked resample has outcomes a few ulps above their trials;
+        # those count as the trials, so no refit fails
+        locs, x, y, trials = _binomial_at_trials()
+        above = []
+        real_fit = glm.fit
+
+        def recording_fit(model, xi, yi, trials=None, offset=None):
+            above.append(int((yi > trials).sum()))
+            return real_fit(model, xi, yi, trials=trials, offset=offset)
+
+        monkeypatch.setattr(glm, "fit", recording_fit)
+        res = bootstrap_ci(ModelSpec("binomial-logit", ("x",)), x, y, statistic=1, b=2, seed=0,
+                           trials=trials, locs=locs, remask=(EuclideanKernel(), 0.01))
+        assert len(above) == 2 and min(above) > 0
+        assert res.n_failed == 0
 
     def test_remask_holds_one_operator_at_a_time(self, monkeypatch):
         built = []

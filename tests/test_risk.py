@@ -504,6 +504,28 @@ class TestExpectedCorrectRate:
         assert report.expected_correct_rate == rate
         assert report.degenerate == degenerate
 
+    @pytest.mark.parametrize("standardize", [True, False])
+    def test_no_sought_columns_scores_available_columns_alone(self, standardize):
+        rng = np.random.default_rng(21)
+        masked = make_dataset(x=rng.normal(0, 1, 25), y=rng.poisson(3.0, 25))
+        truth = make_dataset(x=rng.normal(0, 1, 25), y=rng.poisson(3.0, 25))
+        scenario = IntruderScenario(ap_columns=("x", "y"), u_columns=(), standardize=standardize)
+        released = np.column_stack([masked.x[:, 0], masked.y])
+        held = np.column_stack([truth.x[:, 0], truth.y])
+        if standardize:
+            sd = released.std(axis=0)
+            sd = np.where(sd > 0.0, sd, 1.0)
+            released, held = released / sd, held / sd
+        n, total = len(released), 0.0
+        for t, rid in enumerate(masked.ids):
+            d = np.sqrt(((released - held[t]) ** 2).sum(axis=1))
+            prod = (1.0 - d / d.max()) * np.ones(n) / n
+            p = prod / prod.sum()
+            assert np.array_equal(match_probabilities(masked, truth, rid, scenario), p)
+            sel = p >= p.max() * (1.0 - 1e-9)
+            total += sel[t] / sel.sum()
+        assert expected_correct_rate(masked, truth, scenario) == total / n
+
     def test_truth_must_cover_released_ids(self):
         data = make_dataset(x=[1.0, 2.0], y=[3.0, 4.0])
         truth = make_dataset(x=[1.0], y=[3.0], ids=("zzz",))
