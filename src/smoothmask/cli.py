@@ -140,8 +140,11 @@ def _schema_from_args(args, x_cols: tuple[str, ...] | None = None) -> CsvSchema:
         x_cols = tuple(c.strip() for c in args.x_cols.split(",") if c.strip())
         if not x_cols:
             raise UsageError("--x-cols must name at least one regressor column")
-    return CsvSchema(id_col=args.id_col, coord_cols=coords, x_cols=x_cols,
-                     y_col=args.y_col, n_col=vars(args).get("n_col"))
+    try:
+        return CsvSchema(id_col=args.id_col, coord_cols=coords, x_cols=x_cols,
+                         y_col=args.y_col, n_col=vars(args).get("n_col"))
+    except ValueError as err:   # a repeated regressor column
+        raise UsageError(f"--x-cols: {err}") from None
 
 
 def _add_schema_flags(p: argparse.ArgumentParser, regressor_flags: bool = True) -> None:
@@ -152,7 +155,6 @@ def _add_schema_flags(p: argparse.ArgumentParser, regressor_flags: bool = True) 
     if regressor_flags:
         p.add_argument("--x-cols", default="x1",
                        help="regressor column names, comma separated (default: x1)")
-        p.add_argument("--n-col", default=None, help="optional count-weight column name")
 
 
 def _seed_override(args) -> int | None:
@@ -465,6 +467,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--grid-nx", type=int, default=0,
                    help="two-step masking: aggregate to an nx-by-ny grid first")
     p.add_argument("--grid-ny", type=int, default=0, help="see --grid-nx")
+    p.add_argument("--n-col", default=None, help="optional count-weight column name")
     _add_schema_flags(p)
     p.set_defaults(handler=_cmd_mask)
 

@@ -50,6 +50,16 @@ def coords_array(locs) -> np.ndarray:
     return arr
 
 
+def _first_repeat(names) -> str | None:
+    """The first name in names that an earlier one equals, or None."""
+    seen = set()
+    for name in names:
+        if name in seen:
+            return name
+        seen.add(name)
+    return None
+
+
 def _readonly(arr: np.ndarray) -> np.ndarray:
     out = np.array(arr, dtype=float)
     out.setflags(write=False)
@@ -142,6 +152,11 @@ class CsvSchema:
     y_col: str = "y"
     n_col: str | None = None
 
+    def __post_init__(self) -> None:
+        repeated = _first_repeat(self.x_cols)
+        if repeated is not None:
+            raise ValueError(f"regressor column {repeated!r} is named twice")
+
     def all_columns(self) -> tuple[str, ...]:
         cols = (self.id_col, *self.coord_cols, *self.x_cols, self.y_col)
         return cols + ((self.n_col,) if self.n_col else ())
@@ -192,51 +207,58 @@ def load_csv(path, schema: CsvSchema = CsvSchema()) -> SpatialDataset:
     """Read a dataset CSV (UTF-8, '.' decimals, header required).
 
     Leading lines starting with '#' (e.g. masking provenance) are skipped.
-    Malformed input raises ParseError naming the offending file line.
+    Malformed input raises ParseError naming the file and, for a bad row,
+    its line.
     """
     path = Path(path)
     _, header, rows = _csv_rows(path)
-    if header is None:
-        raise ParseError(f"{path}: no header row found")
-    missing = [c for c in schema.all_columns() if c not in header]
-    if missing:
-        raise ParseError(f"{path}: missing required column(s) {missing}; header is {header}")
-    col = {name: header.index(name) for name in header}
+    try:
+        if header is None:
+            raise ParseError("no header row found")
+        missing = [c for c in schema.all_columns() if c not in header]
+        if missing:
+            raise ParseError(f"missing required column(s) {missing}; header is {header}")
+        repeated = _first_repeat(c for c in header if c in schema.all_columns())
+        if repeated is not None:
+            raise ParseError(f"column {repeated!r} appears twice in the header")
+        col = {name: header.index(name) for name in header}
 
-    ids: list[str] = []
-    locs: list[tuple[float, float]] = []
-    xs: list[list[float]] = []
-    ys: list[float] = []
-    ns: list[float] = []
-    seen: set[str] = set()
-    for line, row in rows:
-        rid = row[col[schema.id_col]].strip()
-        if not rid:
-            raise ParseError(f"line {line}: empty id")
-        if rid in seen:
-            raise ParseError(f"line {line}: duplicate id {rid!r}")
-        seen.add(rid)
-        ids.append(rid)
-        locs.append(
-            (
-                _parse_float(row[col[schema.coord_cols[0]]], schema.coord_cols[0], line),
-                _parse_float(row[col[schema.coord_cols[1]]], schema.coord_cols[1], line),
+        ids: list[str] = []
+        locs: list[tuple[float, float]] = []
+        xs: list[list[float]] = []
+        ys: list[float] = []
+        ns: list[float] = []
+        seen: set[str] = set()
+        for line, row in rows:
+            rid = row[col[schema.id_col]].strip()
+            if not rid:
+                raise ParseError(f"line {line}: empty id")
+            if rid in seen:
+                raise ParseError(f"line {line}: duplicate id {rid!r}")
+            seen.add(rid)
+            ids.append(rid)
+            locs.append(
+                (
+                    _parse_float(row[col[schema.coord_cols[0]]], schema.coord_cols[0], line),
+                    _parse_float(row[col[schema.coord_cols[1]]], schema.coord_cols[1], line),
+                )
             )
+            xs.append([_parse_float(row[col[c]], c, line) for c in schema.x_cols])
+            ys.append(_parse_float(row[col[schema.y_col]], schema.y_col, line))
+            if schema.n_col:
+                ns.append(_parse_float(row[col[schema.n_col]], schema.n_col, line))
+        if not ids:
+            raise ParseError("no data rows")
+        return SpatialDataset(
+            ids=tuple(ids),
+            locs=np.array(locs),
+            x=np.array(xs),
+            y=np.array(ys),
+            x_names=schema.x_cols,
+            n=np.array(ns) if schema.n_col else None,
         )
-        xs.append([_parse_float(row[col[c]], c, line) for c in schema.x_cols])
-        ys.append(_parse_float(row[col[schema.y_col]], schema.y_col, line))
-        if schema.n_col:
-            ns.append(_parse_float(row[col[schema.n_col]], schema.n_col, line))
-    if not ids:
-        raise ParseError(f"{path}: no data rows")
-    return SpatialDataset(
-        ids=tuple(ids),
-        locs=np.array(locs),
-        x=np.array(xs),
-        y=np.array(ys),
-        x_names=schema.x_cols,
-        n=np.array(ns) if schema.n_col else None,
-    )
+    except ValueError as err:   # a ParseError, or a value SpatialDataset rejects
+        raise ParseError(f"{path}: {err}") from None
 
 
 def write_csv(data: SpatialDataset, path, schema: CsvSchema | None = None,

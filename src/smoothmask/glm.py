@@ -29,6 +29,8 @@ from typing import Sequence
 
 import numpy as np
 
+from .dataset import _first_repeat
+
 FAMILIES = ("poisson-log", "binomial-logit", "gaussian-identity")
 
 _MAX_ITER = 100
@@ -147,6 +149,9 @@ class ModelSpec:
         if self.family not in FAMILIES:
             raise ValueError(f"unknown family {self.family!r}; choose from {FAMILIES}")
         object.__setattr__(self, "regressors", tuple(self.regressors))
+        repeated = _first_repeat(self.regressors)
+        if repeated is not None:
+            raise ValueError(f"regressor {repeated!r} is named twice")
 
     @property
     def coef_names(self) -> tuple[str, ...]:
@@ -288,6 +293,8 @@ def fit(model: ModelSpec, x: np.ndarray | None, y: np.ndarray, *,
     Other values out of range raise OutOfRangeError. Convergence requires the
     relative deviance change to fall below 1e-10 and the score to vanish (max
     component <= 1e-6) within 100 iterations; otherwise the result is flagged.
+    A fit stops, flagged and at its last accepted estimate, at the first
+    iteration whose step-halving leaves the deviance non-finite.
     """
     y = np.asarray(y, dtype=float).ravel()
     N = y.size
@@ -352,6 +359,8 @@ def fit(model: ModelSpec, x: np.ndarray | None, y: np.ndarray, *,
             mu_new, w_new, score_new = state(beta_new)
             dev_new = _deviance(family, y, mu_new, trials)
             halvings += 1
+        if not math.isfinite(dev_new):
+            break   # no halved step has a finite deviance; the last state stands
         # the 0.1 guard keeps the criterion meaningful when deviance ~ 0
         # (near-perfect fits), where its floating-point noise would otherwise
         # dominate the relative change forever

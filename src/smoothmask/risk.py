@@ -15,7 +15,9 @@ targets are normalised, argmax-matched and tie-scored a block of rows at a
 time in one reused scratch array. Of each target's probability row only the
 maximum, the own-record probability and the argmax set's size and hit are
 kept, so scoring k targets against n records holds O(block * n + k) memory;
-match_probabilities returns one target's whole row. With fewer than 8
+match_probabilities returns the whole rows instead: k rows of n floats, all
+from one context, so the standardization, regression and sought-column
+components are computed once per call whatever k. With fewer than 8
 available or sought columns every value is bit-identical to the
 row-at-a-time form.
 
@@ -29,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dataset import SpatialDataset, _from_json
+from .dataset import SpatialDataset, _first_repeat, _from_json
 
 _TIE_RTOL = 1e-9
 # Element budget of one row block in u_components and _scored_blocks: 2**13
@@ -78,6 +80,9 @@ class IntruderScenario:
         object.__setattr__(self, "u_columns", tuple(self.u_columns))
         if set(self.ap_columns) & set(self.u_columns):
             raise ValueError("available and sought columns must be disjoint")
+        repeated = _first_repeat(self.ap_columns + self.u_columns)
+        if repeated is not None:
+            raise ValueError(f"column {repeated!r} is listed twice")
         if not self.ap_columns:
             raise ValueError("the intruder must know at least one column")
         if self.mc_draws < 1:
@@ -89,6 +94,9 @@ class IntruderScenario:
             if not self.target_ids:
                 raise ValueError("target_ids must name at least one record; "
                                  "null targets every record")
+            repeated = _first_repeat(self.target_ids)
+            if repeated is not None:
+                raise ValueError(f"target id {repeated!r} is listed twice")
 
 
 def scenario_from_json(obj: dict) -> IntruderScenario:
@@ -367,8 +375,8 @@ def _build_context(ds: SpatialDataset, truth: SpatialDataset,
                     u_comp=u_comp, target_indices=target_indices)
 
 
-def _scored_blocks(ctx: _Context, target_indices):
-    """Posterior probabilities of the given targets, a block of rows at a time.
+def _scored_blocks(ctx: _Context):
+    """Posterior probabilities of the context's targets, a block of rows at a time.
 
     Yields (target indices, probabilities, degenerate count) per block of
     about _BLOCK_ELEMS values: the probabilities are a (rows, n) view of one
@@ -379,9 +387,10 @@ def _scored_blocks(ctx: _Context, target_indices):
     """
     n = ctx.ds.n_records
     rows = max(1, _BLOCK_ELEMS // n)
-    scratch = np.empty((min(rows, len(target_indices)), n))
-    for s in range(0, len(target_indices), rows):
-        tix = np.asarray(target_indices[s:s + rows], dtype=np.intp)
+    targets = ctx.target_indices
+    scratch = np.empty((min(rows, len(targets)), n))
+    for s in range(0, len(targets), rows):
+        tix = np.asarray(targets[s:s + rows], dtype=np.intp)
         block = scratch[:len(tix)]
         degenerate = 0
         for row, t in zip(block, tix):
@@ -397,15 +406,21 @@ def _scored_blocks(ctx: _Context, target_indices):
         yield tix, block, degenerate
 
 
-def match_probabilities(masked: SpatialDataset, truth: SpatialDataset, target_id: str,
+def match_probabilities(masked: SpatialDataset, truth: SpatialDataset,
                         scenario: IntruderScenario) -> np.ndarray:
-    """Posterior matching probabilities of one intruder record over all released
-    records, as a read-only array."""
-    if target_id not in masked.ids:
-        raise ValueError(f"target id {target_id!r} is not a released record")
+    """Posterior matching probabilities of the scenario's targets over all
+    released records, as a read-only (k, n) array.
+
+    Row i belongs to the scenario's i-th target, or to the i-th released
+    record when ``target_ids`` is None. Every row comes from one context, so
+    the sought-column Monte Carlo integral runs once per call, whatever k.
+    """
     ctx = _build_context(masked, truth, scenario)
-    _, block, _ = next(_scored_blocks(ctx, (masked.ids.index(target_id),)))
-    p = block[0].copy()
+    p = np.empty((len(ctx.target_indices), masked.n_records))
+    s = 0
+    for tix, block, _ in _scored_blocks(ctx):
+        p[s:s + len(tix)] = block
+        s += len(tix)
     p.setflags(write=False)
     return p
 
@@ -425,7 +440,7 @@ def risk_report(masked: SpatialDataset, truth: SpatialDataset,
     targets = []
     total = 0.0
     degenerate = 0
-    for tix, block, block_degenerate in _scored_blocks(ctx, ctx.target_indices):
+    for tix, block, block_degenerate in _scored_blocks(ctx):
         degenerate += block_degenerate
         top = block.max(axis=1)
         sel = block >= (top * (1.0 - _TIE_RTOL))[:, None]

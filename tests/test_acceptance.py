@@ -290,7 +290,7 @@ def test_criterion_06_risk_oracle_equivalence():
                            x_names=("x",))
     scenario = IntruderScenario(ap_columns=("x",), u_columns=("y",),
                                 mc_draws=25, seed=0, standardize=False)
-    p = match_probabilities(masked, truth, "a", scenario)
+    p = match_probabilities(masked, truth, scenario)[0]  # target "a"
     ap = [1.0 - 0.1 / 2.9, 1.0 - 0.9 / 2.9, 0.0]
     u = [1.0 - 0.5 / 5.0, 1.0, 1.0 - 1.0 / 5.5]
     raw = [ap[j] * u[j] * (1.0 / 3.0) * 1.0 for j in range(3)]  # prior, cross-record term
@@ -473,6 +473,49 @@ def test_criterion_10_cli_determinism(tmp_path):
         outputs.append({f: (d / f).read_bytes() for f in files})
     assert outputs[0] == outputs[1]
     print("\nACCEPTANCE 10: PASS - every subcommand byte-identical on rerun")
+
+
+ORACLE_LAMBDAS = tuple(float(v) for v in np.geomspace(0.01, 1.0, 8))
+
+
+@pytest.mark.parametrize("field, kernel_names, mu, seed", [
+    (RadialExposure(), ("ring", "euclidean"), -25.0, 0),
+    (BlockedExposure(), ("ring_block", "bivariate_normal"), -24.0, 3),
+    (DirectionalExposure(), ("ring_angle", "euclidean"), -36.0, 4),
+], ids=["radial", "blocked", "directional"])
+def test_criterion_11_masked_data_estimand(field, kernel_names, mu, seed):
+    """Each valid study row estimates beta*(lambda), the slope of the Poisson
+    fit to the expected masked outcome A mu on the masked regressor A x (the
+    score equations are linear in y), within 4 Monte Carlo standard errors;
+    its mean naive variance is the inverse information at beta* within 10%."""
+    cfg = SimConfig(field=field, kernels=tuple((k, ALL_KERNELS[k]) for k in kernel_names),
+                    mu=mu, beta=4.0, n_locations=200, replicates=100,
+                    lambdas=ORACLE_LAMBDAS, seed=seed)
+    result = run_study(cfg)
+    locs = sample_locations(cfg.n_locations, [cfg.seed, 0], cfg.bounds)
+    x = field.values(locs)
+    mean = np.exp(cfg.mu + cfg.beta * x)
+    model = ModelSpec("poisson-log", ("x",))
+    cells = [(UNMASKED, 0.0, None)] + [(name, lam, kernel) for name, kernel in cfg.kernels
+                                       for lam in ORACLE_LAMBDAS]
+    checked, worst_se, ratios = set(), 0.0, []
+    for name, lam, kernel in cells:
+        row = result.row(name, lam)
+        if not row.valid:
+            continue
+        a = np.eye(cfg.n_locations) if kernel is None else build_operator(locs, kernel, lam).a
+        oracle = fit(model, a @ x, a @ mean)
+        assert oracle.converged
+        mc_se = row.empirical_sd / math.sqrt(cfg.replicates - row.n_failed)
+        distance = abs(row.mean_estimate - oracle.beta[1]) / mc_se
+        ratio = row.mean_naive_var / oracle.cov[1, 1]
+        assert distance <= 4.0, f"{name} at lam={lam}: {distance:.2f} MC SEs from beta*"
+        assert 0.9 <= ratio <= 1.1, f"{name} at lam={lam}: naive variance ratio {ratio:.4f}"
+        checked.add(name)
+        worst_se, ratios = max(worst_se, distance), ratios + [ratio]
+    assert checked == {UNMASKED, *kernel_names}
+    print(f"\nACCEPTANCE 11: PASS - {len(ratios)} rows within {worst_se:.2f} MC SEs of "
+          f"beta*, naive variance ratios {min(ratios):.3f}-{max(ratios):.3f}")
 
 
 def test_bivariate_normal_pipeline_end_to_end():

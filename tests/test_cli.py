@@ -134,6 +134,17 @@ class TestMask:
         rc = main(["mask", "--in", str(toy["data"]), "--wat", "1"])
         assert rc == 1
 
+    def test_rejected_count_weight_exit_1_naming_the_file(self, toy, tmp_path, capsys):
+        data = tmp_path / "counts.csv"
+        data.write_text("id,s1,s2,x1,y,n\na,0,0,1,2,0\nb,0.5,0.1,2,3,4\n")
+        out = tmp_path / "m.csv"
+        rc = main(["mask", "--in", str(data), "--kernel", str(toy["kernel"]), "--lambda", "0.1",
+                   "--n-col", "n", "--out", str(out)])
+        assert rc == 1
+        assert capsys.readouterr().err == (f"smoothmask: {data}: count weights must be "
+                                           "finite and positive\n")
+        assert not out.exists()
+
     @pytest.mark.parametrize("flag, value", [
         ("--sparsify", "-1"), ("--sparsify", "nan"), ("--lambda", "nan"),
     ])
@@ -338,6 +349,22 @@ class TestRisk:
         err = capsys.readouterr().err
         assert err == f"smoothmask: bad scenario config {tmp_path / 'scen.json'}: {message}\n"
 
+    @pytest.mark.parametrize("bad", ["masked", "truth"])
+    def test_bad_cell_names_its_file(self, toy, tmp_path, capsys, bad):
+        lines = toy["data"].read_text().splitlines(keepends=True)
+        cells = lines[1].split(",")
+        cells[3] = "abc"   # x1 of the first record, on line 2
+        broken = tmp_path / f"{bad}.csv"
+        broken.write_text("".join([lines[0], ",".join(cells), *lines[2:]]))
+        files = {"masked": toy["data"], "truth": toy["data"], bad: broken}
+        out = tmp_path / "risk.json"
+        rc = main(["risk", "--masked", str(files["masked"]), "--truth", str(files["truth"]),
+                   "--scenario", str(toy["scenario"]), "--out", str(out)])
+        assert rc == 1
+        assert capsys.readouterr().err == (f"smoothmask: {broken}: line 2: column 'x1' has "
+                                           "non-numeric value 'abc'\n")
+        assert not out.exists()
+
     def test_truth_lacking_released_ids_names_the_file(self, toy, tmp_path, capsys):
         from smoothmask.dataset import SpatialDataset
 
@@ -391,6 +418,15 @@ class TestBias:
         report = json.loads(out.read_text(), parse_constant=reject)
         assert report["beta_prime0"] == [0.0, 0.0]
 
+    def test_count_column_flag_not_accepted(self, toy, tmp_path, capsys):
+        # the first-order bias reads no count weights
+        out = tmp_path / "b.json"
+        rc = main(["bias", "--in", str(toy["data"]), "--kernel", str(toy["kernel"]),
+                   "--beta=-25,4", "--n-col", "x1", "--out", str(out)])
+        assert rc == 1
+        assert "unrecognized arguments: --n-col x1" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_requires_beta(self, toy, tmp_path):
         rc = main(["bias", "--in", str(toy["data"]), "--kernel", str(toy["kernel"]),
                    "--out", str(tmp_path / "b.json")])
@@ -436,10 +472,12 @@ class TestFlagErrors:
         ("risk", ["--seed", "-1"], "--seed must be a non-negative integer, got -1"),
         ("risk", ["--scenario", "{dir}/negative_seed.json"],
          "negative_seed.json: seed must be a non-negative integer, got -1"),
+        ("mask", ["--x-cols", "x1,x1"], "--x-cols: regressor column 'x1' is named twice"),
     ], ids=["beta_text", "beta_nan", "beta_too_long", "beta_from_list",
             "beta_from_text_coefficient", "level_2", "level_nan", "fit_one_coord",
             "risk_one_coord", "grid_nx_negative", "two_step_sparsify",
-            "two_step_export_operator", "risk_seed_negative", "scenario_seed_negative"])
+            "two_step_export_operator", "risk_seed_negative", "scenario_seed_negative",
+            "mask_x_cols_repeated"])
     def test_exit_1_one_line_no_output(self, toy, tmp_path, capsys, sub, flags, message):
         (tmp_path / "list.json").write_text("[1, 2]")
         (tmp_path / "text_coef.json").write_text(
@@ -521,6 +559,8 @@ class TestConfigValues:
         ("fit", "log_offset_col", ["n"], "log_offset_col must be a column name, got ['n']"),
         ("risk", "u_columns", "y", "u_columns must be a list of names, got 'y'"),
         ("risk", "standardize", 0, "standardize must be true or false, got 0"),
+        ("fit", "regressors", ["x1", "x1"], "regressor 'x1' is named twice"),
+        ("risk", "target_ids", ["p1", "p1"], "target id 'p1' is listed twice"),
     ])
     def test_model_and_scenario(self, toy, tmp_path, capsys, sub, field, value, message):
         what, flag = {"fit": ("model", "--model"), "risk": ("scenario", "--scenario")}[sub]

@@ -61,6 +61,24 @@ class TestLoadCsv:
         with pytest.raises(ParseError, match="line 3.*'x1'.*'oops'"):
             load_csv(path)
 
+    @pytest.mark.parametrize("body, n_col, message", [
+        ("id,x1,y,s1,s2\na,1,2,0,0\nb,oops,3,0,1\n", None,
+         "line 3: column 'x1' has non-numeric value 'oops'"),
+        ("id,x1,y,s1,s2,n\na,1,2,0,0,0\n", "n", "count weights must be finite and positive"),
+        # reading the first of the two would silently drop the second
+        ("id,x1,y,s1,s2,x1\na,1,2,0,0,5\n", None, "column 'x1' appears twice in the header"),
+    ], ids=["non_numeric", "count_weight", "repeated_header_column"])
+    def test_error_names_the_file(self, tmp_path, body, n_col, message):
+        path = tmp_path / "d.csv"
+        path.write_text(body)
+        with pytest.raises(ParseError) as err:
+            load_csv(path, CsvSchema(n_col=n_col))
+        assert str(err.value) == f"{path}: {message}"
+
+    def test_schema_repeated_regressor_rejected(self):
+        with pytest.raises(ValueError, match="regressor column 'x1' is named twice"):
+            CsvSchema(x_cols=("x1", "x2", "x1"))
+
     def test_comment_lines_skipped(self, tmp_path):
         path = tmp_path / "d.csv"
         path.write_text("# provenance note\nid,x1,y,s1,s2\na,1,2,0,0\n")

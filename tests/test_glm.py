@@ -170,6 +170,18 @@ class TestFit:
         with pytest.raises(ValueError, match="converged"):
             naive_ci(fr)
 
+    def test_stops_when_no_halved_step_has_a_finite_deviance(self):
+        # the squared residuals overflow at the start and at every halved step
+        x = np.arange(10.0)
+        y = np.array([(-1) ** i * 1e200 * (1 + i / 10) for i in range(10)])
+        fr = fit(ModelSpec("gaussian-identity", ("x",)), x, y)
+        assert (fr.iterations, fr.converged, fr.deviance) == (1, False, math.inf)
+
+    def test_repeated_regressor_rejected(self):
+        # it would otherwise reach the fit as a rank-deficient design
+        with pytest.raises(ValueError, match="regressor 'x1' is named twice"):
+            ModelSpec("poisson-log", ("x1", "x2", "x1"))
+
     def test_reparameterization_invariance_of_fitted_means(self):
         rng = np.random.default_rng(11)
         x = rng.normal(0, 1, (80, 2))

@@ -270,14 +270,15 @@ class TestMatchProbabilities:
     def test_identity_masking_exact_match_dominates(self):
         # others equidistant from the target, so their components are exactly 0
         data = make_dataset(x=[0.0, 1.0, -1.0], y=[5.0, 7.0, 7.0])
-        scenario = IntruderScenario(ap_columns=("x", "y"))
-        p = match_probabilities(data, data, "r0", scenario)
-        np.testing.assert_array_equal(p, [1.0, 0.0, 0.0])
+        scenario = IntruderScenario(ap_columns=("x", "y"), target_ids=("r0",))
+        p = match_probabilities(data, data, scenario)
+        np.testing.assert_array_equal(p, [[1.0, 0.0, 0.0]])
 
     def test_all_identical_records_uniform(self):
         data = make_dataset(x=[2.0, 2.0, 2.0, 2.0], y=[1.0, 1.0, 1.0, 1.0])
         scenario = IntruderScenario(ap_columns=("x",), u_columns=("y",), mc_draws=50, seed=1)
-        p = match_probabilities(data, data, "r1", scenario)
+        p = match_probabilities(data, data, scenario)
+        assert p.shape == (4, 4)
         np.testing.assert_allclose(p, 0.25, rtol=0, atol=1e-12)
 
     def test_hand_built_three_record_bayes(self):
@@ -288,7 +289,7 @@ class TestMatchProbabilities:
         truth = make_dataset(x=[1.1, 2.2, 3.6], y=[3.0, 5.0, 9.0], ids=("a", "b", "c"))
         scenario = IntruderScenario(ap_columns=("x",), u_columns=("y",),
                                     mc_draws=7, seed=0, standardize=False)
-        p = match_probabilities(masked, truth, "a", scenario)
+        p = match_probabilities(masked, truth, scenario)[0]
 
         # available-column components for target a (true x = 1.1):
         ap = [1.0 - 0.1 / 2.9, 1.0 - 0.9 / 2.9, 0.0]
@@ -304,11 +305,12 @@ class TestMatchProbabilities:
         rng = np.random.default_rng(7)
         data = make_dataset(x=rng.normal(0, 1, 20), y=rng.normal(0, 1, 20))
         truth = data.replace_values(x=data.x + rng.normal(0, 0.3, (20, 1)))
-        scenario = IntruderScenario(ap_columns=("x",), u_columns=("y",), mc_draws=30, seed=5)
-        for tid in ("r0", "r7", "r19"):
-            p = match_probabilities(data, truth, tid, scenario)
-            assert abs(p.sum() - 1.0) <= 1e-9
-            assert (p >= 0).all()
+        scenario = IntruderScenario(ap_columns=("x",), u_columns=("y",), mc_draws=30, seed=5,
+                                    target_ids=("r0", "r7", "r19"))
+        p = match_probabilities(data, truth, scenario)
+        assert p.shape == (3, 20)
+        assert (abs(p.sum(axis=1) - 1.0) <= 1e-9).all()
+        assert (p >= 0).all()
 
     def test_permutation_equivariance(self):
         rng = np.random.default_rng(8)
@@ -319,10 +321,10 @@ class TestMatchProbabilities:
             ids=tuple(data.ids[i] for i in perm),
             locs=data.locs[perm], x=data.x[perm], y=data.y[perm], x_names=("x",),
         )
-        scenario = IntruderScenario(ap_columns=("x", "y"))
-        p = match_probabilities(data, data, "r3", scenario)
-        q = match_probabilities(permuted, permuted, "r3", scenario)
-        np.testing.assert_allclose(q, p[perm], rtol=0, atol=1e-12)
+        scenario = IntruderScenario(ap_columns=("x", "y"), target_ids=("r3",))
+        p = match_probabilities(data, data, scenario)
+        q = match_probabilities(permuted, permuted, scenario)
+        np.testing.assert_allclose(q, p[:, perm], rtol=0, atol=1e-12)
 
     @settings(max_examples=50, deadline=None)
     @given(data=st.data(), integer=st.booleans())
@@ -338,15 +340,34 @@ class TestMatchProbabilities:
             ids=tuple(dataset.ids[i] for i in perm),
             locs=dataset.locs[perm], x=dataset.x[perm], y=dataset.y[perm], x_names=("x",),
         )
-        scenario = IntruderScenario(ap_columns=("x", "y"))
-        p = match_probabilities(dataset, dataset, target, scenario)
-        q = match_probabilities(permuted, permuted, target, scenario)
-        np.testing.assert_allclose(q, p[perm], rtol=0, atol=1e-12)
+        scenario = IntruderScenario(ap_columns=("x", "y"), target_ids=(target,))
+        p = match_probabilities(dataset, dataset, scenario)
+        q = match_probabilities(permuted, permuted, scenario)
+        np.testing.assert_allclose(q, p[:, perm], rtol=0, atol=1e-12)
+
+    def test_one_context_scores_every_target_in_scenario_order(self, monkeypatch):
+        rng = np.random.default_rng(16)
+        data = make_dataset(x=rng.normal(0, 1, 9), y=rng.normal(0, 1, 9))
+        truth = data.replace_values(y=data.y + rng.normal(0, 0.5, 9))
+        scenario = IntruderScenario(ap_columns=("x",), u_columns=("y",), mc_draws=10)
+        every = match_probabilities(data, truth, scenario)
+        assert every.shape == (9, 9)
+        build_context, contexts = risk._build_context, []
+
+        def counted(*args):
+            contexts.append(args)
+            return build_context(*args)
+
+        monkeypatch.setattr(risk, "_build_context", counted)
+        subset = dataclasses.replace(scenario, target_ids=("r4", "r0", "r8"))
+        p = match_probabilities(data, truth, subset)
+        assert len(contexts) == 1
+        assert np.array_equal(p, every[[4, 0, 8]])
 
     def test_scenario_columns_must_cover_release(self):
         data = make_dataset(x=[1.0, 2.0], y=[1.0, 2.0])
         with pytest.raises(ValueError, match="cover"):
-            match_probabilities(data, data, "r0", IntruderScenario(ap_columns=("x",)))
+            match_probabilities(data, data, IntruderScenario(ap_columns=("x",)))
 
     def test_unreleased_target_rejected_before_matching(self, monkeypatch):
         def no_matching(*args, **kwargs):
@@ -354,9 +375,11 @@ class TestMatchProbabilities:
 
         monkeypatch.setattr(risk, "u_components", no_matching)
         data = make_dataset(x=[1.0, 2.0, 4.0], y=[1.0, 3.0, 2.0])
-        scenario = IntruderScenario(ap_columns=("x",), u_columns=("y",), mc_draws=5)
-        with pytest.raises(ValueError, match="'r9' is not a released record"):
-            match_probabilities(data, data, "r9", scenario)
+        scenario = IntruderScenario(ap_columns=("x",), u_columns=("y",), mc_draws=5,
+                                    target_ids=("r9",))
+        with pytest.raises(ValueError,
+                           match=r"target ids not present in the released data: \['r9'\]"):
+            match_probabilities(data, data, scenario)
 
     def test_check_scenario_fits_rejects_unreleased_target(self):
         data = make_dataset(x=[1.0, 2.0], y=[1.0, 2.0])
@@ -376,6 +399,16 @@ class TestExpectedCorrectRate:
         # an empty tuple would score no targets and divide by zero
         with pytest.raises(ValueError, match="target_ids must name at least one record"):
             IntruderScenario(ap_columns=("x", "y"), target_ids=())
+
+    @pytest.mark.parametrize("fields, message", [
+        ({"ap_columns": ("x", "y"), "target_ids": ("a", "b", "a")},
+         "target id 'a' is listed twice"),
+        ({"ap_columns": ("x", "x"), "u_columns": ("y",)}, "column 'x' is listed twice"),
+    ], ids=["target_id", "column"])
+    def test_repeated_name_rejected(self, fields, message):
+        # a repeated target would be scored, and counted in the rate, twice
+        with pytest.raises(ValueError, match=message):
+            IntruderScenario(**fields)
 
     def test_identity_masking_distinct_records_rate_one(self):
         rng = np.random.default_rng(9)
@@ -436,13 +469,13 @@ class TestExpectedCorrectRate:
         data = make_dataset(x=rng.normal(0, 1, 12), y=rng.normal(0, 1, 12))
         scenario = IntruderScenario(ap_columns=("x",), u_columns=("y",), mc_draws=5)
         report = risk_report(data, data, scenario)
+        probs = match_probabilities(data, data, scenario)
         for t in (report.targets[0], report.targets[-1]):
             with pytest.raises(dataclasses.FrozenInstanceError):
                 t.max_prob = 1.0
+        for index in ((0, 0), (-1, 0), 2):
             with pytest.raises(ValueError):
-                match_probabilities(data, data, t.target_id, scenario)[0] = 1.0
-        with pytest.raises(ValueError):
-            match_probabilities(data, data, "r2", scenario)[0] = 1.0
+                probs[index] = 1.0
 
     def test_report_keeps_no_probability_rows(self):
         # one probability row per target would be 2000 * 2000 floats, 32 MB
@@ -493,11 +526,11 @@ class TestExpectedCorrectRate:
                                     mc_draws=5, seed=seed, standardize=standardize,
                                     target_ids=None if subset is None else tuple(subset))
         report = risk_report(masked, truth, scenario)
+        probs = match_probabilities(masked, truth, scenario)
         rows, rate, degenerate = per_target_reference(masked, truth, scenario)
-        assert len(report.targets) == len(rows)
-        for t, (p, m, correct, prob_correct) in zip(report.targets, rows):
-            assert np.array_equal(match_probabilities(masked, truth, t.target_id, scenario),
-                                  p, equal_nan=True)
+        assert len(report.targets) == len(rows) == len(probs)
+        for t, got_p, (p, m, correct, prob_correct) in zip(report.targets, probs, rows):
+            assert np.array_equal(got_p, p, equal_nan=True)
             assert (t.m, t.correct_in_argmax) == (m, correct)
             for got, want in ((t.max_prob, float(p.max())), (t.prob_correct, prob_correct)):
                 assert got == want or (math.isnan(want) and math.isnan(got))
@@ -517,11 +550,12 @@ class TestExpectedCorrectRate:
             sd = np.where(sd > 0.0, sd, 1.0)
             released, held = released / sd, held / sd
         n, total = len(released), 0.0
-        for t, rid in enumerate(masked.ids):
+        probs = match_probabilities(masked, truth, scenario)
+        for t in range(n):
             d = np.sqrt(((released - held[t]) ** 2).sum(axis=1))
             prod = (1.0 - d / d.max()) * np.ones(n) / n
             p = prod / prod.sum()
-            assert np.array_equal(match_probabilities(masked, truth, rid, scenario), p)
+            assert np.array_equal(probs[t], p)
             sel = p >= p.max() * (1.0 - 1e-9)
             total += sel[t] / sel.sum()
         assert expected_correct_rate(masked, truth, scenario) == total / n
