@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
@@ -93,30 +92,21 @@ class BiasReport:
     family: str
     caveat: str = CAVEAT
 
-    def approx(self, lam: float, higher_order: Sequence[np.ndarray] | None = None) -> np.ndarray:
-        """Coefficient bias approximation beta(lam) - beta.
-
-        ``higher_order`` optionally supplies externally computed derivatives
-        (second and up) to extend the expansion; the remainder is not bounded
-        here, see the caveat.
-        """
-        out = self.beta_prime0 * lam
-        if higher_order:
-            for k, deriv in enumerate(higher_order, start=2):
-                out = out + np.asarray(deriv, dtype=float) * lam ** k / math.factorial(k)
-        return out
+    def approx(self, lam: float) -> np.ndarray:
+        """First-order approximation beta'(0) * lam of beta(lam) - beta; see the caveat."""
+        return self.beta_prime0 * lam
 
 
 def first_order_bias(data: SpatialDataset, beta, kernel: KernelFamily, family: str,
-                     *, intercept: bool = True, h_step: float | None = None) -> BiasReport:
+                     *, h_step: float | None = None) -> BiasReport:
     """Derivative of the masked-data estimand at zero smoothness.
 
-    ``beta`` is the coefficient vector of the unmasked model (intercept first
-    when present); the output is conditional on it. Available-data sums stand
-    in for the integrals over the location process.
+    ``beta`` is the coefficient vector of the unmasked model on the design
+    [1, x] (intercept first); the output is conditional on it. Available-data
+    sums stand in for the integrals over the location process.
     """
     beta = np.asarray(beta, dtype=float).ravel()
-    X = np.hstack([np.ones((data.n_records, 1)), data.x]) if intercept else np.asarray(data.x)
+    X = np.hstack([np.ones((data.n_records, 1)), data.x])
     if X.shape[1] != beta.size:
         raise ValueError(f"beta has {beta.size} entries for a {X.shape[1]}-column design")
     h, h_prime = _link_functions(family)

@@ -29,6 +29,7 @@ from .dataset import (
     ParseError,
     _csv_rows,
     _from_json,
+    _in_file,
     _parse_number,
     load_csv,
     write_csv,
@@ -369,10 +370,10 @@ def _read_table(path: str) -> tuple[dict, list[str], list[dict]]:
     """Read a study or profile CSV: the metadata of its '# study' comment, its
     header, and one dict per row with the kernel name as text and every other
     cell a float, or None where the cell is empty."""
-    with _reading("input", path):
+    with _reading("input", path), _in_file(path):
         comments, header, cells = _csv_rows(path)
         if header is None:
-            raise UsageError(f"{path}: empty table")
+            raise ParseError("empty table")
         rows = [{name: (value if name == "kernel" else
                         _parse_number(value, name, line) if value else None)
                  for name, value in zip(header, row)} for line, row in cells]
@@ -447,8 +448,13 @@ def _cmd_plot(args) -> _Outputs:
 
 # ---------------------------------------------------------------------------
 
+class _Parser(argparse.ArgumentParser):
+    def error(self, message: str):   # a usage error, in the subcommand parsers too
+        raise UsageError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="smoothmask",
         description="Mask spatial datasets by smoothing; quantify utility and disclosure risk.",
     )
@@ -520,14 +526,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as err:
-        # argparse exits 0 for --help and 2 for usage problems; map the latter to 1
-        return 0 if err.code in (0, None) else 1
-    try:
+        args = build_parser().parse_args(argv)
         _write_outputs(args.handler(args))
+    except SystemExit:   # --help; a usage error is a UsageError (see _Parser)
+        return 0
     except UsageError as err:
         print(f"smoothmask: {err}", file=sys.stderr)
         return 1

@@ -6,6 +6,7 @@ from __future__ import annotations
 import csv
 import math
 import sys
+from contextlib import contextmanager
 from dataclasses import MISSING, dataclass, fields, is_dataclass
 from pathlib import Path
 from types import NoneType, UnionType
@@ -84,10 +85,7 @@ class SpatialDataset:
     def __post_init__(self) -> None:
         object.__setattr__(self, "ids", tuple(str(i) for i in self.ids))
         object.__setattr__(self, "locs", _readonly(coords_array(self.locs)))
-        x = np.atleast_2d(np.asarray(self.x, dtype=float))
-        if x.shape[0] == 1 and len(self.ids) != 1:
-            x = x.T
-        object.__setattr__(self, "x", _readonly(x))
+        object.__setattr__(self, "x", _readonly(np.atleast_2d(np.asarray(self.x, dtype=float))))
         object.__setattr__(self, "y", _readonly(np.asarray(self.y, dtype=float).ravel()))
         object.__setattr__(self, "x_names", tuple(self.x_names))
         if self.n is not None:
@@ -176,12 +174,24 @@ def _parse_float(raw: str, column: str, line: int) -> float:
     return value
 
 
+@contextmanager
+def _in_file(path):
+    """Re-raise a ValueError from inside, bar a decoding error, as a ParseError naming the file."""
+    try:
+        yield
+    except UnicodeDecodeError:
+        raise
+    except ValueError as err:
+        raise ParseError(f"{path}: {err}") from None
+
+
 def _csv_rows(path) -> tuple[list[str], list[str] | None, Iterator[tuple[int, list[str]]]]:
     """Split a CSV file into its leading '#' comment lines, its header (None when
     there is none) and an iterator over its nonblank rows as (file line, cells).
 
     Iterating raises ParseError at the first row whose cell count differs from
-    the header's, so a caller's checks on the header come first.
+    the header's, so a caller's checks on the header come first, or that has a
+    cell over the csv module's field size limit (raised here for the header).
     """
     with Path(path).open("r", encoding="utf-8", newline="") as fh:
         lines = fh.readlines()
@@ -189,11 +199,19 @@ def _csv_rows(path) -> tuple[list[str], list[str] | None, Iterator[tuple[int, li
     while offset < len(lines) and lines[offset].lstrip().startswith("#"):
         offset += 1
     reader = csv.reader(lines[offset:])
-    header = next(reader, None)
+
+    def split():   # (physical line in the file, cells) per row
+        try:
+            for row in reader:
+                yield offset + reader.line_num, row
+        except csv.Error as err:
+            raise ParseError(f"line {offset + reader.line_num}: {err}") from None
+
+    cells = split()
+    header = next(cells, (0, None))[1]
 
     def rows():
-        for row in reader:
-            line = offset + reader.line_num  # physical line in the file
+        for line, row in cells:
             if not row or all(not cell.strip() for cell in row):
                 continue
             if len(row) != len(header):
@@ -211,8 +229,8 @@ def load_csv(path, schema: CsvSchema = CsvSchema()) -> SpatialDataset:
     its line.
     """
     path = Path(path)
-    _, header, rows = _csv_rows(path)
-    try:
+    with _in_file(path):   # a ParseError, or a value SpatialDataset rejects
+        _, header, rows = _csv_rows(path)
         if header is None:
             raise ParseError("no header row found")
         missing = [c for c in schema.all_columns() if c not in header]
@@ -257,8 +275,6 @@ def load_csv(path, schema: CsvSchema = CsvSchema()) -> SpatialDataset:
             x_names=schema.x_cols,
             n=np.array(ns) if schema.n_col else None,
         )
-    except ValueError as err:   # a ParseError, or a value SpatialDataset rejects
-        raise ParseError(f"{path}: {err}") from None
 
 
 def write_csv(data: SpatialDataset, path, schema: CsvSchema | None = None,

@@ -102,13 +102,13 @@ class ExponentialDecayKernel(KernelFamily):
     """Families of the form exp(-d(u, s) / lambda); d may be +inf (hard block)."""
 
     @abstractmethod
-    def distance_matrix(self, locs: np.ndarray, others: np.ndarray | None = None) -> np.ndarray:
+    def distance_matrix(self, locs: np.ndarray, others: np.ndarray) -> np.ndarray:
         """Internal distances from each row of ``locs`` to each row of ``others``.
 
-        ``others`` defaults to ``locs``; that square form has exact zeros on the
-        diagonal. Each entry depends only on its own pair of points, so
-        ``distance_matrix(locs[a:b], locs)`` equals ``distance_matrix(locs)[a:b]``
-        exactly, and it is exactly symmetric: ``distance_matrix(a, b)`` equals
+        The square form ``distance_matrix(locs, locs)`` has exact zeros on the
+        diagonal. Each entry depends only on its own pair of points, so rows a:b
+        of the square form are ``distance_matrix(locs[a:b], locs)`` exactly,
+        and it is exactly symmetric: ``distance_matrix(a, b)`` equals
         ``distance_matrix(b, a).T`` bit for bit. ``weight_matrix`` relies on
         that symmetry and computes only the upper triangle; a subclass whose
         distances are not exactly symmetric must override ``weight_matrix``.
@@ -164,8 +164,8 @@ def _ring_distance(locs: np.ndarray, others: np.ndarray, source: PointSource) ->
 class EuclideanKernel(ExponentialDecayKernel):
     """exp(-||s - u||^2 / lambda): weight by plain Euclidean proximity."""
 
-    def distance_matrix(self, locs: np.ndarray, others: np.ndarray | None = None) -> np.ndarray:
-        d1, d2 = _coord_diffs(locs, locs if others is None else others)
+    def distance_matrix(self, locs: np.ndarray, others: np.ndarray) -> np.ndarray:
+        d1, d2 = _coord_diffs(locs, others)
         np.square(d1, out=d1)
         d1 += np.square(d2, out=d2)
         return d1
@@ -177,8 +177,8 @@ class RingKernel(ExponentialDecayKernel):
 
     source: PointSource = PointSource()
 
-    def distance_matrix(self, locs: np.ndarray, others: np.ndarray | None = None) -> np.ndarray:
-        return _ring_distance(locs, locs if others is None else others, self.source)
+    def distance_matrix(self, locs: np.ndarray, others: np.ndarray) -> np.ndarray:
+        return _ring_distance(locs, others, self.source)
 
 
 @dataclass(frozen=True)
@@ -192,10 +192,8 @@ class RingAngleKernel(ExponentialDecayKernel):
         if not (math.isfinite(self.angle_scale) and self.angle_scale >= 0):
             raise ValueError("angle_scale must be finite and >= 0")
 
-    def distance_matrix(self, locs: np.ndarray, others: np.ndarray | None = None) -> np.ndarray:
-        others = locs if others is None else others
-        c = _direction_cosines(locs, self.source)
-        t = c[:, None] - _direction_cosines(others, self.source)[None, :]
+    def distance_matrix(self, locs: np.ndarray, others: np.ndarray) -> np.ndarray:
+        t = _direction_cosines(locs, self.source)[:, None] - _direction_cosines(others, self.source)
         np.abs(t, out=t)
         t *= self.angle_scale
         t += _ring_distance(locs, others, self.source)
@@ -208,8 +206,7 @@ class RingBlockKernel(ExponentialDecayKernel):
 
     region: BlockRegion = BlockRegion()
 
-    def distance_matrix(self, locs: np.ndarray, others: np.ndarray | None = None) -> np.ndarray:
-        others = locs if others is None else others
+    def distance_matrix(self, locs: np.ndarray, others: np.ndarray) -> np.ndarray:
         d = _ring_distance(locs, others, self.region.source)
         ind = _unblocked_mask(locs, self.region)
         ind_o = _unblocked_mask(others, self.region)
@@ -237,9 +234,9 @@ class BivariateNormalKernel(ExponentialDecayKernel):
         det = self.var1 * self.var2 - b * b
         return self.var2 / det, -b / det, self.var1 / det
 
-    def distance_matrix(self, locs: np.ndarray, others: np.ndarray | None = None) -> np.ndarray:
+    def distance_matrix(self, locs: np.ndarray, others: np.ndarray) -> np.ndarray:
         a, b, c = self._precision()
-        d1, d2 = _coord_diffs(locs, locs if others is None else others)
+        d1, d2 = _coord_diffs(locs, others)
         # a * d1**2 + 2.0 * b * d1 * d2 + c * d2**2, then / 2 and clipped at 0,
         # in that operation order with no further temporaries
         q = np.square(d1)

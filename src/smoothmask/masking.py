@@ -9,33 +9,26 @@ smooths.
 
 from __future__ import annotations
 
-import hashlib
 from dataclasses import dataclass
 
 import numpy as np
 
-from .dataset import GridSpec, SpatialDataset, aggregate, coords_array
+from .dataset import GridSpec, SpatialDataset, _readonly, aggregate, coords_array
 from .kernels import KernelFamily
-
-
-def location_fingerprint(locs) -> str:
-    """Order-sensitive hash of the source locations an operator was built on."""
-    arr = np.ascontiguousarray(coords_array(locs), dtype=np.float64)
-    return hashlib.sha256(arr.tobytes()).hexdigest()
 
 
 @dataclass(frozen=True)
 class MaskingOperator:
-    """Dense n x n row-stochastic matrix, with the fingerprint of the locations it
-    was built on (see build_operator)."""
+    """Dense n x n row-stochastic matrix and a read-only copy of the locations it was built on."""
 
     a: np.ndarray
-    fingerprint: str
+    locs: np.ndarray
 
     def __post_init__(self) -> None:
         a = np.asarray(self.a, dtype=float)
         a.setflags(write=False)
         object.__setattr__(self, "a", a)
+        object.__setattr__(self, "locs", _readonly(coords_array(self.locs)))
 
     @property
     def n(self) -> int:
@@ -45,7 +38,7 @@ class MaskingOperator:
         """Smooth the outcome and all regressor columns; count weights pass through."""
         if data.n_records != self.n:
             raise ValueError(f"operator is {self.n} x {self.n} but dataset has {data.n_records} records")
-        if location_fingerprint(data.locs) != self.fingerprint:
+        if not np.array_equal(data.locs, self.locs):
             raise ValueError("operator was built on different locations than this dataset")
         return data.replace_values(x=self.a @ data.x, y=self.a @ data.y)
 
@@ -58,10 +51,10 @@ def build_operator(locs, kernel: KernelFamily, lam: float,
     ``sparsify_threshold`` = eps > 0, weights below eps * (row max) are dropped
     before renormalizing; the default keeps the exact dense operator.
     """
+    if not 0 <= sparsify_threshold < np.inf:   # also rejects NaN
+        raise ValueError(f"sparsify_threshold must be a finite number >= 0, got {sparsify_threshold!r}")
     locs = coords_array(locs)
     w = kernel.weight_matrix(locs, lam)
-    if sparsify_threshold < 0:
-        raise ValueError("sparsify_threshold must be >= 0")
     if sparsify_threshold > 0:
         cut = sparsify_threshold * w.max(axis=1, keepdims=True)
         w = np.where(w < cut, 0.0, w)
@@ -70,7 +63,7 @@ def build_operator(locs, kernel: KernelFamily, lam: float,
     if dead.any():
         raise ValueError(f"row {int(np.argmax(dead))} has all-zero weights; cannot normalize")
     w /= sums[:, None]
-    return MaskingOperator(a=w, fingerprint=location_fingerprint(locs))
+    return MaskingOperator(a=w, locs=locs)
 
 
 def mask_dataset(data: SpatialDataset, kernel: KernelFamily, lam: float,

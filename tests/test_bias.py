@@ -7,7 +7,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from smoothmask.bias import BiasReport, first_order_bias, function_bias, r0_matrix
+from smoothmask.bias import first_order_bias, function_bias, r0_matrix
 from smoothmask.dataset import SpatialDataset
 from smoothmask.glm import ModelSpec, fit
 from smoothmask.kernels import (
@@ -194,13 +194,6 @@ class TestFirstOrderBias:
         assert "total bias" in rep.caveat
         assert rep.r0_max_abs > 0.0
         np.testing.assert_array_equal(rep.approx(0.0), np.zeros(2))
-
-    def test_approx_higher_order_hook(self):
-        rep = BiasReport(beta_prime0=np.array([1.0, 2.0]), s1bar=np.zeros(2),
-                         s2bar=-np.eye(2), r0_max_abs=0.0, family="poisson-log")
-        second = np.array([4.0, 8.0])
-        got = rep.approx(0.5, higher_order=[second])
-        np.testing.assert_allclose(got, np.array([1.0, 2.0]) * 0.5 + second * 0.125)
 
     def test_beta_length_checked(self, poly_kernel):
         data = exposure_dataset(grid_locations(4, 4))

@@ -424,7 +424,7 @@ class TestBias:
         rc = main(["bias", "--in", str(toy["data"]), "--kernel", str(toy["kernel"]),
                    "--beta=-25,4", "--n-col", "x1", "--out", str(out)])
         assert rc == 1
-        assert "unrecognized arguments: --n-col x1" in capsys.readouterr().err
+        assert capsys.readouterr().err == "smoothmask: unrecognized arguments: --n-col x1\n"
         assert not out.exists()
 
     def test_requires_beta(self, toy, tmp_path):
@@ -872,11 +872,15 @@ class TestKernelNamesInTables:
 
 class TestTableErrors:
     @pytest.mark.parametrize("body, message", [
-        ("kernel,lam,mse,risk\nring,0.1,0.5,0.2,9\n", "line 2: expected 4 cells, got 5"),
+        ("kernel,lam,mse,risk\nring,0.1,0.5,0.2,9\n", "{table}: line 2: expected 4 cells, got 5"),
         ("# note\nkernel,lam,mse,risk\nring,0.1,abc,0.2\n",
-         "line 3: column 'mse' has non-numeric value 'abc'"),
+         "{table}: line 3: column 'mse' has non-numeric value 'abc'"),
         ("# only a comment\n", "{table}: empty table"),
-    ], ids=["extra_cell", "non_numeric", "no_header"])
+        ("# note\nkernel,lam,mse,risk\nring,0.1," + "1" * 200_000 + ",0.2\n",
+         "{table}: line 3: field larger than field limit (131072)"),
+        ("kernel,lam,mse," + "r" * 200_000 + "\nring,0.1,0.5,0.2\n",
+         "{table}: line 1: field larger than field limit (131072)"),
+    ], ids=["extra_cell", "non_numeric", "no_header", "long_cell", "long_header"])
     @pytest.mark.parametrize("sub", ["profile", "plot"])
     def test_malformed_table_exit_1(self, tmp_path, capsys, sub, body, message):
         table = tmp_path / "t.csv"
@@ -887,6 +891,21 @@ class TestTableErrors:
                  "plot": ["--in", str(table), "--kind", "tradeoff"]}[sub]
         assert main([sub, *flags, "--out", str(out)]) == 1
         assert capsys.readouterr().err == f"smoothmask: {message}\n"
+        assert not out.exists()
+
+
+class TestOverLongCell:
+    """A cell over the csv module's field size limit is an input error naming
+    the file and line, from the dataset reader as from the table reader."""
+
+    def test_dataset_exit_1(self, toy, tmp_path, capsys):
+        data = tmp_path / "long.csv"
+        data.write_text("id,s1,s2,x1,y\na,0.1,0.2,1.0,3\nb,0.3,0.4,2.0," + "1" * 200_000 + "\n")
+        out = tmp_path / "m.csv"
+        assert main(["mask", "--in", str(data), "--kernel", str(toy["kernel"]),
+                     "--lambda", "0.2", "--out", str(out)]) == 1
+        assert capsys.readouterr().err == (
+            f"smoothmask: {data}: line 3: field larger than field limit (131072)\n")
         assert not out.exists()
 
 
@@ -919,6 +938,44 @@ class TestHelp:
         assert rc == 0
         out = capsys.readouterr().out
         assert "--out" in out
+
+    def test_top_level_help(self, capsys):
+        assert main(["--help"]) == 0
+        captured = capsys.readouterr()
+        assert "simulate" in captured.out and captured.err == ""
+
+
+class TestUsageErrors:
+    """argparse's own usage errors are one stderr line with exit 1, like every
+    other flag error, with no usage text before it."""
+
+    def test_unrecognized_argument(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        assert main(["bias", "--in", "d.csv", "--kernel", "k.json", "--beta=1,2",
+                     "--n-col", "x", "--out", "b.json"]) == 1
+        assert capsys.readouterr().err == "smoothmask: unrecognized arguments: --n-col x\n"
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("argv, message", [
+        (["mask", "--in", "d.csv", "--kernel", "k.json", "--out", "m.csv"],
+         "the following arguments are required: --lambda"),
+        (["mask", "--in", "d.csv", "--kernel", "k.json", "--lambda", "abc", "--out", "m.csv"],
+         "argument --lambda: invalid float value: 'abc'"),
+        # the list of choices after these is worded differently across Python versions
+        (["plot", "--in", "s.csv", "--kind", "pie", "--out", "p.svg"],
+         "argument --kind: invalid choice: 'pie' ("),
+        (["nope"], "argument command: invalid choice: 'nope' ("),
+        ([], "the following arguments are required: command"),
+    ], ids=["missing_required", "bad_float", "bad_choice", "unknown_subcommand",
+            "no_subcommand"])
+    def test_exit_1_one_line(self, tmp_path, capsys, monkeypatch, argv, message):
+        monkeypatch.chdir(tmp_path)
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"smoothmask: {message}")
+        assert captured.err.count("\n") == 1 and captured.err.endswith("\n")
+        assert captured.out == ""
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestModelColumnRoles:

@@ -67,13 +67,25 @@ class TestLoadCsv:
         ("id,x1,y,s1,s2,n\na,1,2,0,0,0\n", "n", "count weights must be finite and positive"),
         # reading the first of the two would silently drop the second
         ("id,x1,y,s1,s2,x1\na,1,2,0,0,5\n", None, "column 'x1' appears twice in the header"),
-    ], ids=["non_numeric", "count_weight", "repeated_header_column"])
+        # cells over the csv module's field size limit, in a row and in the header
+        ("# provenance\nid,x1,y,s1,s2\na,1,2,0,0\nb,1," + "7" * 200_000 + ",0,1\n", None,
+         "line 4: field larger than field limit (131072)"),
+        ("id,x1,y,s1,s2," + "n" * 200_000 + "\na,1,2,0,0,1\n", None,
+         "line 1: field larger than field limit (131072)"),
+    ], ids=["non_numeric", "count_weight", "repeated_header_column", "long_cell",
+            "long_header"])
     def test_error_names_the_file(self, tmp_path, body, n_col, message):
         path = tmp_path / "d.csv"
         path.write_text(body)
         with pytest.raises(ParseError) as err:
             load_csv(path, CsvSchema(n_col=n_col))
         assert str(err.value) == f"{path}: {message}"
+
+    def test_undecodable_file_is_not_a_parse_error(self, tmp_path):
+        path = tmp_path / "d.csv"
+        path.write_bytes(b"id,x1,y,s1,s2\na,1,2,0,\xff\n")
+        with pytest.raises(UnicodeDecodeError):
+            load_csv(path)
 
     def test_schema_repeated_regressor_rejected(self):
         with pytest.raises(ValueError, match="regressor column 'x1' is named twice"):
@@ -107,6 +119,16 @@ class TestDatasetInvariants:
     def test_rejects_nan(self):
         with pytest.raises(ValueError, match="missing or non-finite"):
             SpatialDataset(ids=("a",), locs=[[0, 0]], x=[[np.nan]], y=[0.0], x_names=("x1",))
+
+    def test_regressors_must_be_one_row_per_record(self):
+        # a 1-D x is one row, not one column: only a single record accepts it
+        with pytest.raises(ValueError, match=r"regressor block has shape \(1, 2\), "
+                                             r"expected \(2, 1\)"):
+            SpatialDataset(ids=("a", "b"), locs=[[0, 0], [1, 1]], x=[1.0, 2.0],
+                           y=[0.0, 1.0], x_names=("x1",))
+        one = SpatialDataset(ids=("a",), locs=[[0, 0]], x=[1.0, 2.0], y=[0.0],
+                             x_names=("x1", "x2"))
+        np.testing.assert_array_equal(one.x, [[1.0, 2.0]])
 
     def test_location_requires_finite(self):
         with pytest.raises(ValueError):

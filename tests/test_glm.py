@@ -812,6 +812,33 @@ class TestBootstrap:
         with pytest.raises(RuntimeError, match="failed to converge"):
             bootstrap_ci(model, x, y, statistic=1, b=20, seed=1)
 
+    @pytest.mark.parametrize("fail_at", [(7,), (0, 9, 19)], ids=["one_in_20", "three_in_20"])
+    def test_refit_errors_counted_as_failures(self, monkeypatch, fail_at):
+        rng = np.random.default_rng(22)
+        x = rng.normal(0, 1, (40, 1))
+        y = 1.0 + 0.6 * x[:, 0] + rng.normal(0, 0.5, 40)
+        real_fit, slopes, calls = glm.fit, [], []
+
+        def flaky_fit(*args, **kwargs):
+            calls.append(len(calls))
+            if calls[-1] in fail_at:
+                # both errors a refit can raise: a value error and a singular solve
+                raise (np.linalg.LinAlgError if calls[-1] % 2 else ValueError)("refit failed")
+            fr = real_fit(*args, **kwargs)
+            slopes.append(float(fr.beta[1]))
+            return fr
+
+        monkeypatch.setattr(glm, "fit", flaky_fit)
+        model = ModelSpec("gaussian-identity", ("x",))
+        if len(fail_at) > 2:   # more than 10% of 20
+            with pytest.raises(RuntimeError, match="^3 of 20 bootstrap refits failed"):
+                bootstrap_ci(model, x, y, statistic=1, b=20, seed=4)
+            return
+        res = bootstrap_ci(model, x, y, statistic=1, b=20, seed=4)
+        assert (res.n_failed, res.n_replicates, len(slopes)) == (1, 20, 19)
+        assert res.se == float(np.std(slopes, ddof=1))
+        assert (res.lower, res.upper) == glm._percentile_interval(np.asarray(slopes), 0.025)
+
     def test_log_or_statistic(self):
         x, y, n = _aggregated_binomial(seed=21, cells=60)
         model = ModelSpec("binomial-logit", ("frac", "other"))

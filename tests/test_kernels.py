@@ -201,7 +201,7 @@ class TestCrossDistance:
     def test_row_block_equals_square_rows(self, kernel):
         locs = np.random.default_rng(23).uniform(-1, 1, (70, 2))
         locs[40:50] = locs[:10]
-        square = kernel.distance_matrix(locs)
+        square = kernel.distance_matrix(locs, locs)
         for a, b in ((0, 1), (0, 70), (13, 41), (64, 70), (69, 70)):
             assert np.array_equal(kernel.distance_matrix(locs[a:b], locs), square[a:b])
 
@@ -212,7 +212,7 @@ class TestCrossDistance:
         locs = data.draw(hnp.arrays(np.float64, (n, 2), elements=st.floats(-2, 2)), label="locs")
         a = data.draw(st.integers(0, n - 1), label="a")
         b = data.draw(st.integers(a + 1, n), label="b")
-        square = kernel.distance_matrix(locs)
+        square = kernel.distance_matrix(locs, locs)
         assert np.array_equal(kernel.distance_matrix(locs[a:b], locs), square[a:b])
         # any block height, including one row, reproduces the unblocked weights
         budget = data.draw(st.integers(1, 4 * n), label="budget")
@@ -273,7 +273,7 @@ class TestSymmetryContract:
     @settings(max_examples=200, deadline=None)
     @given(kernel=st.sampled_from(ALL_KERNELS), locs=_symmetry_locs(), others=_symmetry_locs())
     def test_distances_exactly_symmetric(self, kernel, locs, others):
-        square = kernel.distance_matrix(locs)
+        square = kernel.distance_matrix(locs, locs)
         assert _bits(square) == _bits(square.T)
         assert _bits(kernel.distance_matrix(locs, others)) == \
             _bits(kernel.distance_matrix(others, locs).T)
@@ -286,7 +286,7 @@ class TestSymmetryContract:
 
     def test_ring_block_crossing_pairs_are_infinite(self):
         locs = np.array(_SPECIAL_POINTS)
-        d = RingBlockKernel().distance_matrix(locs)
+        d = RingBlockKernel().distance_matrix(locs, locs)
         assert np.isinf(d).any() and np.isfinite(d).any()
         assert _bits(d) == _bits(d.T)
 

@@ -24,7 +24,6 @@ from smoothmask.masking import (
     MaskingOperator,
     build_operator,
     compose_two_step,
-    location_fingerprint,
     mask_dataset,
     operator_to_csv,
 )
@@ -100,6 +99,15 @@ class TestBuildOperator:
         dense = build_operator(locs, EuclideanKernel(), 0.2)
         assert (op.a == 0.0).sum() > (dense.a == 0.0).sum()
 
+    @pytest.mark.parametrize("threshold", [-1.0, -1e-300, math.nan, math.inf, -math.inf])
+    def test_bad_sparsify_threshold_rejected_before_weights(self, threshold, monkeypatch):
+        def no_weights(*args):
+            raise AssertionError("weights built before the threshold was checked")
+
+        monkeypatch.setattr(EuclideanKernel, "weight_matrix", no_weights)
+        with pytest.raises(ValueError, match="sparsify_threshold must be a finite number >= 0"):
+            build_operator(np.zeros((3, 2)), EuclideanKernel(), 0.2, threshold)
+
     @settings(max_examples=100, deadline=None)
     @given(data=st.data(), kernel=st.sampled_from(ALL_KERNELS), duplicate=st.booleans(),
            lam=st.one_of(st.just(0.0), st.floats(0.0, 1e6, exclude_min=True)))
@@ -114,7 +122,7 @@ class TestBuildOperator:
         if lam == 0.0:
             # the limit weights spread each row evenly over its zero-distance
             # points; ring families put every point of one radius at distance 0
-            ties = kernel.distance_matrix(locs) == 0.0
+            ties = kernel.distance_matrix(locs, locs) == 0.0
             assert np.array_equal(a, ties / ties.sum(axis=1, keepdims=True))
             if not ties[~np.eye(n, dtype=bool)].any():
                 assert np.array_equal(a, np.eye(n))
@@ -122,7 +130,7 @@ class TestBuildOperator:
 
 def unblocked_operator(kernel, locs, lam):
     """Oracle: weights over the whole square distance matrix at once, then row sums."""
-    d = kernel.distance_matrix(locs)
+    d = kernel.distance_matrix(locs, locs)
     w = (d == 0.0).astype(float) if lam == 0.0 else np.exp(-d / lam)
     return w / w.sum(axis=1)[:, None]
 
@@ -174,8 +182,7 @@ class TestApply:
 
     def test_uniform_operator_gives_column_means(self):
         data = random_dataset(15, p=2, seed=6)
-        op = MaskingOperator(a=np.full((15, 15), 1.0 / 15.0),
-                             fingerprint=location_fingerprint(data.locs))
+        op = MaskingOperator(a=np.full((15, 15), 1.0 / 15.0), locs=data.locs)
         masked = op.apply(data)
         np.testing.assert_allclose(masked.y, np.full(15, data.y.mean()), rtol=1e-12)
         for j in range(2):
@@ -195,6 +202,19 @@ class TestApply:
         op = build_operator(data.locs, EuclideanKernel(), 0.4)
         with pytest.raises(ValueError, match="different locations"):
             op.apply(other)
+
+    def test_holds_readonly_copy_of_locations(self):
+        locs = np.random.default_rng(4).uniform(-1, 1, (6, 2))
+        op = build_operator(locs, EuclideanKernel(), 0.4)
+        locs[0] = 9.0   # the caller's array, changed after the build
+        assert not np.shares_memory(op.locs, locs) and not op.locs.flags.writeable
+        assert op.locs[0, 0] != 9.0
+        data = random_dataset(6, seed=3)
+        with pytest.raises(ValueError, match="different locations"):
+            op.apply(data)
+        moved = SpatialDataset(ids=data.ids, locs=op.locs, x=data.x, y=data.y,
+                               x_names=data.x_names)
+        np.testing.assert_array_equal(op.apply(moved).y, op.a @ data.y)
 
     def test_counts_not_smoothed(self):
         data = random_dataset(10, seed=9, with_counts=True)

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import smoothmask
-from smoothmask import sim
+from smoothmask import glm, sim
 from smoothmask.dataset import Location
 from smoothmask.kernels import BlockRegion, EuclideanKernel, PointSource, RingKernel
 from smoothmask.masking import build_operator
@@ -193,6 +193,24 @@ class TestRunStudy:
 
     def test_metadata_version_is_the_package_version(self, study):
         assert study.metadata["version"] == smoothmask.__version__
+
+    def test_all_failed_rows(self, monkeypatch):
+        # one IRLS iteration never converges, so every row has no estimate left
+        monkeypatch.setattr(glm, "_MAX_ITER", 1)
+        res = run_study(small_config(lambdas=(0.3,), replicates=3))
+        summaries = ("mean_estimate", "empirical_sd", "mean_naive_se", "mean_naive_var",
+                     "bias", "mse", "pct_lo", "pct_hi", "width_ratio")
+        assert len(res.rows) == 4
+        for r in res.rows:
+            assert r.n_failed == 3 and r.valid is False
+            assert all(math.isnan(getattr(r, name)) for name in summaries)
+        assert res.row("ring", 0.3).risk is not None and res.row(AGGREGATED).risk is None
+        lines = study_csv_text(res).splitlines()
+        header = lines[1].split(",")
+        for line in lines[2:]:
+            cells = dict(zip(header, line.split(",")))
+            assert [cells[name] for name in summaries] == ["nan"] * len(summaries)
+            assert (cells["n_failed"], cells["valid"]) == ("3", "0")
 
     def test_single_lambda_single_row_per_kernel(self):
         res = run_study(small_config(lambdas=(0.3,), replicates=3, scenario=None))
