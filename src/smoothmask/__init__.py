@@ -24,7 +24,6 @@ from .kernels import (
     RingAngleKernel,
     RingBlockKernel,
     RingKernel,
-    eval_weight,
     kernel_from_json,
     kernel_to_json,
 )
@@ -52,7 +51,7 @@ from .risk import (
     match_probabilities,
     risk_report,
 )
-from .bias import BiasReport, first_order_bias, function_bias, r0_matrix
+from .bias import BiasReport, first_order_bias, r0_matrix
 from .sim import (
     BlockedExposure,
     DirectionalExposure,
@@ -66,4 +65,26 @@ from .sim import (
     simulate_outcomes,
 )
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+__all__ = (
+    # dataset
+    "CsvSchema", "GridSpec", "Location", "ParseError", "SpatialDataset", "aggregate",
+    "load_csv", "write_csv",
+    # kernels
+    "BivariateNormalKernel", "BlockRegion", "EuclideanKernel", "ExponentialDecayKernel",
+    "KernelFamily", "PointSource", "RingAngleKernel", "RingBlockKernel", "RingKernel",
+    "kernel_from_json", "kernel_to_json",
+    # masking
+    "MaskingOperator", "build_operator", "compose_two_step", "mask_dataset",
+    # glm
+    "BootstrapResult", "FitResult", "ModelSpec", "OddsRatioResult", "OutOfRangeError",
+    "bootstrap_ci", "fit", "naive_ci", "population_odds_ratio",
+    # risk
+    "IntruderScenario", "RiskReport", "expected_correct_rate", "match_probabilities",
+    "risk_report",
+    # bias
+    "BiasReport", "first_order_bias", "r0_matrix",
+    # sim
+    "BlockedExposure", "DirectionalExposure", "RadialExposure", "SimConfig", "StudyResult",
+    "default_lambda_grid", "risk_utility_profile", "run_study", "sample_locations",
+    "simulate_outcomes",
+)

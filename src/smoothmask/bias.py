@@ -5,14 +5,14 @@ zero is assembled from the derivative of the normalized weight matrix and the
 link function. For the built-in exponential-decay weight families (and for a
 single record) that derivative vanishes identically, so the report is exactly
 zero and costs O(n): no n x n array is formed. Any other kernel's derivative
-is differenced forward from zero (r0_matrix) at O(n^2) memory. Masked-data
+is differenced forward from zero (r0_matrix) at O(n^2) memory, with a step
+of 1e-6 times the squared span of the locations. Masked-data
 estimates are generally biased at positive smoothness even where the
 derivative vanishes; the report carries this caveat.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -52,32 +52,27 @@ def _location_scale_sq(locs: np.ndarray) -> float:
     return scale if scale > 0 else 1.0
 
 
-def _check_h_step(h_step: float) -> float:
-    if not (h_step > 0 and math.isfinite(h_step)):
-        raise ValueError("h_step must be positive and finite")
-    return h_step
-
-
-def r0_matrix(kernel: KernelFamily, locs, h_step: float | None = None) -> np.ndarray:
+def r0_matrix(kernel: KernelFamily, locs) -> np.ndarray:
     """Derivative of the normalized weight matrix at zero smoothness.
 
     Exponential-decay families take the analytic shortcut (exact zero matrix);
-    any other family is differenced forward from zero. Rows of the operator
-    sum to one at every smoothness, so the derivative's rows sum to zero; the
-    finite difference is re-centered to enforce that. An explicit ``h_step``
-    must be positive and finite even where it goes unused.
+    any other family is differenced forward from zero with a step of 1e-6
+    times the squared span of the locations (1e-6 if they coincide). Rows of
+    the operator sum to one at every smoothness, so the derivative's rows sum
+    to zero; the finite difference is re-centered to enforce that.
     """
-    if h_step is not None:
-        _check_h_step(h_step)
     locs = coords_array(locs)
     n = len(locs)
     if _derivative_vanishes(kernel, n):
         return np.zeros((n, n))
-    if h_step is None:
-        h_step = _check_h_step(1e-6 * _location_scale_sq(locs))
+    with np.errstate(over="ignore"):   # an overflowing span is rejected next
+        step = 1e-6 * _location_scale_sq(locs)
+    if not 0.0 < step < np.inf:
+        raise ValueError(f"finite-difference step {step!r} is not positive and finite; "
+                         "rescale the locations")
     a0 = build_operator(locs, kernel, 0.0).a
-    ah = build_operator(locs, kernel, h_step).a
-    r = (ah - a0) / h_step
+    ah = build_operator(locs, kernel, step).a
+    r = (ah - a0) / step
     return r - r.mean(axis=1, keepdims=True)
 
 
@@ -92,13 +87,9 @@ class BiasReport:
     family: str
     caveat: str = CAVEAT
 
-    def approx(self, lam: float) -> np.ndarray:
-        """First-order approximation beta'(0) * lam of beta(lam) - beta; see the caveat."""
-        return self.beta_prime0 * lam
 
-
-def first_order_bias(data: SpatialDataset, beta, kernel: KernelFamily, family: str,
-                     *, h_step: float | None = None) -> BiasReport:
+def first_order_bias(data: SpatialDataset, beta, kernel: KernelFamily,
+                     family: str) -> BiasReport:
     """Derivative of the masked-data estimand at zero smoothness.
 
     ``beta`` is the coefficient vector of the unmasked model on the design
@@ -110,8 +101,6 @@ def first_order_bias(data: SpatialDataset, beta, kernel: KernelFamily, family: s
     if X.shape[1] != beta.size:
         raise ValueError(f"beta has {beta.size} entries for a {X.shape[1]}-column design")
     h, h_prime = _link_functions(family)
-    if h_step is not None:
-        _check_h_step(h_step)
     eta = X @ beta
     # the link derivative overflows to inf for Poisson with eta > 709: s2bar
     # then holds inf or nan, quietly, and a vanishing derivative stays zero
@@ -122,7 +111,7 @@ def first_order_bias(data: SpatialDataset, beta, kernel: KernelFamily, family: s
     if _derivative_vanishes(kernel, data.n_records):
         return BiasReport(beta_prime0=np.zeros(beta.size), s1bar=np.zeros(beta.size),
                           s2bar=s2, r0_max_abs=0.0, family=family)
-    r0 = r0_matrix(kernel, data.locs, h_step)
+    r0 = r0_matrix(kernel, data.locs)
     heta = h(eta)
     # centered integrand: rows of r0 sum to zero, so subtracting the target's
     # own value leaves the sum unchanged while cancelling exactly when the
@@ -138,12 +127,3 @@ def first_order_bias(data: SpatialDataset, beta, kernel: KernelFamily, family: s
             raise ValueError("expected-score curvature matrix is singular") from err
     return BiasReport(beta_prime0=beta_prime, s1bar=s1, s2bar=s2,
                       r0_max_abs=float(np.abs(r0).max()), family=family)
-
-
-def function_bias(beta_prime0, grad_f, lam: float) -> float:
-    """First-order bias of a scalar function of the coefficients: grad . beta'(0) * lam."""
-    beta_prime0 = np.asarray(beta_prime0, dtype=float).ravel()
-    grad_f = np.asarray(grad_f, dtype=float).ravel()
-    if beta_prime0.shape != grad_f.shape:
-        raise ValueError("gradient length must match the coefficient derivative")
-    return float(grad_f @ beta_prime0 * lam)

@@ -193,9 +193,13 @@ def _cmd_mask(args) -> _Outputs:
         if unused:
             raise UsageError(f"{' and '.join(unused)} cannot be used with two-step "
                              "masking (--grid-nx/--grid-ny)")
-        bounds = (float(np.min(data.locs[:, 0])), float(np.max(data.locs[:, 0])),
-                  float(np.min(data.locs[:, 1])), float(np.max(data.locs[:, 1])))
-        grid = GridSpec(*bounds, args.grid_nx, args.grid_ny)
+        lo, hi = data.locs.min(axis=0), data.locs.max(axis=0)
+        for col, low, high in zip(schema.coord_cols, lo, hi):
+            if low == high:   # the records' bounding box, and so the grid, is flat
+                raise UsageError("two-step masking needs records spread over both "
+                                 f"coordinates; every {col!r} value is {float(low)!r}")
+        grid = GridSpec(float(lo[0]), float(hi[0]), float(lo[1]), float(hi[1]),
+                        args.grid_nx, args.grid_ny)
         masked = compose_two_step(data, grid, kernel, args.lam)
         out_schema = CsvSchema(x_cols=data.x_names, n_col="n")
     else:

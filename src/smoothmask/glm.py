@@ -185,10 +185,6 @@ class FitResult:
     def se(self) -> np.ndarray:
         return np.sqrt(np.diag(self.cov))
 
-    def predict_linear(self, x: np.ndarray, offset: np.ndarray | None = None) -> np.ndarray:
-        eta = design_matrix(self.model, x) @ self.beta
-        return eta if offset is None else eta + offset
-
 
 def design_matrix(model: ModelSpec, x: np.ndarray | None, n_rows: int | None = None) -> np.ndarray:
     if x is None:
@@ -393,12 +389,16 @@ def fit(model: ModelSpec, x: np.ndarray | None, y: np.ndarray, *,
     )
 
 
+def _check_level(level: float) -> None:
+    if not 0.0 < level < 1.0:   # also rejects NaN
+        raise ValueError("level must lie in (0, 1)")
+
+
 def naive_ci(result: FitResult, level: float = 0.95) -> np.ndarray:
     """Per-coefficient Wald intervals beta_k +/- z * se_k; (q, 2) array."""
     if not result.converged:
         raise ValueError("confidence intervals require a converged fit")
-    if not 0.0 < level < 1.0:
-        raise ValueError("level must lie in (0, 1)")
+    _check_level(level)
     z = _ndtri(0.5 * (1.0 + level))
     se = result.se
     return np.column_stack([result.beta - z * se, result.beta + z * se])
@@ -458,6 +458,7 @@ def population_odds_ratio(result: FitResult, x: np.ndarray, trials: np.ndarray,
         raise ValueError("population odds ratio is defined for binomial-logit fits")
     if group not in result.model.regressors:
         raise ValueError(f"group column {group!r} is not a model regressor")
+    _check_level(level)
     x = np.asarray(x, dtype=float)
     if x.ndim == 1:
         x = x[:, None]
@@ -476,13 +477,6 @@ def population_odds_ratio(result: FitResult, x: np.ndarray, trials: np.ndarray,
         p_exposed=p_b,
         p_unexposed=p_w,
     )
-
-
-def log_or_gradient(result: FitResult, x: np.ndarray, trials: np.ndarray,
-                    group: str) -> np.ndarray:
-    """Analytic gradient of the population log odds ratio w.r.t. the coefficients;
-    ValueError where the odds ratio is undefined."""
-    return _log_odds_ratio(result.model, result.beta, x, trials, group)[1]
 
 
 def _percentile_interval(values: np.ndarray, alpha: float) -> tuple[float, float]:
@@ -530,7 +524,8 @@ def bootstrap_ci(model: ModelSpec, x: np.ndarray, y: np.ndarray, *,
 
     ``statistic`` is a coefficient index into the design (intercept first) or
     the string "log_or" (requires binomial trials and ``group``); any other
-    value raises ValueError before the first refit. The default
+    value, a bool included, raises ValueError before the first refit, as does
+    a ``level`` outside (0, 1). The default
     resamples the given (typically masked) rows directly; passing
     ``remask=(kernel, lam)`` together with ``locs`` instead resamples the
     original rows and rebuilds the masking operator on each resample before
@@ -551,11 +546,13 @@ def bootstrap_ci(model: ModelSpec, x: np.ndarray, y: np.ndarray, *,
     """
     if b < 2:
         raise ValueError("bootstrap needs at least 2 replicates")
+    _check_level(level)
     k = len(model.coef_names)
     if statistic == "log_or":
         if group is None or trials is None:
             raise ValueError("log_or statistic requires binomial trials and a group column")
-    elif not (isinstance(statistic, (int, np.integer)) and -k <= statistic < k):
+    elif not (isinstance(statistic, (int, np.integer)) and not isinstance(statistic, bool)
+              and -k <= statistic < k):
         raise ValueError(f"statistic must be 'log_or' or an index into the coefficients "
                          f"{model.coef_names}, got {statistic!r}")
     y = np.asarray(y, dtype=float).ravel()

@@ -251,13 +251,6 @@ class BivariateNormalKernel(ExponentialDecayKernel):
         return np.maximum(q, 0.0, out=q)
 
 
-def eval_weight(kernel: KernelFamily, u: Location, s: Location, lam: float) -> float:
-    """W_lambda(u, s) for any family; lam = 0 evaluates the limit weights."""
-    _check_lambda(lam)
-    locs = np.array([u.as_array(), s.as_array()])
-    return float(kernel.weight_matrix(locs, lam)[0, 1])
-
-
 # ---------------------------------------------------------------------------
 # JSON form used by CLI configs: {"family": ..., "params": {...}}, where params
 # holds the family's dataclass fields (a Location as [s1, s2])

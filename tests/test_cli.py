@@ -124,6 +124,24 @@ class TestMask:
         assert cells.n_records <= 9
         assert cells.ids[0].startswith("cell_")
 
+    @pytest.mark.parametrize("column, value, rows", [
+        ("s1", 0.5, [(0.5, 0.1), (0.5, 0.7), (0.5, 0.3)]),
+        ("s2", -2.0, [(0.1, -2.0), (0.9, -2.0), (0.4, -2.0)]),
+    ], ids=["s1", "s2"])
+    def test_two_step_on_a_flat_coordinate_exit_1(self, toy, tmp_path, capsys, column, value,
+                                                   rows):
+        data = tmp_path / "flat.csv"
+        data.write_text("id,s1,s2,x1,y\n" + "".join(
+            f"r{i},{a},{b},{i},{2 * i}\n" for i, (a, b) in enumerate(rows)))
+        out = tmp_path / "cells.csv"
+        rc = main(["mask", "--in", str(data), "--kernel", str(toy["kernel"]),
+                   "--lambda", "0.2", "--out", str(out), "--grid-nx", "2", "--grid-ny", "2"])
+        assert rc == 1
+        assert capsys.readouterr().err == (
+            "smoothmask: two-step masking needs records spread over both coordinates; "
+            f"every {column!r} value is {value!r}\n")
+        assert not out.exists()
+
     def test_missing_input_exit_1(self, toy, tmp_path):
         rc = main(["mask", "--in", str(tmp_path / "nope.csv"), "--kernel", str(toy["kernel"]),
                    "--lambda", "0.1", "--out", str(tmp_path / "m.csv")])

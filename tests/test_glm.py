@@ -21,7 +21,6 @@ from smoothmask.glm import (
     ModelSpec,
     bootstrap_ci,
     fit,
-    log_or_gradient,
     naive_ci,
     population_odds_ratio,
 )
@@ -94,7 +93,7 @@ class TestFit:
         x = rng.uniform(0, 1, 40)
         y = rng.poisson(n * np.exp(0.2 + 0.5 * x)).astype(float)
         fr = fit(POISSON, x, y, offset=np.log(n))
-        mu_hat = np.exp(fr.predict_linear(x[:, None], offset=np.log(n)))
+        mu_hat = np.exp(glm.design_matrix(POISSON, x[:, None]) @ fr.beta + np.log(n))
         assert mu_hat.sum() == pytest.approx(y.sum(), rel=1e-6)
 
     def test_binomial_requires_trials(self):
@@ -192,8 +191,8 @@ class TestFit:
         A = np.array([[2.0, 0.3], [-0.5, 1.1]])
         shift = np.array([0.4, -1.2])
         fr2 = fit(model, x @ A + shift, y)
-        mu1 = np.exp(fr.predict_linear(x))
-        mu2 = np.exp(fr2.predict_linear(x @ A + shift))
+        mu1 = np.exp(glm.design_matrix(model, x) @ fr.beta)
+        mu2 = np.exp(glm.design_matrix(model, x @ A + shift) @ fr2.beta)
         np.testing.assert_allclose(mu1, mu2, rtol=1e-8)
 
 
@@ -320,7 +319,9 @@ class TestFisherScoringStep:
 
 
 def _fitted_means(fr, x, trials=None, offset=None):
-    eta = fr.predict_linear(x, offset)
+    eta = glm.design_matrix(fr.model, x) @ fr.beta
+    if offset is not None:
+        eta = eta + offset
     if fr.model.family == "poisson-log":
         return np.exp(eta)
     if fr.model.family == "binomial-logit":
@@ -426,6 +427,9 @@ class TestCheckRank:
         assert str(err.value) == want
 
 
+BAD_LEVELS = [0.0, 1.0, 1.5, float("nan")]
+
+
 class TestNaiveCi:
     def test_standard_normal_quantile(self):
         fr = _fixed_fit(beta=np.array([0.0]), cov=np.array([[1.0]]))
@@ -449,8 +453,9 @@ class TestNaiveCi:
 
     def test_bad_level_rejected(self):
         fr = _fixed_fit(beta=np.array([0.0]), cov=np.array([[1.0]]))
-        with pytest.raises(ValueError):
-            naive_ci(fr, 1.0)
+        for level in BAD_LEVELS:
+            with pytest.raises(ValueError, match=r"^level must lie in \(0, 1\)$"):
+                naive_ci(fr, level)
 
 
 class TestScipyFreeSpecialFunctions:
@@ -581,7 +586,7 @@ class TestPopulationOddsRatio:
         x, y, n = _aggregated_binomial(seed=15)
         model = ModelSpec("binomial-logit", ("frac", "other"))
         fr = fit(model, x, y, trials=n)
-        grad = log_or_gradient(fr, x, n, "frac")
+        grad = glm._log_odds_ratio(model, fr.beta, x, n, "frac")[1]
         h = 1e-6
         fd = np.empty_like(grad)
         for k in range(len(grad)):
@@ -600,7 +605,6 @@ class TestPopulationOddsRatio:
         res = population_odds_ratio(fr, x, n, "frac")
         assert (res.log_or, res.p_exposed, res.p_unexposed) == (log_or, p_b, p_w)
         assert res.log_or_se_naive == math.sqrt(grad @ fr.cov @ grad)
-        assert np.array_equal(log_or_gradient(fr, x, n, "frac"), grad)
 
     @pytest.mark.parametrize("beta, message", [
         ([800.0, 0.0], "exposed summary probability is 1.0"),
@@ -610,8 +614,8 @@ class TestPopulationOddsRatio:
     def test_gradient_undefined_at_degenerate_probability(self, beta, message):
         fr = _or_fit(ModelSpec("binomial-logit", ("frac",)), np.array(beta))
         with pytest.raises(ValueError, match=message + "; odds ratio undefined"):
-            log_or_gradient(fr, np.array([[0.2], [0.5], [0.9]]), np.array([10.0, 20.0, 30.0]),
-                            "frac")
+            population_odds_ratio(fr, np.array([[0.2], [0.5], [0.9]]),
+                                  np.array([10.0, 20.0, 30.0]), "frac")
 
     def test_requires_binomial_fit(self):
         fr = _fixed_fit(beta=np.array([0.0, 1.0]), cov=np.eye(2))
@@ -623,6 +627,14 @@ class TestPopulationOddsRatio:
         fr = _or_fit(model, np.array([0.0, 1.0]))
         with pytest.raises(ValueError, match="fraction"):
             population_odds_ratio(fr, np.array([[1.7]]), np.array([10.0]), "frac")
+
+    @pytest.mark.parametrize("level", BAD_LEVELS)
+    def test_level_outside_unit_interval_rejected(self, level):
+        # level 1.5 used to give ci=(nan, nan), and level 0 a zero-width interval
+        fr = _or_fit(ModelSpec("binomial-logit", ("frac",)), np.array([-1.0, 0.5]))
+        with pytest.raises(ValueError, match=r"^level must lie in \(0, 1\)$"):
+            population_odds_ratio(fr, np.array([[0.2], [0.5], [0.9]]),
+                                  np.array([10.0, 20.0, 30.0]), "frac", level=level)
 
 
 def _or_fit(model, beta):
@@ -860,7 +872,7 @@ class TestBootstrap:
             bootstrap_ci(ModelSpec("binomial-logit", ("frac", "other")), x, y,
                          statistic="log_or", b=10, seed=2, **kwargs)
 
-    @pytest.mark.parametrize("statistic", [7, -3, 1.0, "1"])
+    @pytest.mark.parametrize("statistic", [7, -3, 1.0, "1", True, False, np.True_])
     def test_statistic_not_a_coefficient_index_rejected_before_refits(self, monkeypatch,
                                                                       statistic):
         def no_refit(*args, **kwargs):
@@ -871,6 +883,17 @@ class TestBootstrap:
         with pytest.raises(ValueError, match="statistic must be"):
             bootstrap_ci(ModelSpec("gaussian-identity", ("x",)), x, 1.0 + x[:, 0],
                          statistic=statistic, b=10, seed=1)
+
+    @pytest.mark.parametrize("level", BAD_LEVELS)
+    def test_level_outside_unit_interval_rejected_before_refits(self, monkeypatch, level):
+        def no_refit(*args, **kwargs):
+            raise AssertionError("refit before the level was checked")
+
+        monkeypatch.setattr(glm, "fit", no_refit)
+        x = np.linspace(0.0, 1.0, 20)[:, None]
+        with pytest.raises(ValueError, match=r"^level must lie in \(0, 1\)$"):
+            bootstrap_ci(ModelSpec("gaussian-identity", ("x",)), x, 1.0 + x[:, 0],
+                         statistic=1, b=10, seed=1, level=level)
 
     def test_needs_two_replicates(self):
         with pytest.raises(ValueError):

@@ -21,7 +21,6 @@ from smoothmask.kernels import (
     RingAngleKernel,
     RingBlockKernel,
     RingKernel,
-    eval_weight,
     kernel_from_json,
     kernel_to_json,
 )
@@ -39,6 +38,11 @@ ALL_KERNELS = (
 
 def _at(s1: float, s2: float) -> np.ndarray:
     return np.array([[s1, s2]])
+
+
+def pair_weight(kernel, u: Location, s: Location, lam: float) -> float:
+    """W_lambda(u, s) read off the two-point weight matrix."""
+    return float(kernel.weight_matrix(np.array([u.as_array(), s.as_array()]), lam)[0, 1])
 
 
 class TestRadialDistance:
@@ -106,46 +110,46 @@ def _cos_from_x_axis(s1: float, s2: float) -> float:
 class TestEvalWeight:
     def test_euclidean_zero_distance(self):
         for lam in (0.01, 0.5, 10.0):
-            assert eval_weight(EuclideanKernel(), Location(0.2, 0.3), Location(0.2, 0.3), lam) == 1.0
+            assert pair_weight(EuclideanKernel(), Location(0.2, 0.3), Location(0.2, 0.3), lam) == 1.0
 
     def test_ring_equal_radii(self):
         # distinct points on a common circle carry full weight
-        w = eval_weight(RingKernel(), Location(1.0, 0.0), Location(0.0, 1.0), 0.5)
+        w = pair_weight(RingKernel(), Location(1.0, 0.0), Location(0.0, 1.0), 0.5)
         assert w == 1.0
 
     def test_euclidean_formula_value(self):
         # squared distance 0.5 at lam 0.5 -> e^-1
         u, s = Location(0.0, 0.0), Location(math.sqrt(0.5), 0.0)
-        assert eval_weight(EuclideanKernel(), u, s, 0.5) == pytest.approx(math.exp(-1.0), rel=1e-12)
+        assert pair_weight(EuclideanKernel(), u, s, 0.5) == pytest.approx(math.exp(-1.0), rel=1e-12)
 
     def test_bivariate_normal_formula_value(self):
         # rho=0, unit variances: exponent is ||s-u||^2 / (2 lam); at ||s-u||^2 = 2 lam -> e^-1
         lam = 0.7
         k = BivariateNormalKernel(var1=1.0, var2=1.0, rho=0.0)
         u, s = Location(0.0, 0.0), Location(math.sqrt(2 * lam), 0.0)
-        assert eval_weight(k, u, s, lam) == pytest.approx(math.exp(-1.0), rel=1e-12)
+        assert pair_weight(k, u, s, lam) == pytest.approx(math.exp(-1.0), rel=1e-12)
 
     def test_negative_lambda_rejected(self):
         with pytest.raises(ValueError):
-            eval_weight(EuclideanKernel(), Location(0, 0), Location(1, 1), -0.1)
+            pair_weight(EuclideanKernel(), Location(0, 0), Location(1, 1), -0.1)
 
     def test_ring_angle_formula_value(self):
         k = RingAngleKernel(angle_scale=2.0)
         u, s = Location(1.0, 0.0), Location(0.0, 0.5)
         d = abs(0.25 - 1.0) + 2.0 * abs(0.0 - 1.0)
-        assert eval_weight(k, u, s, 0.5) == pytest.approx(math.exp(-d / 0.5), rel=1e-12)
+        assert pair_weight(k, u, s, 0.5) == pytest.approx(math.exp(-d / 0.5), rel=1e-12)
 
     def test_ring_block_cross_boundary_zero(self):
         k = RingBlockKernel()
         u = Location(-0.5, 0.0)   # unblocked (s_x <= 0.4)
         s = Location(0.9, 0.0)    # blocked
         for lam in (0.0, 0.5, 100.0):
-            assert eval_weight(k, u, s, lam) == 0.0
+            assert pair_weight(k, u, s, lam) == 0.0
 
     def test_lambda_zero_is_indicator(self):
         k = EuclideanKernel()
-        assert eval_weight(k, Location(0, 0), Location(0, 0), 0.0) == 1.0
-        assert eval_weight(k, Location(0, 0), Location(1e-9, 0), 0.0) == 0.0
+        assert pair_weight(k, Location(0, 0), Location(0, 0), 0.0) == 1.0
+        assert pair_weight(k, Location(0, 0), Location(1e-9, 0), 0.0) == 0.0
 
 
 class TestSharedProperties:
@@ -166,7 +170,7 @@ class TestSharedProperties:
         w = kernel.weight_matrix(locs, 0.37)
         for i in (0, 3, 7):
             for j in (1, 5, 11):
-                got = eval_weight(kernel, Location(*locs[i]), Location(*locs[j]), 0.37)
+                got = pair_weight(kernel, Location(*locs[i]), Location(*locs[j]), 0.37)
                 assert got == pytest.approx(w[i, j], rel=1e-12, abs=1e-300)
 
     @pytest.mark.parametrize("kernel", ALL_KERNELS, ids=lambda k: type(k).__name__)
@@ -175,9 +179,9 @@ class TestSharedProperties:
         for _ in range(20):
             u = Location(*rng.uniform(-1, 1, 2))
             s = Location(*rng.uniform(-1, 1, 2))
-            w_tiny = eval_weight(kernel, u, s, 1e-12)
-            w_huge = eval_weight(kernel, u, s, 1e12)
-            assert w_tiny <= 1e-6 or eval_weight(kernel, u, s, 0.0) == 1.0
+            w_tiny = pair_weight(kernel, u, s, 1e-12)
+            w_huge = pair_weight(kernel, u, s, 1e12)
+            assert w_tiny <= 1e-6 or pair_weight(kernel, u, s, 0.0) == 1.0
             # the large-smoothness limit is 1 unless the pair is hard-blocked
             assert w_huge > 0.999999 or w_huge == 0.0
 
@@ -188,8 +192,8 @@ class TestSharedProperties:
         while count < 25:
             u = Location(*rng.uniform(-1, 1, 2))
             s = Location(*rng.uniform(-1, 1, 2))
-            w0 = eval_weight(kernel, u, s, 0.0)
-            w_eps = eval_weight(kernel, u, s, 1e-8)
+            w0 = pair_weight(kernel, u, s, 0.0)
+            w_eps = pair_weight(kernel, u, s, 1e-8)
             if w0 == 1.0:
                 continue  # only checking pairs with positive internal distance
             count += 1
