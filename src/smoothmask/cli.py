@@ -2,9 +2,9 @@
 
 Exit codes: 0 success; 1 for every flag, config, schema or input-file error,
 reported as one line on stderr that names the flag or field; 2 when a valid
-request fails numerically, decided in `main` alone. No subcommand leaves
-partial output behind: files are written to a temporary sibling and renamed
-only on success. All randomness is governed by configured seeds, overridable
+request fails numerically or runs out of memory, decided in `main` alone. No
+subcommand leaves partial output behind: files are written to a temporary
+sibling and renamed only on success. All randomness is governed by configured seeds, overridable
 with --seed, so identical invocations produce byte-identical outputs.
 """
 
@@ -294,14 +294,11 @@ def _cmd_risk(args) -> _Outputs:
         "expected_correct_rate": report.expected_correct_rate,
         "note": report.note,
         "per_target": [
-            {
-                "id": t.target_id,
-                "m": t.m,
-                "correct_in_argmax": t.correct_in_argmax,
-                "prob_correct": t.prob_correct,
-                "max_prob": t.max_prob,
-            }
-            for t in report.targets
+            {"id": i, "m": m, "correct_in_argmax": c, "prob_correct": p, "max_prob": top}
+            for i, m, c, p, top in zip(
+                report.target_ids.tolist(), report.m.tolist(),
+                report.correct_in_argmax.tolist(), report.prob_correct.tolist(),
+                report.max_prob.tolist())
         ],
     }
     return {out: _json_dumps(payload)}
@@ -540,6 +537,9 @@ def main(argv=None) -> int:
         return 1
     except (ValueError, RuntimeError) as err:  # np.linalg.LinAlgError is a ValueError
         print(f"smoothmask: computation failed: {err}", file=sys.stderr)
+        return 2
+    except MemoryError as err:
+        print(f"smoothmask: computation failed: {str(err) or 'out of memory'}", file=sys.stderr)
         return 2
     return 0
 

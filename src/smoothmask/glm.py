@@ -170,7 +170,6 @@ class FitResult:
     model: ModelSpec
     beta: np.ndarray
     cov: np.ndarray
-    information: np.ndarray
     deviance: float
     iterations: int
     converged: bool
@@ -366,21 +365,15 @@ def fit(model: ModelSpec, x: np.ndarray | None, y: np.ndarray, *,
             converged = True
             break
 
-    info = (X * w[:, None]).T @ X
     if family == "gaussian-identity":
-        dof = max(N - X.shape[1], 1)
-        sigma2 = dev / dof
-        xtx_inv = np.linalg.inv(X.T @ X)
-        cov = sigma2 * xtx_inv
-        info = (X.T @ X) / sigma2 if sigma2 > 0 else np.inf * (X.T @ X)
+        cov = dev / max(N - X.shape[1], 1) * np.linalg.inv(X.T @ X)
     else:
-        cov = np.linalg.inv(info)
+        cov = np.linalg.inv((X * w[:, None]).T @ X)
     cov = 0.5 * (cov + cov.T)
     return FitResult(
         model=model,
         beta=beta,
         cov=cov,
-        information=info,
         deviance=dev,
         iterations=it,
         converged=converged,

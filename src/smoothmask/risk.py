@@ -14,12 +14,12 @@ planes, the Fortran-ordered available columns as contiguous vectors), and the
 targets are normalised, argmax-matched and tie-scored a block of rows at a
 time in one reused scratch array. Of each target's probability row only the
 maximum, the own-record probability and the argmax set's size and hit are
-kept, so scoring k targets against n records holds O(block * n + k) memory;
-match_probabilities returns the whole rows instead: k rows of n floats, all
-from one context, so the standardization, regression and sought-column
-components are computed once per call whatever k. With fewer than 8
-available or sought columns every value is bit-identical to the
-row-at-a-time form.
+kept, each in one column of the RiskReport, so scoring k targets against n
+records holds O(block * n + k) memory; match_probabilities returns the whole
+rows instead: k rows of n floats, all from one context, so the
+standardization, regression and sought-column components are computed once
+per call whatever k. With fewer than 8 available or sought columns every
+value is bit-identical to the row-at-a-time form.
 
 Only the convex hull of three to six sought columns needs scipy (Qhull); it
 is imported there, so scoring up to two sought columns runs on numpy alone.
@@ -104,23 +104,18 @@ def scenario_from_json(obj: dict) -> IntruderScenario:
 
 
 @dataclass(frozen=True)
-class TargetMatch:
-    """Matching outcome for one intruder record.
+class RiskReport:
+    """Matching outcome of every target, as read-only columns in target order.
 
-    Only summaries of the record's probability row are kept; the row itself
-    comes from match_probabilities.
+    Only summaries of each target's probability row are kept; the rows
+    themselves come from match_probabilities.
     """
 
-    target_id: str
-    max_prob: float              # largest matching probability over released records
-    m: int                       # size of the argmax set (ties within 1e-9 relative)
-    correct_in_argmax: bool
-    prob_correct: float
-
-
-@dataclass(frozen=True)
-class RiskReport:
-    targets: tuple[TargetMatch, ...]
+    target_ids: np.ndarray       # object array of the targets' record ids
+    max_prob: np.ndarray         # largest matching probability over released records
+    m: np.ndarray                # size of the argmax set (ties within 1e-9 relative)
+    correct_in_argmax: np.ndarray
+    prob_correct: np.ndarray
     expected_correct_rate: float
     degenerate: int              # targets whose available-column distances were all zero
     note: str = UPPER_BOUND_NOTE
@@ -430,31 +425,38 @@ def risk_report(masked: SpatialDataset, truth: SpatialDataset,
     """Match every intruder record and summarize the expected correct-match rate.
 
     A record is matched to the argmax probability set (ties within 1e-9
-    relative); a tie of size m containing the correct record contributes 1/m.
-    Targets are scored a block of rows at a time (_scored_blocks), and each
-    TargetMatch keeps only its row's maximum, its own-record probability and
-    its argmax set's size and hit: scoring k targets holds O(block * n + k)
-    memory, not one probability vector per target.
+    relative); a tie of size m containing the correct record contributes 1/m,
+    added in target order. Targets are scored a block of rows at a time
+    (_scored_blocks), and of each row only its maximum, its own-record
+    probability and its argmax set's size and hit fill the report's columns:
+    scoring k targets holds O(block * n + k) memory, not one probability
+    vector per target.
     """
     ctx = _build_context(masked, truth, scenario)
-    targets = []
-    total = 0.0
-    degenerate = 0
+    k = len(ctx.target_indices)
+    max_prob, prob_correct = np.empty(k), np.empty(k)
+    m = np.empty(k, dtype=np.intp)
+    correct = np.empty(k, dtype=bool)
+    s = degenerate = 0
     for tix, block, block_degenerate in _scored_blocks(ctx):
         degenerate += block_degenerate
-        top = block.max(axis=1)
-        sel = block >= (top * (1.0 - _TIE_RTOL))[:, None]
+        rows = slice(s, s + len(tix))
+        max_prob[rows] = block.max(axis=1)
+        sel = block >= (max_prob[rows] * (1.0 - _TIE_RTOL))[:, None]
         own = np.arange(len(tix)), tix
-        for t, max_p, p_t, m_t, correct_t in zip(
-                tix.tolist(), top.tolist(), block[own].tolist(),
-                np.count_nonzero(sel, axis=1).tolist(), sel[own].tolist()):
-            if correct_t:
-                total += 1.0 / m_t
-            targets.append(TargetMatch(target_id=ctx.ds.ids[t], max_prob=max_p, m=m_t,
-                                       correct_in_argmax=correct_t, prob_correct=p_t))
-    rate = total / len(ctx.target_indices)
-    return RiskReport(targets=tuple(targets), expected_correct_rate=rate,
-                      degenerate=degenerate)
+        m[rows] = np.count_nonzero(sel, axis=1)
+        correct[rows] = sel[own]
+        prob_correct[rows] = block[own]
+        s += len(tix)
+    # a running sum adds each hit's 1/m in target order; np.sum would pair them
+    hits = np.cumsum(1.0 / m[correct])
+    rate = float(hits[-1]) / k if hits.size else 0.0
+    target_ids = np.array(ctx.ds.ids, dtype=object)[list(ctx.target_indices)]
+    for column in (target_ids, max_prob, m, correct, prob_correct):
+        column.setflags(write=False)
+    return RiskReport(target_ids=target_ids, max_prob=max_prob, m=m,
+                      correct_in_argmax=correct, prob_correct=prob_correct,
+                      expected_correct_rate=rate, degenerate=degenerate)
 
 
 def expected_correct_rate(masked: SpatialDataset, truth: SpatialDataset,

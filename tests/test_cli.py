@@ -29,7 +29,7 @@ from smoothmask.kernels import (
     RingKernel,
     kernel_from_json,
 )
-from smoothmask.risk import IntruderScenario, scenario_from_json
+from smoothmask.risk import IntruderScenario, risk_report, scenario_from_json
 from smoothmask.sim import (
     BlockedExposure,
     DirectionalExposure,
@@ -315,6 +315,29 @@ class TestRisk:
         assert 0.0 <= report["expected_correct_rate"] <= 1.0
         assert len(report["per_target"]) == 40
         assert "upper bound" in report["note"]
+
+    def test_target_subset_per_target_in_scenario_order(self, toy, tmp_path):
+        masked_csv = tmp_path / "masked.csv"
+        main(["mask", "--in", str(toy["data"]), "--kernel", str(toy["ring"]),
+              "--lambda", "0.2", "--out", str(masked_csv)])
+        targets = ["p7", "p2", "p30"]
+        scenario = tmp_path / "subset.json"
+        scenario.write_text(json.dumps({"ap_columns": ["x1"], "u_columns": ["y"],
+                                        "mc_draws": 20, "seed": 4, "target_ids": targets}))
+        out = tmp_path / "risk.json"
+        rc = main(["risk", "--masked", str(masked_csv), "--truth", str(toy["data"]),
+                   "--scenario", str(scenario), "--out", str(out)])
+        assert rc == 0
+        per_target = json.loads(out.read_text())["per_target"]
+        schema = CsvSchema(x_cols=("x1",))
+        report = risk_report(load_csv(masked_csv, schema), load_csv(toy["data"], schema),
+                             scenario_from_json(json.loads(scenario.read_text())))
+        assert [t["id"] for t in per_target] == targets
+        assert all(type(t["m"]) is int and type(t["correct_in_argmax"]) is bool
+                   for t in per_target)
+        assert [t["m"] for t in per_target] == report.m.tolist()
+        assert [t["prob_correct"] for t in per_target] == report.prob_correct.tolist()
+        assert [t["max_prob"] for t in per_target] == report.max_prob.tolist()
 
     def test_identity_masking_full_ap_rate_one(self, toy, tmp_path):
         scenario = tmp_path / "scen2.json"
@@ -772,6 +795,35 @@ class TestSimulateFailures:
     def test_failed_study_leaves_no_directory(self, toy, tmp_path, capsys):
         assert self._simulate(toy, tmp_path, lambda cfg: cfg.update(mu=40.0)) == 2
         assert "outcome mean overflows" in capsys.readouterr().err
+
+
+class TestOutOfMemory:
+    """A computation that runs out of memory is a failed computation: exit 2,
+    one stderr line and no output. The allocation failure is simulated; a real
+    oversized one could be granted by an overcommitting host and then killed."""
+
+    @pytest.mark.parametrize("error, message", [
+        (MemoryError("Unable to allocate 74.5 GiB for an array"),
+         "Unable to allocate 74.5 GiB for an array"),
+        (MemoryError(), "out of memory"),
+    ], ids=["message", "no_message"])
+    @pytest.mark.parametrize("sub", ["risk", "simulate"])
+    def test_exit_2_one_line_no_output(self, toy, tmp_path, capsys, monkeypatch, sub,
+                                       error, message):
+        def exhausted(*args, **kwargs):
+            raise error
+
+        out = tmp_path / "out"
+        if sub == "risk":
+            monkeypatch.setattr(cli, "risk_report", exhausted)
+            argv = ["risk", "--masked", str(toy["data"]), "--truth", str(toy["data"]),
+                    "--scenario", str(toy["scenario"]), "--out", str(out)]
+        else:
+            monkeypatch.setattr(cli, "run_study", exhausted)
+            argv = ["simulate", "--config", str(toy["sim"]), "--out", str(out)]
+        assert main(argv) == 2
+        assert capsys.readouterr().err == f"smoothmask: computation failed: {message}\n"
+        assert not out.exists()
 
 
 @pytest.fixture(scope="module")

@@ -517,9 +517,8 @@ def _binomial_at_trials(n=200):
 
 def _fixed_fit(beta, cov):
     model = ModelSpec("gaussian-identity", tuple(f"c{i}" for i in range(len(beta) - 1)) if len(beta) > 1 else ())
-    return glm.FitResult(model=model, beta=beta, cov=cov, information=np.linalg.inv(cov),
-                         deviance=0.0, iterations=1, converged=True, n_obs=10,
-                         max_abs_score=0.0)
+    return glm.FitResult(model=model, beta=beta, cov=cov, deviance=0.0, iterations=1,
+                         converged=True, n_obs=10, max_abs_score=0.0)
 
 
 def _aggregated_binomial(seed=12, cells=40):
@@ -549,7 +548,7 @@ class TestPopulationOddsRatio:
         model = ModelSpec("binomial-logit", ("frac", "other"))
         fr = fit(model, x, y, trials=n)
         doctored = glm.FitResult(model=model, beta=np.array([fr.beta[0], 0.0, fr.beta[2]]),
-                                 cov=fr.cov, information=fr.information, deviance=fr.deviance,
+                                 cov=fr.cov, deviance=fr.deviance,
                                  iterations=fr.iterations, converged=True, n_obs=fr.n_obs,
                                  max_abs_score=fr.max_abs_score)
         res = population_odds_ratio(doctored, x, n, "frac")
@@ -640,7 +639,7 @@ class TestPopulationOddsRatio:
 def _or_fit(model, beta):
     q = len(beta)
     return glm.FitResult(model=model, beta=np.asarray(beta, dtype=float), cov=np.eye(q) * 0.01,
-                         information=np.eye(q) * 100.0, deviance=0.0, iterations=1,
+                         deviance=0.0, iterations=1,
                          converged=True, n_obs=100, max_abs_score=0.0)
 
 

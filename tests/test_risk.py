@@ -432,15 +432,15 @@ class TestExpectedCorrectRate:
         r2 = risk_report(data, truth, scenario)
         assert 0.0 <= r1.expected_correct_rate <= 1.0
         assert r1.expected_correct_rate == r2.expected_correct_rate
-        for t1, t2 in zip(r1.targets, r2.targets):
-            assert (t1.max_prob, t1.prob_correct) == (t2.max_prob, t2.prob_correct)
+        assert np.array_equal(r1.max_prob, r2.max_prob)
+        assert np.array_equal(r1.prob_correct, r2.prob_correct)
 
     def test_ties_counted_fractionally(self):
         # two pairs of duplicated records: each target ties its duplicate
         data = make_dataset(x=[1.0, 1.0, 5.0, 5.0], y=[2.0, 2.0, 7.0, 7.0])
         scenario = IntruderScenario(ap_columns=("x", "y"))
         report = risk_report(data, data, scenario)
-        assert all(t.m == 2 for t in report.targets)
+        assert (report.m == 2).all()
         assert report.expected_correct_rate == pytest.approx(0.5, rel=1e-12)
 
     @pytest.mark.parametrize("gap, m", [(1e-10, 2), (1e-7, 1)])
@@ -449,8 +449,8 @@ class TestExpectedCorrectRate:
         # inside the 1e-9 tie tolerance it shares the argmax set, outside not
         data = make_dataset(x=[0.0, gap, 5.0], y=[0.0, 0.0, 0.0])
         scenario = IntruderScenario(ap_columns=("x", "y"), standardize=False)
-        target = risk_report(data, data, scenario).targets[0]
-        assert target.m == m and target.correct_in_argmax
+        report = risk_report(data, data, scenario)
+        assert report.m[0] == m and report.correct_in_argmax[0]
 
     def test_conservatism_note_present(self):
         data = make_dataset(x=[1.0, 2.0], y=[3.0, 4.0])
@@ -462,7 +462,7 @@ class TestExpectedCorrectRate:
         data = make_dataset(x=rng.normal(0, 1, 10), y=rng.normal(0, 1, 10))
         scenario = IntruderScenario(ap_columns=("x", "y"), target_ids=("r1", "r4"))
         report = risk_report(data, data, scenario)
-        assert [t.target_id for t in report.targets] == ["r1", "r4"]
+        assert report.target_ids.tolist() == ["r1", "r4"]
 
     def test_probability_rows_are_read_only(self):
         rng = np.random.default_rng(13)
@@ -470,9 +470,11 @@ class TestExpectedCorrectRate:
         scenario = IntruderScenario(ap_columns=("x",), u_columns=("y",), mc_draws=5)
         report = risk_report(data, data, scenario)
         probs = match_probabilities(data, data, scenario)
-        for t in (report.targets[0], report.targets[-1]):
-            with pytest.raises(dataclasses.FrozenInstanceError):
-                t.max_prob = 1.0
+        for column in (report.target_ids, report.max_prob, report.m,
+                       report.correct_in_argmax, report.prob_correct):
+            for index in (0, -1):
+                with pytest.raises(ValueError):
+                    column[index] = column[0]
         for index in ((0, 0), (-1, 0), 2):
             with pytest.raises(ValueError):
                 probs[index] = 1.0
@@ -491,7 +493,7 @@ class TestExpectedCorrectRate:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert len(report.targets) == n
+        assert len(report.max_prob) == n
         assert peak < 4 * 2 ** 20
 
     def test_degenerate_counts_all_identical_records(self):
@@ -528,11 +530,12 @@ class TestExpectedCorrectRate:
         report = risk_report(masked, truth, scenario)
         probs = match_probabilities(masked, truth, scenario)
         rows, rate, degenerate = per_target_reference(masked, truth, scenario)
-        assert len(report.targets) == len(rows) == len(probs)
-        for t, got_p, (p, m, correct, prob_correct) in zip(report.targets, probs, rows):
+        assert len(report.target_ids) == len(rows) == len(probs)
+        for i, (got_p, (p, m, correct, prob_correct)) in enumerate(zip(probs, rows)):
             assert np.array_equal(got_p, p, equal_nan=True)
-            assert (t.m, t.correct_in_argmax) == (m, correct)
-            for got, want in ((t.max_prob, float(p.max())), (t.prob_correct, prob_correct)):
+            assert (report.m[i], report.correct_in_argmax[i]) == (m, correct)
+            for got, want in ((report.max_prob[i], float(p.max())),
+                              (report.prob_correct[i], prob_correct)):
                 assert got == want or (math.isnan(want) and math.isnan(got))
         assert report.expected_correct_rate == rate
         assert report.degenerate == degenerate
