@@ -198,8 +198,11 @@ def _cmd_mask(args) -> _Outputs:
             if low == high:   # the records' bounding box, and so the grid, is flat
                 raise UsageError("two-step masking needs records spread over both "
                                  f"coordinates; every {col!r} value is {float(low)!r}")
-        grid = GridSpec(float(lo[0]), float(hi[0]), float(lo[1]), float(hi[1]),
-                        args.grid_nx, args.grid_ny)
+        try:
+            grid = GridSpec(float(lo[0]), float(hi[0]), float(lo[1]), float(hi[1]),
+                            args.grid_nx, args.grid_ny)
+        except ValueError as err:   # the records' bounding box spans too far
+            raise UsageError(f"two-step masking: {err}") from None
         masked = compose_two_step(data, grid, kernel, args.lam)
         out_schema = CsvSchema(x_cols=data.x_names, n_col="n")
     else:

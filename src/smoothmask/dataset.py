@@ -292,13 +292,11 @@ def write_csv(data: SpatialDataset, path, schema: CsvSchema | None = None,
             fh.write("# " + comment.replace("\n", " ") + "\n")
         writer = csv.writer(fh)
         writer.writerow(schema.all_columns())
-        for i in range(data.n_records):
-            row = [data.ids[i], repr(float(data.locs[i, 0])), repr(float(data.locs[i, 1]))]
-            row += [repr(float(v)) for v in data.x[i]]
-            row.append(repr(float(data.y[i])))
-            if data.n is not None:
-                row.append(repr(float(data.n[i])))
-            writer.writerow(row)
+        columns = [data.locs[:, 0], data.locs[:, 1], *data.x.T, data.y]
+        if data.n is not None:
+            columns.append(data.n)
+        # tolist() gives Python floats, whose repr is the shortest round-trip text
+        writer.writerows(zip(data.ids, *(map(repr, c.tolist()) for c in columns)))
 
 
 @dataclass(frozen=True)
@@ -320,6 +318,9 @@ class GridSpec:
     def __post_init__(self) -> None:
         if not (self.xmin < self.xmax and self.ymin < self.ymax):
             raise ValueError("grid bounds must satisfy xmin < xmax and ymin < ymax")
+        if not (math.isfinite(self.xmax - self.xmin) and math.isfinite(self.ymax - self.ymin)):
+            raise ValueError(f"grid spans xmax - xmin and ymax - ymin must be finite, got "
+                             f"[{self.xmin}, {self.xmax}] x [{self.ymin}, {self.ymax}]")
         if self.nx < 1 or self.ny < 1:
             raise ValueError("grid must have at least one cell per axis")
 

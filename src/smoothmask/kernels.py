@@ -4,7 +4,9 @@ Every built-in family evaluates as exp(-d(u, s) / lambda) for a family-specific
 nonnegative internal distance d (infinite across a blocked-region boundary), so
 they share one exponential-decay base class. Every such distance is exactly
 symmetric, so the base class builds the weight matrix from its upper triangle
-and mirrors it: each pair of locations is evaluated once. The abstract
+and mirrors it: each pair of locations is evaluated once. The Euclidean and
+bivariate-normal distances (the latter on whitened coordinates) and risk
+scoring share one squared-distance routine and one block budget. The abstract
 KernelFamily admits other decay shapes; the masking operator only requires a
 weight matrix.
 """
@@ -92,10 +94,33 @@ class KernelFamily(ABC):
         """
 
 
-# Element budget of one row block in ExponentialDecayKernel.weight_matrix:
-# 2**16 float64 values are 512 KiB, so a block's distance temporaries stay in
-# a 2 MiB L2 cache instead of streaming n x n temporaries through memory.
-_BLOCK_ELEMS = 2 ** 16
+# Element budget of one row block in weight_matrix and in risk scoring: 2**15
+# float64 values are 256 KiB, so a block's temporaries stay in a 2 MiB L2
+# cache instead of streaming n x n temporaries through memory. At 2**16 the
+# risk scratch block split the heap between a study's successive operators
+# and raised its peak RSS by 6 MB on about a third of seeds.
+_BLOCK_ELEMS = 2 ** 15
+
+
+def _sq_distance(planes, point) -> np.ndarray:
+    """Squared Euclidean distance from ``point`` to the entries of ``planes``.
+
+    ``planes`` holds one array per coordinate and ``point`` one value (or a
+    broadcastable column, (k, 1) against planes of m values for a (k, m)
+    block) per coordinate. The squares are added coordinate by coordinate, left
+    to right, the order numpy's inner-axis sum uses below 8 columns; as
+    (a - b)**2 is (b - a)**2 exactly, swapping the two point sets transposes
+    the result bit for bit.
+    """
+    acc = None
+    for plane, c in zip(planes, point):
+        diff = plane - c
+        diff *= diff
+        if acc is None:
+            acc = diff
+        else:
+            acc += diff
+    return acc
 
 
 class ExponentialDecayKernel(KernelFamily):
@@ -150,11 +175,6 @@ def _check_lambda(lam: float) -> None:
         raise ValueError(f"smoothness parameter must be a finite real >= 0, got {lam!r}")
 
 
-def _coord_diffs(locs: np.ndarray, others: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    # one contiguous array per coordinate, not an (n, m, 2) array read with stride 2
-    return locs[:, None, 0] - others[None, :, 0], locs[:, None, 1] - others[None, :, 1]
-
-
 def _ring_distance(locs: np.ndarray, others: np.ndarray, source: PointSource) -> np.ndarray:
     d = _radius_sq(locs, source)[:, None] - _radius_sq(others, source)[None, :]
     return np.abs(d, out=d)
@@ -165,10 +185,8 @@ class EuclideanKernel(ExponentialDecayKernel):
     """exp(-||s - u||^2 / lambda): weight by plain Euclidean proximity."""
 
     def distance_matrix(self, locs: np.ndarray, others: np.ndarray) -> np.ndarray:
-        d1, d2 = _coord_diffs(locs, others)
-        np.square(d1, out=d1)
-        d1 += np.square(d2, out=d2)
-        return d1
+        # one contiguous plane per coordinate, not the stride-2 columns of an (n, 2) array
+        return _sq_distance(np.ascontiguousarray(others.T), locs.T[:, :, None])
 
 
 @dataclass(frozen=True)
@@ -216,7 +234,17 @@ class RingBlockKernel(ExponentialDecayKernel):
 
 @dataclass(frozen=True)
 class BivariateNormalKernel(ExponentialDecayKernel):
-    """exp(-(s-u)^T Sigma_lambda^{-1} (s-u) / 2) with Sigma_lambda = lambda * [[v1, rho*sd1*sd2], ...]."""
+    """exp(-(s-u)^T Sigma_lambda^{-1} (s-u) / 2) with Sigma_lambda = lambda * [[v1, rho*sd1*sd2], ...].
+
+    With u_k = s_k / sqrt(v_k) and whitened z = (u1, (u2 - rho u1) / sqrt(1 - rho^2))
+    / sqrt(2), (s-u)^T Sigma^{-1} (s-u) / 2 = |z(s) - z(u)|^2. z is elementwise per
+    point, so it is the same in every block: the distances are exactly symmetric,
+    with exact zeros on the diagonal. No determinant is formed, so any positive
+    finite variances work: tiny ones, which zero every distinct pair's weight,
+    give the identity operator on distinct locations; huge ones, which round
+    every distance to 0, give the uniform operator (each masked value is its
+    column mean).
+    """
 
     var1: float = 1.0
     var2: float = 1.0
@@ -228,27 +256,16 @@ class BivariateNormalKernel(ExponentialDecayKernel):
         if not (-1.0 < self.rho < 1.0):
             raise ValueError("correlation must lie strictly inside (-1, 1)")
 
-    def _precision(self) -> tuple[float, float, float]:
-        # inverse of [[v1, b], [b, v2]] with b = rho * sqrt(v1 v2)
-        b = self.rho * math.sqrt(self.var1 * self.var2)
-        det = self.var1 * self.var2 - b * b
-        return self.var2 / det, -b / det, self.var1 / det
+    def _whitened(self, locs: np.ndarray) -> np.ndarray:
+        """(2, n) planes of the whitened coordinates z of each location."""
+        # sqrt(2) * sqrt(v), as sqrt(2 v) overflows for v near the float maximum
+        z1 = locs[:, 0] / (math.sqrt(2.0) * math.sqrt(self.var1))
+        z2 = ((locs[:, 1] / (math.sqrt(2.0) * math.sqrt(self.var2)) - self.rho * z1)
+              / math.sqrt((1.0 - self.rho) * (1.0 + self.rho)))
+        return np.stack((z1, z2))
 
     def distance_matrix(self, locs: np.ndarray, others: np.ndarray) -> np.ndarray:
-        a, b, c = self._precision()
-        d1, d2 = _coord_diffs(locs, others)
-        # a * d1**2 + 2.0 * b * d1 * d2 + c * d2**2, then / 2 and clipped at 0,
-        # in that operation order with no further temporaries
-        q = np.square(d1)
-        q *= a
-        d1 *= 2.0 * b
-        d1 *= d2
-        q += d1
-        np.square(d2, out=d2)
-        d2 *= c
-        q += d2
-        q /= 2.0
-        return np.maximum(q, 0.0, out=q)
+        return _sq_distance(self._whitened(others), self._whitened(locs)[:, :, None])
 
 
 # ---------------------------------------------------------------------------

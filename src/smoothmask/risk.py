@@ -12,11 +12,13 @@ The array work runs on columns and blocks. Distances are summed over
 per-column planes (the sought-column draws as contiguous (rows, mc_draws)
 planes, the Fortran-ordered available columns as contiguous vectors), and the
 targets are normalised, argmax-matched and tie-scored a block of rows at a
-time in one reused scratch array. Of each target's probability row only the
-maximum, the own-record probability and the argmax set's size and hit are
-kept, each in one column of the RiskReport, so scoring k targets against n
-records holds O(block * n + k) memory; match_probabilities returns the whole
-rows instead: k rows of n floats, all from one context, so the
+time in one reused scratch array. Both kinds of block take the element budget
+of a weight-matrix row block (kernels._BLOCK_ELEMS): each is a cache-sized
+temporary, and no value depends on its size. Of each target's probability row
+only the maximum, the own-record probability and the argmax set's size and
+hit are kept, each in one column of the RiskReport, so scoring k targets
+against n records holds O(block * n + k) memory; match_probabilities returns
+the whole rows instead: k rows of n floats, all from one context, so the
 standardization, regression and sought-column components are computed once
 per call whatever k. With fewer than 8 available or sought columns every
 value is bit-identical to the row-at-a-time form.
@@ -32,15 +34,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dataset import SpatialDataset, _first_repeat, _from_json
+from .kernels import _BLOCK_ELEMS, _sq_distance
 
 _TIE_RTOL = 1e-9
-# Element budget of one row block in u_components and _scored_blocks: 2**13
-# float64 values are 64 KiB, so a block's temporaries stay in cache. Risk
-# scoring reuses one such block for every target and keeps four numbers per
-# target: k probability rows of n floats (8 MB for 1000 targets of 1000
-# records) would stay in the heap under a study's next operator and raise
-# its peak RSS.
-_BLOCK_ELEMS = 2 ** 13
 # Qhull's facet count grows steeply with dimension. For 1000 Gaussian points on
 # a 2-CPU x86 machine the hull took 0.2 s in 6 dimensions, 2 s in 7 and 20 s in
 # 8, while scoring 100 draws per record against every row took about 5 s.
@@ -146,24 +142,6 @@ def check_scenario_fits(scenario: IntruderScenario, x_names, ids) -> None:
         unknown = [t for t in scenario.target_ids if t not in known]
         if unknown:
             raise ValueError(f"target ids not present in the released data: {unknown[:3]}")
-
-
-def _sq_distance(planes, point) -> np.ndarray:
-    """Squared Euclidean distance from ``point`` to the entries of ``planes``.
-
-    ``planes`` holds one array per column and ``point`` one value (or a
-    broadcastable column) per column; the squares are added column by column,
-    left to right, the order numpy's inner-axis sum uses below 8 columns.
-    """
-    acc = None
-    for plane, c in zip(planes, point):
-        diff = plane - c
-        diff *= diff
-        if acc is None:
-            acc = diff
-        else:
-            acc += diff
-    return acc
 
 
 def ap_components(masked_ap: np.ndarray, t_ap: np.ndarray,

@@ -187,7 +187,7 @@ class SimConfig:
             raise ValueError("ci_level must lie in (0, 1)")
         if not all(map(math.isfinite, self.bounds)):
             raise ValueError(f"bounds must be finite, got {list(self.bounds)}")
-        self.grid()  # raises unless xmin < xmax, ymin < ymax and nx, ny >= 1
+        self.grid()  # raises unless xmin < xmax, ymin < ymax, finite spans, nx, ny >= 1
         names = [k for k, _ in self.kernels]
         if len(set(names)) != len(names):
             raise ValueError("kernel names must be unique")

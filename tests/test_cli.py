@@ -8,6 +8,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -141,6 +142,39 @@ class TestMask:
             "smoothmask: two-step masking needs records spread over both coordinates; "
             f"every {column!r} value is {value!r}\n")
         assert not out.exists()
+
+    def test_two_step_with_an_overflowing_span_exit_1(self, toy, tmp_path, capsys):
+        data = tmp_path / "wide.csv"
+        data.write_text("id,s1,s2,x1,y\nr0,-1e308,0.2,0.5,3\nr1,1e308,0.4,1.5,8\nr2,0.3,0.9,1.0,5\n")
+        out = tmp_path / "cells.csv"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rc = main(["mask", "--in", str(data), "--kernel", str(toy["kernel"]), "--lambda",
+                       "0.2", "--out", str(out), "--grid-nx", "2", "--grid-ny", "2"])
+        assert rc == 1
+        assert capsys.readouterr().err == (
+            "smoothmask: two-step masking: grid spans xmax - xmin and ymax - ymin must be "
+            "finite, got [-1e+308, 1e+308] x [0.2, 0.9]\n")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("var, limit", [(1e-170, "identity"), (1e300, "uniform")])
+    def test_bivariate_normal_at_extreme_variances(self, tmp_path, var, limit):
+        # the 2x2 determinant underflows (1e-170) or its off-diagonal overflows (1e300)
+        data = tmp_path / "data.csv"
+        data.write_text("id,s1,s2,x1,y\nr0,0.1,0.2,0.5,3\nr1,0.7,0.4,1.5,8\nr2,0.3,0.9,1.0,5\n")
+        kernel = tmp_path / "kernel.json"
+        kernel.write_text(json.dumps({"family": "bivariate_normal",
+                                      "params": {"var1": var, "var2": var, "rho": 0.5}}))
+        out = tmp_path / "masked.csv"
+        rc = main(["mask", "--in", str(data), "--kernel", str(kernel), "--lambda", "0.5",
+                   "--out", str(out)])
+        assert rc == 0
+        orig, masked = load_csv(data), load_csv(out)
+        if limit == "identity":
+            assert np.array_equal(masked.x, orig.x) and np.array_equal(masked.y, orig.y)
+        else:
+            np.testing.assert_allclose(masked.x, np.full((3, 1), orig.x.mean()), rtol=1e-15)
+            np.testing.assert_allclose(masked.y, np.full(3, orig.y.mean()), rtol=1e-15)
 
     def test_missing_input_exit_1(self, toy, tmp_path):
         rc = main(["mask", "--in", str(tmp_path / "nope.csv"), "--kernel", str(toy["kernel"]),
@@ -791,6 +825,14 @@ class TestSimulateFailures:
         assert self._simulate(toy, tmp_path, edit) == 1
         assert capsys.readouterr().err == (
             f"smoothmask: bad study config {tmp_path / 'bad_sim.json'}: {message}\n")
+
+    def test_overflowing_bounds_exit_1(self, toy, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "run_study", lambda cfg: pytest.fail("study ran"))
+        rc = self._simulate(toy, tmp_path, lambda cfg: cfg.update(bounds=[-1e308, 1e308, -1, 1]))
+        assert rc == 1
+        assert capsys.readouterr().err == (
+            f"smoothmask: bad study config {tmp_path / 'bad_sim.json'}: grid spans xmax - xmin "
+            "and ymax - ymin must be finite, got [-1e+308, 1e+308] x [-1.0, 1.0]\n")
 
     def test_failed_study_leaves_no_directory(self, toy, tmp_path, capsys):
         assert self._simulate(toy, tmp_path, lambda cfg: cfg.update(mu=40.0)) == 2

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -140,6 +142,22 @@ class TestDatasetInvariants:
             data.y[0] = 99.0
 
 
+class TestWriteCsv:
+    def test_text_equals_per_record_repr(self, tmp_path):
+        # each value is written as the repr of its Python float, one record a line
+        values = np.array([0.1, -0.0, 1e-300, 5e-324, -1.7976931348623157e308, 2.0 / 3.0])
+        data = SpatialDataset(ids=tuple("abcdef"), locs=np.column_stack([values, values[::-1]]),
+                              x=np.column_stack([values[::-1] / 3, values]), y=values / 7,
+                              x_names=("x1", "x2"), n=np.arange(1.0, 7.0))
+        path = tmp_path / "d.csv"
+        write_csv(data, path, comment="prov")
+        rows = [(data.ids[i], *data.locs[i], *data.x[i], data.y[i], data.n[i])
+                for i in range(data.n_records)]
+        lines = ["id,s1,s2,x1,x2,y,n"] + [
+            ",".join([rid, *(repr(float(v)) for v in rest)]) for rid, *rest in rows]
+        assert path.read_bytes().decode() == "# prov\n" + "".join(line + "\r\n" for line in lines)
+
+
 class TestAggregate:
     def test_single_cell(self):
         data = random_dataset(20, p=2, seed=1)
@@ -224,6 +242,15 @@ class TestAggregate:
         assert idx[0] == 1   # on the interior x boundary -> right cell
         assert idx[1] == 2   # on the interior y boundary -> upper cell
         assert idx[2] == 3   # max corner -> last cell
+
+    @pytest.mark.parametrize("bounds", [(-1e308, 1e308, 0, 1), (0, 1, -1e308, 1e308),
+                                        (-np.inf, 1, 0, 1)], ids=["x", "y", "infinite"])
+    def test_overflowing_span_rejected(self, bounds):
+        # cell_indices divides by the span; an infinite one gave a garbage index
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="grid spans .* must be finite"):
+                GridSpec(*bounds, 2, 2)
 
     def test_outside_bounds_identifies_record(self):
         data = random_dataset(5, seed=3)

@@ -24,6 +24,7 @@ from smoothmask.kernels import (
     kernel_from_json,
     kernel_to_json,
 )
+from smoothmask.masking import build_operator
 
 ORIGIN = PointSource()
 
@@ -247,6 +248,14 @@ def _bits(a: np.ndarray) -> bytes:
     return np.ascontiguousarray(a).tobytes()
 
 
+def _whitened(kernel, locs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """z = (u1, (u2 - rho u1) / sqrt(1 - rho^2)) / sqrt(2) with u_k = s_k / sqrt(v_k)."""
+    z1 = locs[:, 0] / (math.sqrt(2.0) * math.sqrt(kernel.var1))
+    z2 = ((locs[:, 1] / (math.sqrt(2.0) * math.sqrt(kernel.var2)) - kernel.rho * z1)
+          / math.sqrt((1.0 - kernel.rho) * (1.0 + kernel.rho)))
+    return z1, z2
+
+
 def _plain_distance(kernel, locs: np.ndarray, others: np.ndarray) -> np.ndarray:
     """Each family's distance as one expression, in the operation order that the
     in-place arithmetic of distance_matrix must keep."""
@@ -255,8 +264,8 @@ def _plain_distance(kernel, locs: np.ndarray, others: np.ndarray) -> np.ndarray:
     if isinstance(kernel, EuclideanKernel):
         return d1 ** 2 + d2 ** 2
     if isinstance(kernel, BivariateNormalKernel):
-        a, b, c = kernel._precision()
-        return np.maximum((a * d1 ** 2 + 2.0 * b * d1 * d2 + c * d2 ** 2) / 2.0, 0.0)
+        (a1, a2), (b1, b2) = _whitened(kernel, locs), _whitened(kernel, others)
+        return (a1[:, None] - b1[None, :]) ** 2 + (a2[:, None] - b2[None, :]) ** 2
     source = kernel.region.source if isinstance(kernel, RingBlockKernel) else kernel.source
     ring = np.abs(kernels._radius_sq(locs, source)[:, None]
                   - kernels._radius_sq(others, source)[None, :])
@@ -313,6 +322,60 @@ class TestSymmetryContract:
         rows = max(1, budget // n)
         assert sum(sizes) <= n * (n + 1) // 2 + n * rows
         assert max(sizes) <= max(budget, n)
+
+
+def _quadratic_form(kernel, locs: np.ndarray, others: np.ndarray) -> np.ndarray:
+    """Reference: (s-u)^T Sigma^{-1} (s-u) / 2 through the explicit 2x2 inverse,
+    the form the bivariate-normal kernel evaluated before it whitened."""
+    b = kernel.rho * math.sqrt(kernel.var1 * kernel.var2)
+    det = kernel.var1 * kernel.var2 - b * b
+    a, b, c = kernel.var2 / det, -b / det, kernel.var1 / det
+    d1 = locs[:, None, 0] - others[None, :, 0]
+    d2 = locs[:, None, 1] - others[None, :, 1]
+    return np.maximum((a * d1 ** 2 + 2.0 * b * d1 * d2 + c * d2 ** 2) / 2.0, 0.0)
+
+
+class TestBivariateWhitening:
+    """The bivariate-normal distance is the squared Euclidean distance between
+    whitened coordinates."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(var_exp=st.tuples(st.floats(-3, 3), st.floats(-3, 3)), rho=st.floats(-0.99, 0.99),
+           scale_exp=st.floats(-3, 3), data=st.data())
+    def test_property_equals_quadratic_form(self, var_exp, rho, scale_exp, data):
+        # Error bound, in units of eps * S^2 / (m (1 - rho^2)) with S the largest
+        # |coordinate| and m = min(v1, v2), the size of the form's largest term:
+        # the whitened path rounds z1 within 4 eps, z2 within 19 eps of
+        # S / sqrt(2 m (1 - rho^2)), and squares and adds differences of at most
+        # twice those, ~210 in all; the reference's three terms and sums add ~64,
+        # and its determinant v1 v2 - b^2 cancels to a relative error of
+        # 5 eps / (1 - rho^2), which scales the whole form (at most 10 units).
+        # Hence |new - reference| <= 2**9 eps S^2 / (m (1 - rho^2)^2).
+        kernel = BivariateNormalKernel(var1=10.0 ** var_exp[0], var2=10.0 ** var_exp[1], rho=rho)
+        scale = 10.0 ** scale_exp
+        coords = hnp.arrays(np.float64, st.tuples(st.integers(1, 8), st.just(2)),
+                            elements=st.floats(-1.0, 1.0))
+        locs = data.draw(coords, label="locs") * scale
+        others = data.draw(coords, label="others") * scale
+        size = max(np.abs(locs).max(), np.abs(others).max()) ** 2
+        bound = (2 ** 9 * np.finfo(float).eps * size
+                 / (min(kernel.var1, kernel.var2) * (1.0 - rho * rho) ** 2))
+        got = kernel.distance_matrix(locs, others)
+        assert np.abs(got - _quadratic_form(kernel, locs, others)).max() <= bound
+
+    @pytest.mark.parametrize("var", [1e-170, 1e-300, 5e-324])
+    def test_tiny_variances_give_the_identity_operator(self, var):
+        # the 2x2 determinant of these variances underflows to 0
+        locs = np.random.default_rng(3).uniform(-1, 1, (40, 2))
+        op = build_operator(locs, BivariateNormalKernel(var1=var, var2=var, rho=0.5), 0.5)
+        assert np.array_equal(op.a, np.eye(40))
+
+    @pytest.mark.parametrize("var", [1e300, 1.7e308])
+    def test_huge_variances_give_the_uniform_operator(self, var):
+        # the product v1 v2 under the determinant overflows for these variances
+        locs = np.random.default_rng(4).uniform(-1, 1, (40, 2))
+        op = build_operator(locs, BivariateNormalKernel(var1=var, var2=var, rho=0.5), 0.5)
+        assert np.array_equal(op.a, np.full((40, 40), 1.0 / 40))
 
 
 class TestValidation:

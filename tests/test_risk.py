@@ -540,6 +540,32 @@ class TestExpectedCorrectRate:
         assert report.expected_correct_rate == rate
         assert report.degenerate == degenerate
 
+    @pytest.mark.parametrize("u_dim", [1, 2, 3])
+    @pytest.mark.parametrize("targets", [None, ("r7", "r0", "r149", "r64")], ids=["all", "subset"])
+    def test_block_budget_changes_no_value(self, monkeypatch, u_dim, targets):
+        # rows are scored independently, and the draws are consecutive stretches
+        # of one standard_normal stream, so the block size cannot show
+        rng = np.random.default_rng(30 + u_dim)
+        n = 150
+        values = rng.normal(0, 1, (2, n, 4))
+        values[1] += values[0]
+        names = ("x0", "x1", "x2")
+        masked, truth = (SpatialDataset(ids=tuple(f"r{i}" for i in range(n)), locs=np.zeros((n, 2)),
+                                        x=v[:, :3], y=v[:, 3], x_names=names) for v in values)
+        columns = names + ("y",)
+        scenario = IntruderScenario(ap_columns=columns[:4 - u_dim], u_columns=columns[4 - u_dim:],
+                                    mc_draws=40, seed=5, target_ids=targets)
+        results = []
+        for budget in (2 ** 13, 2 ** 15, 2 ** 16, 97):
+            monkeypatch.setattr(risk, "_BLOCK_ELEMS", budget)
+            report = risk_report(masked, truth, scenario)
+            results.append([match_probabilities(masked, truth, scenario), report.max_prob, report.m,
+                            report.correct_in_argmax, report.prob_correct,
+                            np.float64(report.expected_correct_rate), np.array(report.degenerate)])
+        for other in results[1:]:
+            for got, want in zip(other, results[0]):
+                assert got.tobytes() == want.tobytes()
+
     @pytest.mark.parametrize("standardize", [True, False])
     def test_no_sought_columns_scores_available_columns_alone(self, standardize):
         rng = np.random.default_rng(21)
