@@ -101,10 +101,11 @@ def first_order_bias(data: SpatialDataset, beta, kernel: KernelFamily,
     if X.shape[1] != beta.size:
         raise ValueError(f"beta has {beta.size} entries for a {X.shape[1]}-column design")
     h, h_prime = _link_functions(family)
-    eta = X @ beta
-    # the link derivative overflows to inf for Poisson with eta > 709: s2bar
-    # then holds inf or nan, quietly, and a vanishing derivative stays zero
+    # eta, or the link derivative (for Poisson with eta > 709), overflows to inf
+    # for huge regressors: s2bar then holds inf or nan, quietly, and a vanishing
+    # derivative stays zero
     with np.errstate(over="ignore", invalid="ignore"):
+        eta = X @ beta
         hpe = h_prime(eta)
         s2 = -(X * hpe[:, None]).T @ X
         s2 = 0.5 * (s2 + s2.T)

@@ -42,6 +42,7 @@ _MAX_HALVINGS = 20
 _RANK_CERTIFICATE = 1e3
 _EPS = np.finfo(float).eps
 _TINY = np.finfo(float).tiny
+_SUBNORMAL = np.finfo(float).smallest_subnormal
 # A masked binomial outcome sum_j a_ij y_j with every y_j <= trials rounds to at
 # most trials * (1 + (2n + 1) eps): below this relative excess for n < 2e5
 _TRIALS_RTOL = 1e-10
@@ -182,7 +183,8 @@ class FitResult:
 
     @property
     def se(self) -> np.ndarray:
-        return np.sqrt(np.diag(self.cov))
+        with np.errstate(invalid="ignore"):   # NaN for a variance < 0 of an overflowed X'WX
+            return np.sqrt(np.diag(self.cov))
 
 
 def design_matrix(model: ModelSpec, x: np.ndarray | None, n_rows: int | None = None) -> np.ndarray:
@@ -233,7 +235,7 @@ def _check_rank(X: np.ndarray, names: Sequence[str]) -> None:
         diag = np.abs(np.diag(r))
     if diag.size == 0 or diag[0] == 0.0:
         raise ValueError(f"design matrix is identically zero; columns: {list(names)}")
-    tol = diag[0] * max(X.shape) * _EPS
+    tol = diag[0] * (max(X.shape) * _EPS)   # diag[0] * max(X.shape) may overflow
     rank = int((diag > tol).sum())
     if rank < X.shape[1]:
         bad = [names[j - 1] for j in piv[rank:]]  # LAPACK pivots count from 1
@@ -261,18 +263,52 @@ def _poisson_mu(eta: np.ndarray) -> np.ndarray:
 def _deviance(family: str, y: np.ndarray, mu: np.ndarray, trials: np.ndarray | None) -> float:
     if family == "poisson-log":
         pos = y > 0
-        term = np.where(pos, y * np.log(np.where(pos, y, 1.0) / mu), 0.0)
+        # y / mu underflows to 0 only for a subnormal-scale y, whose term is then ~0
+        term = np.where(pos, y * np.log(np.maximum(np.where(pos, y, 1.0) / mu, _SUBNORMAL)), 0.0)
         return float(2.0 * (term - (y - mu)).sum())
     if family == "binomial-logit":
         n = trials
         with np.errstate(divide="ignore", invalid="ignore"):
-            t1 = np.where(y > 0, y * np.log(y / mu), 0.0)
+            t1 = np.where(y > 0, y * np.log(np.maximum(y / mu, _SUBNORMAL)), 0.0)
             t2 = np.where(n - y > 0, (n - y) * np.log((n - y) / (n - mu)), 0.0)
         return float(2.0 * (t1 + t2).sum())
-    with np.errstate(over="ignore"):   # inf: fit halves the step, or reports it
-        return float(((y - mu) ** 2).sum())
+    return float(((y - mu) ** 2).sum())
 
 
+def _fit_arguments(model: ModelSpec, x, y, trials, offset):
+    """fit's arguments as checked float arrays: the design, the outcomes as
+    given, trials and offset. ValueError unless x rows, trials and offset
+    match the outcomes and the design and offset are finite; OutOfRangeError
+    for a non-finite or out-of-range outcome or trial count."""
+    y = np.asarray(y, dtype=float).ravel()
+    X = design_matrix(model, x, n_rows=y.size)
+    if trials is not None:
+        trials = np.asarray(trials, dtype=float).ravel()
+    if offset is not None:
+        offset = np.asarray(offset, dtype=float).ravel()
+    for name, arg in (("x", X), ("trials", trials), ("offset", offset)):
+        if arg is not None and len(arg) != y.size:
+            raise ValueError(f"{name} must have one entry per outcome ({y.size}), got {len(arg)}")
+    if offset is not None and not np.isfinite(offset).all():
+        raise ValueError("offset must be finite")
+    _check_range(~np.isfinite(y), "y", "outcomes must be finite")
+    if model.family == "poisson-log":
+        _check_range(y < 0, "y", "poisson outcomes must be nonnegative")
+    elif model.family == "binomial-logit":
+        if trials is None:
+            raise ValueError("binomial-logit requires per-row trial counts")
+        _check_range(~np.isfinite(trials), "trials", "trial counts must be finite")
+        _check_range(trials <= 0, "trials", "trial counts must be positive")
+        _check_range((y < 0) | (y > trials * (1.0 + _TRIALS_RTOL)), "y",
+                     "binomial outcomes must satisfy 0 <= y <= trials")
+    if not np.isfinite(X).all():
+        raise ValueError("array must not contain infs or NaNs")
+    return X, y, trials, offset
+
+
+# A step that overflows has a non-finite deviance, which fit halves or reports
+# as not converged; a non-finite system raises LinAlgError. Neither warns.
+@np.errstate(over="ignore", invalid="ignore")
 def fit(model: ModelSpec, x: np.ndarray | None, y: np.ndarray, *,
         trials: np.ndarray | None = None,
         offset: np.ndarray | None = None) -> FitResult:
@@ -285,31 +321,18 @@ def fit(model: ModelSpec, x: np.ndarray | None, y: np.ndarray, *,
     Non-integer outcomes are accepted for the count families (quasi-likelihood:
     the estimating equations are unchanged); a binomial outcome at most
     _TRIALS_RTOL above its trials, masking's rounding, counts as the trials.
-    Other values out of range raise OutOfRangeError. Convergence requires the
-    relative deviance change to fall below 1e-10 and the score to vanish (max
-    component <= 1e-6) within 100 iterations; otherwise the result is flagged.
+    Other values out of range raise OutOfRangeError. The arguments get the
+    checks of _fit_arguments, which bootstrap_ci and population_odds_ratio
+    share, then the rank's. Convergence requires the relative deviance change
+    to fall below 1e-10 and the score to vanish (max component <= 1e-6)
+    within 100 iterations; otherwise the result is flagged.
     A fit stops, flagged and at its last accepted estimate, at the first
     iteration whose step-halving leaves the deviance non-finite.
     """
-    y = np.asarray(y, dtype=float).ravel()
+    X, y, trials, offset = _fit_arguments(model, x, y, trials, offset)
     N = y.size
-    X = design_matrix(model, x, n_rows=N)
-    if X.shape[0] != N:
-        raise ValueError("regressor rows do not match outcome length")
-    if offset is not None:
-        offset = np.asarray(offset, dtype=float).ravel()
-        if not np.isfinite(offset).all():
-            raise ValueError("offset must be finite")
     family = model.family
-    if family == "poisson-log":
-        _check_range(y < 0, "y", "poisson outcomes must be nonnegative")
-    elif family == "binomial-logit":
-        if trials is None:
-            raise ValueError("binomial-logit requires per-row trial counts")
-        trials = np.asarray(trials, dtype=float).ravel()
-        _check_range(trials <= 0, "trials", "trial counts must be positive")
-        _check_range((y < 0) | (y > trials * (1.0 + _TRIALS_RTOL)), "y",
-                     "binomial outcomes must satisfy 0 <= y <= trials")
+    if family == "binomial-logit":
         y = np.minimum(y, trials)
     _check_rank(X, model.coef_names)
 
@@ -382,16 +405,16 @@ def fit(model: ModelSpec, x: np.ndarray | None, y: np.ndarray, *,
     )
 
 
-def _check_level(level: float) -> None:
+def _check_level(level: float, result: FitResult | None = None) -> None:
+    if result is not None and not result.converged:
+        raise ValueError("confidence intervals require a converged fit")
     if not 0.0 < level < 1.0:   # also rejects NaN
         raise ValueError("level must lie in (0, 1)")
 
 
 def naive_ci(result: FitResult, level: float = 0.95) -> np.ndarray:
     """Per-coefficient Wald intervals beta_k +/- z * se_k; (q, 2) array."""
-    if not result.converged:
-        raise ValueError("confidence intervals require a converged fit")
-    _check_level(level)
+    _check_level(level, result)
     z = _ndtri(0.5 * (1.0 + level))
     se = result.se
     return np.column_stack([result.beta - z * se, result.beta + z * se])
@@ -410,16 +433,25 @@ class OddsRatioResult:
     p_unexposed: float
 
 
+def _log_or_arguments(model: ModelSpec, x: np.ndarray, group: str) -> None:
+    """ValueError unless ``model`` is binomial-logit and its regressor ``group``
+    holds fractions in [0, 1] in ``x``, the regressors from _fit_arguments."""
+    if model.family != "binomial-logit":
+        raise ValueError("population odds ratio is defined for binomial-logit fits")
+    if group not in model.regressors:
+        raise ValueError(f"group column {group!r} is not a model regressor")
+    g = x[:, model.regressors.index(group)]
+    if ((g < -1e-9) | (g > 1.0 + 1e-9)).any():
+        raise ValueError("group regressor must be a fraction in [0, 1]")
+
+
 def _log_odds_ratio(model: ModelSpec, beta: np.ndarray, x: np.ndarray, trials: np.ndarray,
                     group: str) -> tuple[float, np.ndarray, float, float]:
     """Population log odds ratio at ``beta``, its gradient in beta, and the exposed
     and unexposed probabilities: trial-weighted mean predictions with the group
-    regressor forced to 1 and to 0. ValueError unless both lie in (0, 1)."""
-    x = np.asarray(x, dtype=float)
-    if x.ndim == 1:
-        x = x[:, None]
+    regressor forced to 1 and to 0, for x and trials checked by _fit_arguments
+    and _log_or_arguments. ValueError unless both lie in (0, 1)."""
     j = model.regressors.index(group)
-    trials = np.asarray(trials, dtype=float).ravel()
     wsum = trials.sum()
     means = []
     for name, value in (("exposed", 1.0), ("unexposed", 0.0)):
@@ -446,18 +478,14 @@ def population_odds_ratio(result: FitResult, x: np.ndarray, trials: np.ndarray,
     the trial counts as weights. Invariant to centering/scaling of the other
     regressors because it is a function of predicted values only. The value
     and its gradient come from _log_odds_ratio, as in every odds-ratio caller.
+    A fit that has not converged and a ``level`` outside (0, 1) are refused;
+    ``x`` and ``trials`` get fit's checks (_fit_arguments) and the family,
+    group and fractions those of _log_or_arguments, as in bootstrap_ci.
     """
-    if result.model.family != "binomial-logit":
-        raise ValueError("population odds ratio is defined for binomial-logit fits")
-    if group not in result.model.regressors:
-        raise ValueError(f"group column {group!r} is not a model regressor")
-    _check_level(level)
-    x = np.asarray(x, dtype=float)
-    if x.ndim == 1:
-        x = x[:, None]
-    j = result.model.regressors.index(group)
-    if ((x[:, j] < -1e-9) | (x[:, j] > 1.0 + 1e-9)).any():
-        raise ValueError("group regressor must be a fraction in [0, 1]")
+    _check_level(level, result)
+    X, _, trials, _ = _fit_arguments(result.model, x, np.zeros(np.shape(x)[:1]), trials, None)
+    x = X[:, result.model.intercept:]
+    _log_or_arguments(result.model, x, group)
     log_or, grad, p_b, p_w = _log_odds_ratio(result.model, result.beta, x, trials, group)
     se = float(math.sqrt(grad @ result.cov @ grad))
     z = _ndtri(0.5 * (1.0 + level))
@@ -518,13 +546,15 @@ def bootstrap_ci(model: ModelSpec, x: np.ndarray, y: np.ndarray, *,
     ``statistic`` is a coefficient index into the design (intercept first) or
     the string "log_or" (requires binomial trials and ``group``); any other
     value, a bool included, raises ValueError before the first refit, as does
-    a ``level`` outside (0, 1). The default
+    a ``level`` outside (0, 1). So do, on the whole sample, fit's checks of
+    ``x``, ``y``, ``trials`` and ``offset`` (_fit_arguments), for "log_or"
+    population_odds_ratio's of the family, group and fractions
+    (_log_or_arguments), and ``locs`` without one entry per outcome. The default
     resamples the given (typically masked) rows directly; passing
     ``remask=(kernel, lam)`` together with ``locs`` instead resamples the
     original rows and rebuilds the masking operator on each resample before
     fitting. Replicate draws are seeded by (seed, replicate index), so results
-    do not depend on execution order. ``x`` rows, ``trials``, ``offset`` and
-    ``locs`` must each have one entry per outcome.
+    do not depend on execution order.
 
     A remasked resample is built on its m distinct drawn records only (about
     0.632 N of them), with the repeats folded in as multiplicity weights.
@@ -548,17 +578,14 @@ def bootstrap_ci(model: ModelSpec, x: np.ndarray, y: np.ndarray, *,
               and -k <= statistic < k):
         raise ValueError(f"statistic must be 'log_or' or an index into the coefficients "
                          f"{model.coef_names}, got {statistic!r}")
-    y = np.asarray(y, dtype=float).ravel()
-    x = np.asarray(x, dtype=float)
-    if x.ndim == 1:
-        x = x[:, None]
-    trials = None if trials is None else np.asarray(trials, dtype=float).ravel()
-    offset = None if offset is None else np.asarray(offset, dtype=float).ravel()
+    X, y, trials, offset = _fit_arguments(model, x, y, trials, offset)
+    x = X[:, model.intercept:]
+    if statistic == "log_or":
+        _log_or_arguments(model, x, group)
     N = y.size
-    for name, arg in (("x", x), ("trials", trials), ("offset", offset), ("locs", locs)):
-        if arg is not None and np.shape(arg)[:1] != (N,):
-            raise ValueError(f"{name} must have one entry per outcome ({N}), "
-                             f"got shape {np.shape(arg)}")
+    if locs is not None and np.shape(locs)[:1] != (N,):
+        raise ValueError(f"locs must have one entry per outcome ({N}), "
+                         f"got shape {np.shape(locs)}")
     if remask is not None:
         if locs is None:
             raise ValueError("remasking strategy requires the record locations")

@@ -156,7 +156,9 @@ class ExponentialDecayKernel(KernelFamily):
         n = len(locs)
         w = np.empty((n, n))
         rows = max(1, _BLOCK_ELEMS // max(n, 1))
-        with np.errstate(over="ignore"):
+        # a distance that overflows is inf, whose weight is 0; inf - inf or 0 * inf
+        # is NaN, which build_operator reports
+        with np.errstate(over="ignore", invalid="ignore"):
             for s in range(0, n, rows):
                 e = min(s + rows, n)
                 w[s:e, :s] = w[:s, s:e].T

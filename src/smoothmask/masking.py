@@ -61,6 +61,10 @@ def build_operator(locs, kernel: KernelFamily, lam: float,
     sums = w.sum(axis=1)
     dead = ~(sums > 0)
     if dead.any():
+        bad = np.isnan(w.diagonal())   # a location's distance to itself overflows
+        if bad.any():
+            raise ValueError(f"the kernel distance overflows at location {int(bad.argmax())}; "
+                             "rescale the locations")
         raise ValueError(f"row {int(np.argmax(dead))} has all-zero weights; cannot normalize")
     w /= sums[:, None]
     return MaskingOperator(a=w, locs=locs)

@@ -47,6 +47,9 @@ _HULL_MAX_DIM = 6
 # 5.7 eps times the largest |coordinate| of a facet on random 2-D sets.
 _COLLINEAR_RTOL = 2.0 ** -30
 _HULL_ROUND = 2.0 ** 6 * np.finfo(float).eps
+# Squares of (standardized) values below this, summed over millions of rows or
+# columns, stay finite; a larger value would overflow the distances.
+_VALUE_MAX = 2.0 ** 500
 
 UPPER_BOUND_NOTE = (
     "cross-record component fixed at 1; reported probabilities and the "
@@ -324,15 +327,29 @@ def _build_context(ds: SpatialDataset, truth: SpatialDataset,
 
     if scenario.standardize:
         def sds(block: np.ndarray) -> np.ndarray:
-            s = block.std(axis=0)
+            with np.errstate(over="ignore", invalid="ignore"):   # squares of a spread > ~1e154
+                s = block.std(axis=0)
+            big = ~np.isfinite(s)
+            if big.any():   # the same spread, from the column divided by its largest |value|
+                m = np.abs(block[:, big]).max(axis=0)
+                s[big] = (block[:, big] / m).std(axis=0) * m
             return np.where(s > 0.0, s, 1.0)
 
         ap_sd = sds(masked_ap)
-        masked_ap = masked_ap / ap_sd
-        truth_ap = truth_ap / ap_sd
         u_sd = sds(masked_u)
-        masked_u = masked_u / u_sd
-        truth_u = truth_u / u_sd
+        with np.errstate(over="ignore"):   # refused below
+            masked_ap = masked_ap / ap_sd
+            truth_ap = truth_ap / ap_sd
+            masked_u = masked_u / u_sd
+            truth_u = truth_u / u_sd
+    for what, names, block in (("released", scenario.ap_columns, masked_ap),
+                               ("released", scenario.u_columns, masked_u),
+                               ("truth", scenario.ap_columns, truth_ap),
+                               ("truth", scenario.u_columns, truth_u)):
+        big = ~(np.abs(block) < _VALUE_MAX).all(axis=0)
+        if big.any():
+            raise ValueError(f"the risk distance overflows in {what} column "
+                             f"{names[int(big.argmax())]!r}; rescale the column")
 
     # with no sought columns u_components returns ones
     preds, resid_sd = _regression(masked_ap, truth_u)

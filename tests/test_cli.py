@@ -2,12 +2,15 @@
 
 from __future__ import annotations
 
+import contextlib
 import copy
 import csv
+import io
 import json
 import os
 import subprocess
 import sys
+import tempfile
 import warnings
 from pathlib import Path
 
@@ -1259,6 +1262,182 @@ class TestConfigMutations:
             cli._parse_config(what, parse, obj, "cfg.json")
         except cli.UsageError as err:
             assert "\n" not in str(err) and str(err).startswith(f"bad {what} config cfg.json: ")
+
+
+# Valid inputs of the data-file commands, each with exactly the columns its
+# command reads, so that any bad cell is an input error
+_RECORDS = [("r0", 0.1, 0.2, 0.5, 3, 5), ("r1", 0.7, 0.4, 1.5, 8, 9), ("r2", 0.3, 0.9, 1.0, 5, 6),
+            ("r3", -0.4, 0.1, 0.2, 1, 4), ("r4", 0.5, -0.6, 2.0, 0, 3), ("r5", -0.2, -0.3, 0.8, 2, 2)]
+_KERNELS = [{"family": "euclidean"}, {"family": "ring"}, {"family": "ring_angle"},
+            {"family": "bivariate_normal", "params": {"var1": 1e-20, "var2": 1e-20, "rho": 0.0}}]
+_MODELS = [{"family": "poisson-log", "regressors": ["x1"]},
+           {"family": "gaussian-identity", "regressors": ["x1"]},
+           {"family": "binomial-logit", "regressors": ["x1"], "trials_col": "n"}]
+# (text, always an input error in a numeric cell, also in an id cell)
+_CELLS = [("nan", True, False), ("inf", True, False), ("-inf", True, False),
+          ("-1", False, False), ("-3.5", False, False), ("1e308", False, False),
+          ("-1e308", False, False), ("1e-310", False, False), ("5e-324", False, False),
+          ("", True, True), ("9" * 200_000, True, True), ("0." + "0" * 400 + "1", False, False)]
+
+
+def _data_file_command(data, tmp):
+    """A valid data-file command in ``tmp``: (argv, its data files, its output)."""
+    sub = data.draw(st.sampled_from(["mask", "fit", "risk", "bias"]), label="command")
+    model = data.draw(st.sampled_from(_MODELS), label="model") if sub == "fit" else {}
+    columns = ["id", "s1", "s2", "x1", "y"] + (["n"] if "trials_col" in model else [])
+    text = ",".join(columns) + "\n" + "".join(
+        ",".join(str(v) for v in record[:len(columns)]) + "\n" for record in _RECORDS)
+    files = [tmp / "data.csv"]
+    files[0].write_text(text)
+    config = tmp / "config.json"
+    out = tmp / ("out.csv" if sub == "mask" else "out.json")
+    if sub == "mask":
+        config.write_text(json.dumps(data.draw(st.sampled_from(_KERNELS), label="kernel")))
+        argv = ["mask", "--in", str(files[0]), "--kernel", str(config), "--lambda", "0.5"]
+    elif sub == "fit":
+        config.write_text(json.dumps(model))
+        argv = ["fit", "--in", str(files[0]), "--model", str(config)]
+    elif sub == "risk":
+        files.append(tmp / "truth.csv")
+        files[1].write_text(text)
+        config.write_text(json.dumps({"ap_columns": ["x1"], "u_columns": ["y"], "mc_draws": 5}))
+        argv = ["risk", "--masked", str(files[0]), "--truth", str(files[1]),
+                "--scenario", str(config)]
+    else:
+        config.write_text(json.dumps(data.draw(st.sampled_from(_KERNELS), label="kernel")))
+        argv = ["bias", "--in", str(files[0]), "--kernel", str(config), "--beta=-2,2"]
+    return argv + ["--out", str(out)], files, out
+
+
+def _mutate(data, path) -> bool:
+    """Mutate the data file at ``path``; whether the result is always an input error."""
+    raw = path.read_bytes()
+    lines = raw.decode().splitlines(keepends=True)
+    kind = data.draw(st.sampled_from(["cell", "duplicate id", "extra cell", "non-UTF-8",
+                                      "truncated"]), label="mutation")
+    row = data.draw(st.integers(1, len(lines) - 1), label="row")
+    cells = lines[row].rstrip("\n").split(",")
+    if kind == "cell":
+        column = data.draw(st.integers(0, len(cells) - 1), label="column")
+        cells[column], numeric_error, id_error = data.draw(st.sampled_from(_CELLS), label="cell")
+        bad = id_error if column == 0 else numeric_error
+    elif kind == "duplicate id":
+        other = data.draw(st.integers(1, len(lines) - 1).filter(lambda r: r != row))
+        cells[0], bad = lines[other].split(",")[0], True
+    elif kind == "extra cell":
+        cells, bad = cells + ["1"], True
+    if kind in ("cell", "duplicate id", "extra cell"):
+        lines[row] = ",".join(cells) + "\n"
+        path.write_text("".join(lines))
+    elif kind == "non-UTF-8":
+        at = data.draw(st.integers(0, len(raw)), label="at")
+        path.write_bytes(raw[:at] + data.draw(st.sampled_from([b"\xff", b"\xc3", b"\x80"])) + raw[at:])
+        bad = True
+    else:
+        path.write_bytes(raw[:data.draw(st.integers(0, len(raw) - 1), label="length")])
+        bad = False
+    return bad
+
+
+class TestDataFileMutations:
+    """Mutated data files of the data-file commands: exit 1 for input errors, 2 for a
+    numerical failure (floating-point overflow among them), each as one stderr line
+    with no output file; or exit 0 with the output written and nothing on stderr."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(data=st.data())
+    def test_mutated_data_file_exit_code_and_one_line(self, data):
+        with tempfile.TemporaryDirectory() as name:
+            tmp = Path(name)
+            argv, files, out = _data_file_command(data, tmp)
+            bad = _mutate(data, data.draw(st.sampled_from(files), label="file"))
+            err = io.StringIO()
+            with contextlib.redirect_stderr(err):
+                rc = main(argv)
+            lines = err.getvalue().splitlines()
+            if rc == 0:
+                assert not bad and lines == [] and out.exists()
+            else:
+                assert rc in (1, 2) and (rc == 1 or not bad), (rc, lines)
+                assert len(lines) == 1 and lines[0].startswith("smoothmask: "), lines
+                assert "Traceback" not in lines[0]
+                assert not out.exists()
+            assert not list(tmp.glob("*.tmp"))
+
+
+class TestOverflowingValues:
+    """Finite values whose arithmetic would overflow: exit 2 with one stderr
+    line, or, where the output is still right, exit 0 with nothing on stderr."""
+
+    _SCENARIO = {"ap_columns": ["x1"], "u_columns": ["y"], "mc_draws": 5}
+
+    def _run(self, tmp_path, capsys, sub, cells, config_flag, config, *flags, truth_cells=None):
+        def write(name, cells):
+            records = [list(r[:5]) for r in _RECORDS]
+            for (row, column), value in cells.items():
+                records[row][column] = value
+            path = tmp_path / name
+            path.write_text("id,s1,s2,x1,y\n" + "".join(
+                ",".join(map(str, r)) + "\n" for r in records))
+            return str(path)
+
+        data = write("data.csv", cells)
+        cfg = tmp_path / "config.json"
+        cfg.write_text(json.dumps(config))
+        out = tmp_path / "out"
+        io_flags = (["--masked", data, "--truth", write("truth.csv", truth_cells or cells)]
+                    if sub == "risk" else ["--in", data])
+        rc = main([sub, *io_flags, config_flag, str(cfg), *flags, "--out", str(out)])
+        return rc, capsys.readouterr().err, out
+
+    @pytest.mark.parametrize("sub, cells, truth_cells, config, flag, message", [
+        # r_00 = 1e308 of the pivoted QR: the intercept's r_11 lies far below its tolerance
+        ("fit", {(2, 3): "1e308"}, None, _MODELS[0], "--model",
+         "design matrix is rank deficient; collinear column(s): ['intercept']"),
+        # the deviance overflows to inf: a flagged fit, which strict JSON cannot hold
+        ("fit", {(2, 4): "1e308"}, None, _MODELS[0], "--model",
+         "the report holds a non-finite value (NaN or infinity)"),
+        ("risk", {}, {(2, 3): "1e308"}, _SCENARIO, "--scenario",
+         "the risk distance overflows in truth column 'x1'; rescale the column"),
+        ("risk", {}, {(2, 4): "-1e308"}, _SCENARIO, "--scenario",
+         "the risk distance overflows in truth column 'y'; rescale the column"),
+        ("mask", {(2, 1): "1e308"}, None, {"family": "ring"}, "--kernel",
+         "the kernel distance overflows at location 2; rescale the locations"),
+        ("mask", {(0, 1): "1e300", (1, 1): "-1e300"}, None, _KERNELS[3], "--kernel",
+         "the kernel distance overflows at location 0; rescale the locations"),
+    ], ids=["fit_x1", "fit_poisson_y", "risk_truth_x1", "risk_truth_y", "mask_ring",
+            "mask_bivariate_normal"])
+    def test_exit_2_one_line(self, tmp_path, capsys, sub, cells, truth_cells, config, flag,
+                             message):
+        extra = ["--lambda", "0.5"] if sub == "mask" else []
+        rc, err, out = self._run(tmp_path, capsys, sub, cells, flag, config, *extra,
+                                 truth_cells=truth_cells)
+        assert (rc, err) == (2, f"smoothmask: computation failed: {message}\n")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("column", [3, 4], ids=["x1", "y"])
+    def test_risk_standardizes_a_huge_released_column(self, tmp_path, capsys, column):
+        # its standard deviation is taken on the column divided by its largest |value|
+        rc, err, out = self._run(tmp_path, capsys, "risk", {(2, column): "1e308"},
+                                 "--scenario", self._SCENARIO)
+        assert (rc, err) == (0, "")
+        assert 0.0 <= json.loads(out.read_text())["expected_correct_rate"] <= 1.0
+
+    def test_bias_with_an_overflowing_linear_predictor_is_exactly_zero(self, tmp_path, capsys):
+        # every built-in kernel's derivative at zero smoothness vanishes, whatever eta
+        rc, err, out = self._run(tmp_path, capsys, "bias", {(2, 3): "1e308"}, "--kernel",
+                                 {"family": "euclidean"}, "--beta=-2,2")
+        assert (rc, err) == (0, "")
+        assert json.loads(out.read_text())["beta_prime0"] == [0.0, 0.0]
+
+    def test_euclidean_mask_of_a_far_location_keeps_its_values(self, tmp_path, capsys):
+        # its squared distances overflow to inf, whose weight is exactly 0
+        rc, err, out = self._run(tmp_path, capsys, "mask", {(2, 1): "1e308"}, "--kernel",
+                                 {"family": "euclidean"}, "--lambda", "0.5")
+        assert (rc, err) == (0, "")
+        rows = list(csv.DictReader(line for line in out.read_text().splitlines()
+                                   if line[0] != "#"))
+        assert (float(rows[2]["x1"]), float(rows[2]["y"])) == (1.0, 5.0)
 
 
 # The hand-written codecs the typed walker replaced, frozen as they were. The

@@ -149,6 +149,42 @@ class TestFit:
         with pytest.raises(ValueError, match="collinear.*twice_a|collinear.*'a'"):
             fit(model, x, np.arange(10.0))
 
+    def test_huge_regressor_gets_the_qr_verdict_without_overflow(self):
+        # r_00 = 1e308: its tolerance r_00 * max(N, p) * eps must not overflow to inf
+        x = np.array([0.5, 1.5, 1e308, 0.2, 2.0, 0.8])
+        with pytest.raises(ValueError, match=r"^design matrix is rank deficient; "
+                                             r"collinear column\(s\): \['intercept'\]$"):
+            fit(POISSON, x, np.array([3.0, 8.0, 5.0, 1.0, 0.0, 2.0]))
+
+    @pytest.mark.parametrize("row", [2, 5])
+    def test_overflowing_poisson_fit_is_flagged_without_warning(self, row):
+        # y / mu, and at row 5 also the score X'(y - mu), overflow: the deviance
+        # is inf, and the fit stops flagged
+        y = np.array([3.0, 8.0, 5.0, 1.0, 0.0, 2.0])
+        y[row] = 1e308
+        fr = fit(POISSON, np.array([0.5, 1.5, 1.0, 0.2, 2.0, 0.8]), y)
+        assert not fr.converged and fr.deviance == math.inf
+
+    @pytest.mark.parametrize("family", ["poisson-log", "binomial-logit"])
+    def test_subnormal_outcome_fits_like_zero(self, family):
+        # y / mu underflows to 0; the deviance term y log(y / mu) is ~0, not -inf
+        model, x = ModelSpec(family, ("x",)), np.array([0.5, 1.5, 1.0, 0.2, 2.0, 0.8])
+        trials = np.array([5.0, 9.0, 6.0, 4.0, 3.0, 2.0])
+        y = np.array([0.0, 8.0, 5.0, 1.0, 0.0, 2.0])
+        zero = fit(model, x, y, trials=trials)
+        y[0] = 5e-324
+        fr = fit(model, x, y, trials=trials)
+        assert fr.converged
+        np.testing.assert_allclose(fr.beta, zero.beta, rtol=1e-12)
+
+    def test_overflowing_information_gives_nan_se_without_warning(self):
+        # trials of 1e308 overflow X'WX: the fit is flagged and its negative
+        # variances have a NaN standard error
+        fr = fit(ModelSpec("binomial-logit", ("x",)), np.array([0.5, 1.5, 1.0, 0.2, 2.0, 0.8]),
+                 np.array([3.0, 8.0, 5.0, 1.0, 0.0, 2.0]),
+                 trials=np.array([5.0, 9.0, 6.0, 4.0, 1e308, 2.0]))
+        assert not fr.converged and np.isnan(fr.se).any()
+
     def test_score_small_on_converged_fits(self):
         rng = np.random.default_rng(9)
         for seed in range(5):
@@ -897,3 +933,152 @@ class TestBootstrap:
     def test_needs_two_replicates(self):
         with pytest.raises(ValueError):
             bootstrap_ci(GAUSSIAN, np.zeros((5, 2)), np.zeros(5), statistic=0, b=1, seed=0)
+
+
+def _no_refit(*args, **kwargs):
+    raise AssertionError("refit before the arguments were checked")
+
+
+def _binomial_sample(n=60, seed=3):
+    """Group fraction g, covariate z, 20 trials per row and binomial outcomes."""
+    rng = np.random.default_rng(seed)
+    x = np.column_stack([rng.uniform(0, 1, n), rng.normal(0, 1, n)])
+    trials = np.full(n, 20.0)
+    y = rng.binomial(20, expit(-1.0 + 0.8 * x[:, 0] + 0.4 * x[:, 1])).astype(float)
+    return x, y, trials
+
+
+BINOMIAL_GZ = ModelSpec("binomial-logit", ("g", "z"))
+
+
+class TestOneArgumentContract:
+    """fit, population_odds_ratio and bootstrap_ci refuse a bad argument alike,
+    and bootstrap_ci before its first refit."""
+
+    @pytest.mark.parametrize("family", ["poisson-log", "gaussian-identity"])
+    def test_log_or_of_a_non_binomial_model_refused(self, monkeypatch, family):
+        monkeypatch.setattr(glm, "fit", _no_refit)
+        x, y, trials = _binomial_sample()
+        with pytest.raises(ValueError, match="^population odds ratio is defined for binomial"):
+            bootstrap_ci(ModelSpec(family, ("g", "z")), x, y, statistic="log_or", b=30,
+                         seed=1, trials=trials, group="g")
+
+    def test_log_or_with_an_unknown_group_refused(self, monkeypatch):
+        monkeypatch.setattr(glm, "fit", _no_refit)
+        x, y, trials = _binomial_sample()
+        with pytest.raises(ValueError, match="^group column 'nope' is not a model regressor$"):
+            bootstrap_ci(BINOMIAL_GZ, x, y, statistic="log_or", b=30, seed=1, trials=trials,
+                         group="nope")
+
+    def test_log_or_with_a_group_outside_the_unit_interval_refused(self, monkeypatch):
+        monkeypatch.setattr(glm, "fit", _no_refit)
+        x, y, trials = _binomial_sample()
+        with pytest.raises(ValueError, match=r"^group regressor must be a fraction in \[0, 1\]$"):
+            bootstrap_ci(BINOMIAL_GZ, x * [3.0, 1.0], y, statistic="log_or", b=30, seed=1,
+                         trials=trials, group="g")
+
+    def test_binomial_coefficient_without_trials_refused(self, monkeypatch):
+        monkeypatch.setattr(glm, "fit", _no_refit)
+        x, y, _ = _binomial_sample()
+        with pytest.raises(ValueError, match="^binomial-logit requires per-row trial counts$"):
+            bootstrap_ci(BINOMIAL_GZ, x, y, statistic=1, b=30, seed=1)
+
+    def test_fit_with_one_trial_count_refused(self):
+        x, y, _ = _binomial_sample()
+        with pytest.raises(ValueError, match=r"^trials must have one entry per outcome \(60\), got 1$"):
+            fit(BINOMIAL_GZ, x, y, trials=np.array([20.0]))
+
+    def test_fit_with_one_offset_refused(self):
+        x, y, _ = _binomial_sample()
+        with pytest.raises(ValueError, match=r"^offset must have one entry per outcome \(60\), got 1$"):
+            fit(ModelSpec("poisson-log", ("g", "z")), x, y, offset=np.array([0.5]))
+
+    def test_odds_ratio_with_one_trial_count_refused(self):
+        x, y, trials = _binomial_sample()
+        fr = fit(BINOMIAL_GZ, x, y, trials=trials)
+        with pytest.raises(ValueError, match=r"^trials must have one entry per outcome \(60\), got 1$"):
+            population_odds_ratio(fr, x, np.array([20.0]), "g")
+
+    def test_fit_with_a_nan_outcome_refused(self):
+        x, y, trials = _binomial_sample()
+        y[5] = np.nan
+        with pytest.raises(glm.OutOfRangeError, match="^outcomes must be finite$") as info:
+            fit(BINOMIAL_GZ, x, y, trials=trials)
+        assert (info.value.role, info.value.row) == ("y", 5)
+
+    def test_odds_ratio_of_an_unconverged_fit_refused(self):
+        x, y, trials = _binomial_sample()
+        fr = fit(BINOMIAL_GZ, x, y, trials=trials)
+        unconverged = glm.FitResult(model=fr.model, beta=fr.beta, cov=fr.cov,
+                                    deviance=fr.deviance, iterations=fr.iterations,
+                                    converged=False, n_obs=fr.n_obs,
+                                    max_abs_score=fr.max_abs_score)
+        with pytest.raises(ValueError, match="^confidence intervals require a converged fit$"):
+            population_odds_ratio(unconverged, x, trials, "g")
+
+    @settings(max_examples=300, deadline=None)
+    @given(family=st.sampled_from(glm.FAMILIES), n=st.integers(6, 30),
+           seed=st.integers(0, 2 ** 32 - 1), with_offset=st.booleans(), data=st.data())
+    def test_property_every_entry_point_raises_the_same_error(self, family, n, seed,
+                                                              with_offset, data):
+        # A valid sample with one argument broken. Each entry point taking that
+        # argument raises the same error; bootstrap_ci before any refit.
+        rng = np.random.default_rng(seed)
+        model = ModelSpec(family, ("g", "z"))
+        binomial = family == "binomial-logit"
+        args = {"x": np.column_stack([rng.uniform(0, 1, n), rng.normal(0, 1, n)]),
+                "trials": rng.integers(1, 30, n).astype(float) if binomial else None,
+                "offset": rng.normal(0, 0.1, n) if with_offset else None, "group": "g"}
+        args["y"] = (rng.binomial(args["trials"].astype(int), 0.4).astype(float) if binomial
+                     else rng.poisson(3.0, n).astype(float) if family == "poisson-log"
+                     else rng.normal(0, 1, n))
+        breaks = [("length", "x"), ("length", "y"), ("length", "offset"), ("non-finite", "x"),
+                  ("non-finite", "y"), ("non-finite", "offset")]
+        if binomial:
+            breaks += [("length", "trials"), ("non-finite", "trials"), ("range", "trials"),
+                       ("range", "y"), ("unknown", "group"), ("fraction", "group")]
+        else:
+            breaks += [("family", "model")] + ([("range", "y")] if family == "poisson-log" else [])
+        kind, name = data.draw(st.sampled_from(breaks), label="break")
+        row = data.draw(st.integers(0, n - 1), label="row")
+        arg = args.get(name)
+        if kind == "length":
+            arg = np.zeros(n) if arg is None else arg
+            args[name] = arg[:-1] if data.draw(st.booleans(), label="shorter") else np.vstack(
+                [arg, arg[:1]]) if arg.ndim == 2 else np.append(arg, arg[0])
+        elif kind == "non-finite":
+            arg = np.zeros(n) if arg is None else arg.copy()
+            arg[(row, data.draw(st.integers(0, 1))) if arg.ndim == 2 else row] = data.draw(
+                st.sampled_from([np.nan, np.inf, -np.inf]), label="value")
+            args[name] = arg
+        elif kind == "range":
+            args[name] = arg = arg.copy()
+            arg[row] = (-float(data.draw(st.integers(0, 3))) if name == "trials"
+                        else data.draw(st.sampled_from([-1.0, args["trials"][row] + 1.0]))
+                        if binomial else -1.0)
+        elif kind == "unknown":
+            args["group"] = "nope"
+        elif kind == "fraction":
+            args["x"] = args["x"].copy()
+            args["x"][row, 0] = data.draw(st.sampled_from([-0.5, 1.5, 3.0]), label="fraction")
+        else:   # a log_or of a Poisson or gaussian model
+            args["trials"] = np.full(n, 10.0)
+        calls = {"bootstrap_ci": lambda: bootstrap_ci(
+            model, args["x"], args["y"], statistic="log_or" if binomial or kind == "family"
+            else 1, b=10, seed=1, trials=args["trials"], offset=args["offset"],
+            group=args["group"])}
+        if name in ("x", "y", "trials", "offset"):
+            calls["fit"] = lambda: fit(model, args["x"], args["y"], trials=args["trials"],
+                                       offset=args["offset"])
+        if name in ("trials", "group", "model") or (binomial and kind == "non-finite"
+                                                    and name == "x"):
+            calls["population_odds_ratio"] = lambda: population_odds_ratio(
+                _or_fit(model, np.zeros(3)), args["x"], args["trials"], args["group"])
+        errors = {}
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(glm, "fit", _no_refit)   # the name fit here is still the real one
+            for caller, call in calls.items():
+                with pytest.raises(ValueError) as info:
+                    call()
+                errors[caller] = (type(info.value), str(info.value))
+        assert len(set(errors.values())) == 1, errors

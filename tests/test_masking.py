@@ -108,6 +108,20 @@ class TestBuildOperator:
         with pytest.raises(ValueError, match="sparsify_threshold must be a finite number >= 0"):
             build_operator(np.zeros((3, 2)), EuclideanKernel(), 0.2, threshold)
 
+    @pytest.mark.parametrize("kernel, far", [
+        (RingKernel(), 1e308), (RingAngleKernel(), -1e308), (RingBlockKernel(), 1e308),
+        (BivariateNormalKernel(var1=1e-20, var2=1e-20, rho=0.0), 1e300),
+        (BivariateNormalKernel(var1=1e-20, var2=1e-20, rho=0.5), -1e300),
+    ], ids=["ring", "ring_angle", "ring_block", "bivariate_normal", "bivariate_normal_rho"])
+    @pytest.mark.parametrize("threshold", [0.0, 0.5])
+    def test_overflowing_distance_names_its_location(self, kernel, far, threshold):
+        # the distance of location 2 to itself is inf - inf (or 0 * inf): NaN,
+        # reported as such, with no RuntimeWarning and not as all-zero weights
+        locs = np.array([[0.1, 0.2], [0.5, -0.3], [far, 0.4], [-0.2, 0.6]])
+        with pytest.raises(ValueError, match="^the kernel distance overflows at location 2; "
+                                             "rescale the locations$"):
+            build_operator(locs, kernel, 0.5, threshold)
+
     @settings(max_examples=100, deadline=None)
     @given(data=st.data(), kernel=st.sampled_from(ALL_KERNELS), duplicate=st.booleans(),
            lam=st.one_of(st.just(0.0), st.floats(0.0, 1e6, exclude_min=True)))

@@ -596,6 +596,36 @@ class TestExpectedCorrectRate:
             expected_correct_rate(data, truth, IntruderScenario(ap_columns=("x", "y")))
 
 
+class TestHugeValues:
+    """Values whose squares overflow: a released column is standardized without
+    overflow; a value too large for the distances is refused, naming its column."""
+
+    def test_huge_released_column_standardizes(self):
+        x, y = np.array([0.3, -1.2, 0.7, 2.0, -0.4]), np.array([1.0, 4.0, 2.5, -3.0, 0.5])
+        scenario = IntruderScenario(ap_columns=("x",), u_columns=("y",), mc_draws=20, seed=2)
+        plain = make_dataset(x, y)
+        huge = make_dataset(x * 2.0 ** 1000, y * 2.0 ** 1000)   # their squares overflow
+        np.testing.assert_allclose(match_probabilities(huge, huge, scenario),
+                                   match_probabilities(plain, plain, scenario),
+                                   rtol=1e-12, atol=1e-15)
+
+    @pytest.mark.parametrize("standardize, where", [(True, "truth"), (False, "truth"),
+                                                   (False, "released")])
+    @pytest.mark.parametrize("column", ["x", "y"])
+    def test_value_too_large_for_the_distances_refused(self, standardize, where, column):
+        values = {"x": np.array([0.3, -1.2, 0.7, 2.0]), "y": np.array([1.0, 4.0, 2.5, -3.0])}
+        plain = make_dataset(**values)
+        values[column] = values[column].copy()
+        values[column][2] = -1e300
+        big = make_dataset(**values)
+        masked, truth = (plain, big) if where == "truth" else (big, plain)
+        scenario = IntruderScenario(ap_columns=("x",), u_columns=("y",), mc_draws=5,
+                                    standardize=standardize)
+        with pytest.raises(ValueError, match=f"^the risk distance overflows in {where} "
+                                             f"column '{column}'; rescale the column$"):
+            risk_report(masked, truth, scenario)
+
+
 class TestMaskedRiskOrdering:
     def test_stronger_masking_not_more_disclosive(self):
         # informed-kernel release should be easier to match than heavily
