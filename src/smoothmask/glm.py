@@ -307,7 +307,8 @@ def _fit_arguments(model: ModelSpec, x, y, trials, offset):
 
 
 # A step that overflows has a non-finite deviance, which fit halves or reports
-# as not converged; a non-finite system raises LinAlgError. Neither warns.
+# as not converged; a singular information matrix stops the fit, flagged.
+# Neither warns.
 @np.errstate(over="ignore", invalid="ignore")
 def fit(model: ModelSpec, x: np.ndarray | None, y: np.ndarray, *,
         trials: np.ndarray | None = None,
@@ -327,7 +328,9 @@ def fit(model: ModelSpec, x: np.ndarray | None, y: np.ndarray, *,
     to fall below 1e-10 and the score to vanish (max component <= 1e-6)
     within 100 iterations; otherwise the result is flagged.
     A fit stops, flagged and at its last accepted estimate, at the first
-    iteration whose step-halving leaves the deviance non-finite.
+    iteration whose step-halving leaves the deviance non-finite or whose
+    information matrix is singular in floating point, as one dominant weight
+    can make it; the covariance is then NaN.
     """
     X, y, trials, offset = _fit_arguments(model, x, y, trials, offset)
     N = y.size
@@ -367,7 +370,10 @@ def fit(model: ModelSpec, x: np.ndarray | None, y: np.ndarray, *,
     converged = False
     it = 0
     for it in range(1, _MAX_ITER + 1):
-        beta_new = beta + np.linalg.solve((X * w[:, None]).T @ X, score)
+        try:
+            beta_new = beta + np.linalg.solve((X * w[:, None]).T @ X, score)
+        except np.linalg.LinAlgError:
+            break   # the last state stands
         mu_new, w_new, score_new = state(beta_new)
         dev_new = _deviance(family, y, mu_new, trials)
         halvings = 0
@@ -388,10 +394,13 @@ def fit(model: ModelSpec, x: np.ndarray | None, y: np.ndarray, *,
             converged = True
             break
 
-    if family == "gaussian-identity":
-        cov = dev / max(N - X.shape[1], 1) * np.linalg.inv(X.T @ X)
-    else:
-        cov = np.linalg.inv((X * w[:, None]).T @ X)
+    try:
+        if family == "gaussian-identity":
+            cov = dev / max(N - X.shape[1], 1) * np.linalg.inv(X.T @ X)
+        else:
+            cov = np.linalg.inv((X * w[:, None]).T @ X)
+    except np.linalg.LinAlgError:
+        cov = np.full((X.shape[1],) * 2, np.nan)
     cov = 0.5 * (cov + cov.T)
     return FitResult(
         model=model,

@@ -1,16 +1,16 @@
 """Weight-function families defining the form of masking, plus their geometric primitives.
 
-Every built-in family evaluates as exp(-d(u, s) / lambda) for a family-specific
-nonnegative internal distance d (infinite across a blocked-region boundary), so
-they share one exponential-decay base class. Every such distance is exactly
-symmetric, so the base class builds the weight matrix from its upper triangle
-and mirrors it: each pair of locations is evaluated once. The Euclidean and
-bivariate-normal distances (the latter on whitened coordinates) and risk
-scoring share one squared-distance routine and one block budget. The abstract
-KernelFamily admits other decay shapes; the masking operator only requires a
-weight matrix.
+Every built-in family evaluates as exp(-d(u, s) / lambda), where d is one of two
+metrics on at most two features per location: squared Euclidean (euclidean on
+the coordinates, bivariate normal on whitened ones) or weighted L1 (the ring
+families on r^2, ring_angle also on cos(theta)), and +inf across a blocked-region
+boundary. So one exponential-decay base class computes the features once per
+weight matrix and the distances block by block. Every such distance is exactly
+symmetric, so it builds the weight matrix from its upper triangle and mirrors
+it: each pair of locations is evaluated once. Risk scoring shares the
+squared-distance routine and the block budget. The abstract KernelFamily admits
+other decay shapes; the masking operator only requires a weight matrix.
 """
-
 from __future__ import annotations
 
 import math
@@ -123,46 +123,86 @@ def _sq_distance(planes, point) -> np.ndarray:
     return acc
 
 
+def _l1_distance(planes, point, weights) -> np.ndarray:
+    """Weighted L1 distance from ``point`` to the entries of ``planes``, laid out
+    as in _sq_distance: each |difference| times its plane's weight, added left
+    to right."""
+    acc = None
+    for plane, c, w in zip(planes, point, weights, strict=True):
+        diff = plane - c
+        np.abs(diff, out=diff)
+        diff *= w
+        if acc is None:
+            acc = diff
+        else:
+            acc += diff
+    return acc
+
+
 class ExponentialDecayKernel(KernelFamily):
-    """Families of the form exp(-d(u, s) / lambda); d may be +inf (hard block)."""
+    """Families of the form exp(-d(u, s) / lambda); d may be +inf (hard block).
+
+    A family defines d by ``features(locs)``, (f, n) planes of per-location
+    values; ``metric``, "sq" (squared Euclidean) or "l1" (L1 with one of
+    ``l1_weights`` per feature, applied to |a - b|, as |w*a - w*b| rounds
+    differently); and optional ``labels(locs)``, which put pairs with unequal
+    labels at d = +inf. These distances are zero on the diagonal, depend only
+    on their own pair, and are exactly symmetric bit for bit; weight_matrix
+    relies on that and computes only the upper triangle.
+    """
+
+    metric = "sq"
+    l1_weights = (1.0,)
 
     @abstractmethod
-    def distance_matrix(self, locs: np.ndarray, others: np.ndarray) -> np.ndarray:
-        """Internal distances from each row of ``locs`` to each row of ``others``.
+    def features(self, locs: np.ndarray) -> np.ndarray:
+        """(f, n) planes: one row per feature, one column per location."""
 
-        The square form ``distance_matrix(locs, locs)`` has exact zeros on the
-        diagonal. Each entry depends only on its own pair of points, so rows a:b
-        of the square form are ``distance_matrix(locs[a:b], locs)`` exactly,
-        and it is exactly symmetric: ``distance_matrix(a, b)`` equals
-        ``distance_matrix(b, a).T`` bit for bit. ``weight_matrix`` relies on
-        that symmetry and computes only the upper triangle; a subclass whose
-        distances are not exactly symmetric must override ``weight_matrix``.
-        """
+    def labels(self, locs: np.ndarray) -> np.ndarray | None:
+        """Side label per location; pairs with unequal labels are at d = +inf."""
+        return None
+
+    def _distances(self, feats: np.ndarray, labels, rows: slice, cols: slice) -> np.ndarray:
+        """Distances from points ``rows`` to points ``cols`` of one set of features."""
+        if self.metric == "sq":
+            d = _sq_distance(feats[:, cols], feats[:, rows, None])
+        else:
+            d = _l1_distance(feats[:, cols], feats[:, rows, None], self.l1_weights)
+        if labels is not None:
+            d[labels[rows, None] != labels[cols]] = np.inf
+        return d
+
+    def distance_matrix(self, locs: np.ndarray, others: np.ndarray) -> np.ndarray:
+        """Internal distances from each row of ``locs`` to each row of ``others``."""
+        both = np.concatenate((locs, others))   # features are per point
+        k = len(locs)
+        return self._distances(self.features(both), self.labels(both), slice(0, k), slice(k, None))
 
     def weight_matrix(self, locs: np.ndarray, lam: float) -> np.ndarray:
         """exp(-d / lam) over all pairs, each pair evaluated once.
 
-        Row block [s, e) of about _BLOCK_ELEMS entries copies the weights left
-        of its diagonal block, w[s:e, :s], transposed from the rows above it,
-        then computes the distances from locs[s:e] to locs[s:] only and writes
-        their weights into w[s:e, s:]. Copying into the block's own rows, which
-        exp writes next, keeps the writes contiguous and in cache. The
-        elementwise arithmetic is that of the full square form (d / -lam is
-        -d / lam exactly), and the distances are exactly symmetric, so every
-        weight is bit-identical to it.
+        The features and labels are computed once. Row block [s, e) of about
+        _BLOCK_ELEMS entries copies the weights left of its diagonal block,
+        w[s:e, :s], transposed from the rows above it, then computes the
+        distances from locs[s:e] to locs[s:] only and writes their weights into
+        w[s:e, s:]. Copying into the block's own rows, which exp writes next,
+        keeps the writes contiguous and in cache. The elementwise arithmetic is
+        that of the full square form (d / -lam is -d / lam exactly), and the
+        distances are exactly symmetric, so every weight is bit-identical to it.
         """
         _check_lambda(lam)
         locs = coords_array(locs)
         n = len(locs)
         w = np.empty((n, n))
         rows = max(1, _BLOCK_ELEMS // max(n, 1))
-        # a distance that overflows is inf, whose weight is 0; inf - inf or 0 * inf
-        # is NaN, which build_operator reports
+        # a feature or distance that overflows is inf, whose weight is 0; inf - inf
+        # or 0 * inf is NaN, which build_operator reports
         with np.errstate(over="ignore", invalid="ignore"):
+            feats, labels = self.features(locs), self.labels(locs)
             for s in range(0, n, rows):
                 e = min(s + rows, n)
                 w[s:e, :s] = w[:s, s:e].T
-                d = self.distance_matrix(locs[s:e], locs[s:])
+                d = self._distances(feats, labels, slice(s, e), slice(s, None))
                 if lam == 0.0:
                     # limit of exp(-d/lam): ties at distance exactly 0 get weight 1
                     w[s:e, s:] = d == 0.0
@@ -177,18 +217,13 @@ def _check_lambda(lam: float) -> None:
         raise ValueError(f"smoothness parameter must be a finite real >= 0, got {lam!r}")
 
 
-def _ring_distance(locs: np.ndarray, others: np.ndarray, source: PointSource) -> np.ndarray:
-    d = _radius_sq(locs, source)[:, None] - _radius_sq(others, source)[None, :]
-    return np.abs(d, out=d)
-
-
 @dataclass(frozen=True)
 class EuclideanKernel(ExponentialDecayKernel):
     """exp(-||s - u||^2 / lambda): weight by plain Euclidean proximity."""
 
-    def distance_matrix(self, locs: np.ndarray, others: np.ndarray) -> np.ndarray:
+    def features(self, locs: np.ndarray) -> np.ndarray:
         # one contiguous plane per coordinate, not the stride-2 columns of an (n, 2) array
-        return _sq_distance(np.ascontiguousarray(others.T), locs.T[:, :, None])
+        return np.ascontiguousarray(locs.T)
 
 
 @dataclass(frozen=True)
@@ -196,9 +231,10 @@ class RingKernel(ExponentialDecayKernel):
     """exp(-|r_s^2 - r_u^2| / lambda): weight by matching radius from the source."""
 
     source: PointSource = PointSource()
+    metric = "l1"
 
-    def distance_matrix(self, locs: np.ndarray, others: np.ndarray) -> np.ndarray:
-        return _ring_distance(locs, others, self.source)
+    def features(self, locs: np.ndarray) -> np.ndarray:
+        return _radius_sq(locs, self.source)[None, :]
 
 
 @dataclass(frozen=True)
@@ -207,17 +243,18 @@ class RingAngleKernel(ExponentialDecayKernel):
 
     source: PointSource = PointSource()
     angle_scale: float = 2.0
+    metric = "l1"
 
     def __post_init__(self) -> None:
         if not (math.isfinite(self.angle_scale) and self.angle_scale >= 0):
             raise ValueError("angle_scale must be finite and >= 0")
 
-    def distance_matrix(self, locs: np.ndarray, others: np.ndarray) -> np.ndarray:
-        t = _direction_cosines(locs, self.source)[:, None] - _direction_cosines(others, self.source)
-        np.abs(t, out=t)
-        t *= self.angle_scale
-        t += _ring_distance(locs, others, self.source)
-        return t
+    @property
+    def l1_weights(self) -> tuple[float, float]:
+        return (self.angle_scale, 1.0)
+
+    def features(self, locs: np.ndarray) -> np.ndarray:
+        return np.stack((_direction_cosines(locs, self.source), _radius_sq(locs, self.source)))
 
 
 @dataclass(frozen=True)
@@ -225,13 +262,13 @@ class RingBlockKernel(ExponentialDecayKernel):
     """Ring weight restricted to pairs on the same side of the blocked region."""
 
     region: BlockRegion = BlockRegion()
+    metric = "l1"
 
-    def distance_matrix(self, locs: np.ndarray, others: np.ndarray) -> np.ndarray:
-        d = _ring_distance(locs, others, self.region.source)
-        ind = _unblocked_mask(locs, self.region)
-        ind_o = _unblocked_mask(others, self.region)
-        d[ind[:, None] != ind_o[None, :]] = np.inf
-        return d
+    def features(self, locs: np.ndarray) -> np.ndarray:
+        return _radius_sq(locs, self.region.source)[None, :]
+
+    def labels(self, locs: np.ndarray) -> np.ndarray:
+        return _unblocked_mask(locs, self.region)
 
 
 @dataclass(frozen=True)
@@ -239,9 +276,8 @@ class BivariateNormalKernel(ExponentialDecayKernel):
     """exp(-(s-u)^T Sigma_lambda^{-1} (s-u) / 2) with Sigma_lambda = lambda * [[v1, rho*sd1*sd2], ...].
 
     With u_k = s_k / sqrt(v_k) and whitened z = (u1, (u2 - rho u1) / sqrt(1 - rho^2))
-    / sqrt(2), (s-u)^T Sigma^{-1} (s-u) / 2 = |z(s) - z(u)|^2. z is elementwise per
-    point, so it is the same in every block: the distances are exactly symmetric,
-    with exact zeros on the diagonal. No determinant is formed, so any positive
+    / sqrt(2), (s-u)^T Sigma^{-1} (s-u) / 2 = |z(s) - z(u)|^2, so the features
+    are z under the "sq" metric. No determinant is formed, so any positive
     finite variances work: tiny ones, which zero every distinct pair's weight,
     give the identity operator on distinct locations; huge ones, which round
     every distance to 0, give the uniform operator (each masked value is its
@@ -258,16 +294,13 @@ class BivariateNormalKernel(ExponentialDecayKernel):
         if not (-1.0 < self.rho < 1.0):
             raise ValueError("correlation must lie strictly inside (-1, 1)")
 
-    def _whitened(self, locs: np.ndarray) -> np.ndarray:
+    def features(self, locs: np.ndarray) -> np.ndarray:
         """(2, n) planes of the whitened coordinates z of each location."""
         # sqrt(2) * sqrt(v), as sqrt(2 v) overflows for v near the float maximum
         z1 = locs[:, 0] / (math.sqrt(2.0) * math.sqrt(self.var1))
         z2 = ((locs[:, 1] / (math.sqrt(2.0) * math.sqrt(self.var2)) - self.rho * z1)
               / math.sqrt((1.0 - self.rho) * (1.0 + self.rho)))
         return np.stack((z1, z2))
-
-    def distance_matrix(self, locs: np.ndarray, others: np.ndarray) -> np.ndarray:
-        return _sq_distance(self._whitened(others), self._whitened(locs)[:, :, None])
 
 
 # ---------------------------------------------------------------------------

@@ -1,9 +1,10 @@
-"""Shared fixtures: a non-exponential test kernel and small dataset builders."""
+"""Shared fixtures: a non-exponential kernel, small dataset builders and a location strategy."""
 
 from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import strategies as st
 
 from smoothmask.dataset import SpatialDataset
 from smoothmask.kernels import KernelFamily
@@ -51,3 +52,20 @@ def random_dataset(n: int, p: int = 1, seed: int = 0, with_counts: bool = False)
         x_names=tuple(f"x{j + 1}" for j in range(p)),
         n=rng.integers(1, 40, n).astype(float) if with_counts else None,
     )
+
+
+# coordinates that stress exact symmetry: signed zeros, a repeated radius, and
+# points on both sides of the default blocked region (x > 0.4 and a small angle
+# from the +x axis is blocked), whose ring_block distance is infinite
+SPECIAL_POINTS = ((0.0, 0.0), (-0.0, 0.0), (0.0, -0.0), (-0.0, -0.0), (0.0, 0.5), (-0.0, 0.5),
+                  (0.5, 0.0), (0.5, -0.0), (1.0, 0.1), (0.9, -0.2), (0.4, 0.0), (-0.5, -0.5))
+
+
+@st.composite
+def symmetry_locs(draw, max_rows: int = 25) -> np.ndarray:
+    point = st.one_of(st.tuples(st.floats(-2, 2), st.floats(-2, 2)),
+                      st.sampled_from(SPECIAL_POINTS))
+    rows = draw(st.lists(point, min_size=1, max_size=max_rows))
+    # duplicated rows, anywhere in the array
+    dups = draw(st.lists(st.integers(0, len(rows) - 1), max_size=5))
+    return np.array(rows + [rows[i] for i in dups], dtype=float).reshape(-1, 2)

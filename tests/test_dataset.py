@@ -6,6 +6,9 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from smoothmask.dataset import (
     CsvSchema,
@@ -18,7 +21,7 @@ from smoothmask.dataset import (
     write_csv,
 )
 
-from conftest import random_dataset
+from conftest import random_dataset, symmetry_locs
 
 
 class TestLoadCsv:
@@ -181,6 +184,30 @@ class TestAggregate:
         np.testing.assert_array_equal(agg.n, [1, 1, 1, 1])
         np.testing.assert_array_equal(agg.y, [10.0, 20.0, 30.0, 40.0])
         assert agg.ids == ("cell_0", "cell_1", "cell_2", "cell_3")
+
+    @settings(max_examples=100, deadline=None)
+    @given(locs=symmetry_locs(), nx=st.integers(1, 5), ny=st.integers(1, 5), data=st.data())
+    def test_property_permuted_records_give_the_same_cells(self, locs, nx, ny, data):
+        n = len(locs)
+        v = data.draw(hnp.arrays(np.float64, (n, 3), elements=st.floats(-1e3, 1e3)), label="v")
+        p = np.array(data.draw(st.permutations(range(n)), label="p"))
+        grid = GridSpec(-2, 2, -2, 2, nx, ny)
+
+        def cells(rows, values):
+            return aggregate(SpatialDataset(ids=tuple(f"r{i}" for i in rows), locs=locs[rows],
+                                            x=values[rows, :2], y=values[rows, 2],
+                                            x_names=("x1", "x2")), grid)
+
+        want, got = cells(np.arange(n), v), cells(p, v)
+        assert got.ids == want.ids
+        assert np.array_equal(got.locs, want.locs) and np.array_equal(got.n, want.n)
+        # a cell of m records sums them in another order: two orders differ by at
+        # most (m - 1) eps times the sum of their magnitudes, and the mean's
+        # division rounds by eps / 2 on each side. Tolerance: twice that m eps.
+        size = cells(np.arange(n), np.abs(v))
+        tol = 2 * want.n * np.finfo(float).eps
+        assert (np.abs(got.y - want.y) <= tol * size.y).all()
+        assert (np.abs(got.x - want.x) <= tol[:, None] * size.x).all()
 
     def test_group_by_oracle_1000_points(self):
         data = random_dataset(1000, p=2, seed=7)

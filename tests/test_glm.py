@@ -156,14 +156,16 @@ class TestFit:
                                              r"collinear column\(s\): \['intercept'\]$"):
             fit(POISSON, x, np.array([3.0, 8.0, 5.0, 1.0, 0.0, 2.0]))
 
-    @pytest.mark.parametrize("row", [2, 5])
+    @pytest.mark.parametrize("row", range(6))
     def test_overflowing_poisson_fit_is_flagged_without_warning(self, row):
         # y / mu, and at row 5 also the score X'(y - mu), overflow: the deviance
-        # is inf, and the fit stops flagged
+        # is inf, and the fit stops flagged; at rows 1, 3 and 4 the information
+        # matrix is singular in floating point, which stops it the same way
         y = np.array([3.0, 8.0, 5.0, 1.0, 0.0, 2.0])
         y[row] = 1e308
         fr = fit(POISSON, np.array([0.5, 1.5, 1.0, 0.2, 2.0, 0.8]), y)
         assert not fr.converged and fr.deviance == math.inf
+        assert np.isnan(fr.cov).all() == (row in (1, 3, 4))
 
     @pytest.mark.parametrize("family", ["poisson-log", "binomial-logit"])
     def test_subnormal_outcome_fits_like_zero(self, family):

@@ -26,6 +26,8 @@ from smoothmask.kernels import (
 )
 from smoothmask.masking import build_operator
 
+from conftest import SPECIAL_POINTS, symmetry_locs
+
 ORIGIN = PointSource()
 
 ALL_KERNELS = (
@@ -227,23 +229,6 @@ class TestCrossDistance:
             assert np.array_equal(kernel.weight_matrix(locs, lam), want)
 
 
-# coordinates that stress exact symmetry: signed zeros, a repeated radius, and
-# points on both sides of the default blocked region (x > 0.4 and a small angle
-# from the +x axis is blocked), whose ring_block distance is infinite
-_SPECIAL_POINTS = ((0.0, 0.0), (-0.0, 0.0), (0.0, -0.0), (-0.0, -0.0), (0.0, 0.5), (-0.0, 0.5),
-                   (0.5, 0.0), (0.5, -0.0), (1.0, 0.1), (0.9, -0.2), (0.4, 0.0), (-0.5, -0.5))
-
-
-@st.composite
-def _symmetry_locs(draw, max_rows: int = 25) -> np.ndarray:
-    point = st.one_of(st.tuples(st.floats(-2, 2), st.floats(-2, 2)),
-                      st.sampled_from(_SPECIAL_POINTS))
-    rows = draw(st.lists(point, min_size=1, max_size=max_rows))
-    # duplicated rows, anywhere in the array
-    dups = draw(st.lists(st.integers(0, len(rows) - 1), max_size=5))
-    return np.array(rows + [rows[i] for i in dups], dtype=float).reshape(-1, 2)
-
-
 def _bits(a: np.ndarray) -> bytes:
     return np.ascontiguousarray(a).tobytes()
 
@@ -284,7 +269,7 @@ class TestSymmetryContract:
     because every built-in distance is exactly symmetric."""
 
     @settings(max_examples=200, deadline=None)
-    @given(kernel=st.sampled_from(ALL_KERNELS), locs=_symmetry_locs(), others=_symmetry_locs())
+    @given(kernel=st.sampled_from(ALL_KERNELS), locs=symmetry_locs(), others=symmetry_locs())
     def test_distances_exactly_symmetric(self, kernel, locs, others):
         square = kernel.distance_matrix(locs, locs)
         assert _bits(square) == _bits(square.T)
@@ -292,16 +277,24 @@ class TestSymmetryContract:
             _bits(kernel.distance_matrix(others, locs).T)
 
     @settings(max_examples=100, deadline=None)
-    @given(kernel=st.sampled_from(ALL_KERNELS), locs=_symmetry_locs(), others=_symmetry_locs())
+    @given(kernel=st.sampled_from(ALL_KERNELS), locs=symmetry_locs(), others=symmetry_locs())
     def test_in_place_arithmetic_equals_plain_expressions(self, kernel, locs, others):
         assert _bits(kernel.distance_matrix(locs, others)) == \
             _bits(_plain_distance(kernel, locs, others))
 
     def test_ring_block_crossing_pairs_are_infinite(self):
-        locs = np.array(_SPECIAL_POINTS)
+        locs = np.array(SPECIAL_POINTS)
         d = RingBlockKernel().distance_matrix(locs, locs)
         assert np.isinf(d).any() and np.isfinite(d).any()
         assert _bits(d) == _bits(d.T)
+
+    @pytest.mark.parametrize("angle_scale", [0.0, 0.7, 3.0])
+    def test_ring_angle_weight_multiplies_the_difference(self, angle_scale):
+        # 0 drops the angle term; unlike the default 2, 0.7 and 3 do not multiply
+        # exactly, so a pre-scaled cosine feature would round some distances differently
+        kernel = RingAngleKernel(angle_scale=angle_scale)
+        locs = np.vstack([np.random.default_rng(29).uniform(-1, 1, (300, 2)), SPECIAL_POINTS])
+        assert _bits(kernel.distance_matrix(locs, locs)) == _bits(_plain_distance(kernel, locs, locs))
 
     @pytest.mark.parametrize("kernel", ALL_KERNELS, ids=lambda k: type(k).__name__)
     @pytest.mark.parametrize("n, budget", [(1, 2 ** 16), (7, 2 ** 16), (82, 2 ** 16),
@@ -309,19 +302,50 @@ class TestSymmetryContract:
     def test_weight_build_computes_each_pair_once(self, kernel, n, budget):
         locs = np.random.default_rng(n).uniform(-1, 1, (n, 2))
         sizes = []
-        original = type(kernel).distance_matrix
+        original = kernels.ExponentialDecayKernel._distances
 
         def counted(self, *args):
             d = original(self, *args)
             sizes.append(d.size)
             return d
 
+        family = type(kernel)
         with mock.patch.object(kernels, "_BLOCK_ELEMS", budget), \
-                mock.patch.object(type(kernel), "distance_matrix", counted):
+                mock.patch.object(kernels.ExponentialDecayKernel, "_distances", counted), \
+                mock.patch.object(family, "features", autospec=True,
+                                  side_effect=family.features) as features:
             kernel.weight_matrix(locs, 0.3)
+        assert features.call_count == 1
         rows = max(1, budget // n)
         assert sum(sizes) <= n * (n + 1) // 2 + n * rows
         assert max(sizes) <= max(budget, n)
+
+
+class TestPermutationEquivariance:
+    """Listing the locations in another order permutes the weights and the operator."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(kernel=st.sampled_from(ALL_KERNELS), locs=symmetry_locs(), data=st.data())
+    def test_property_weights_permute_bit_for_bit(self, kernel, locs, data):
+        # each weight depends only on its own pair, whichever block computes it
+        p = np.array(data.draw(st.permutations(range(len(locs))), label="p"))
+        lam = data.draw(st.sampled_from((0.0, 0.05, 1.0)), label="lam")
+        budget = data.draw(st.integers(1, 4 * len(locs)), label="budget")
+        with mock.patch.object(kernels, "_BLOCK_ELEMS", budget):
+            w = kernel.weight_matrix(locs, lam)
+            assert _bits(kernel.weight_matrix(locs[p], lam)) == _bits(w[np.ix_(p, p)])
+
+    @settings(max_examples=100, deadline=None)
+    @given(kernel=st.sampled_from(ALL_KERNELS), locs=symmetry_locs(), data=st.data())
+    def test_property_operator_permutes_within_row_sum_rounding(self, kernel, locs, data):
+        # a row sum adds the same n nonnegative weights in another order, so two
+        # orders differ by at most (n - 1) eps relative; the division rounds by
+        # eps / 2 on each side. Tolerance: twice that first-order n eps.
+        p = np.array(data.draw(st.permutations(range(len(locs))), label="p"))
+        lam = data.draw(st.sampled_from((0.0, 0.05, 1.0)), label="lam")
+        want = build_operator(locs, kernel, lam).a[np.ix_(p, p)]
+        got = build_operator(locs[p], kernel, lam).a
+        assert (np.abs(got - want) <= 2 * len(locs) * np.finfo(float).eps * want).all()
 
 
 def _quadratic_form(kernel, locs: np.ndarray, others: np.ndarray) -> np.ndarray:
@@ -335,6 +359,25 @@ def _quadratic_form(kernel, locs: np.ndarray, others: np.ndarray) -> np.ndarray:
     return np.maximum((a * d1 ** 2 + 2.0 * b * d1 * d2 + c * d2 ** 2) / 2.0, 0.0)
 
 
+def _assert_equals_quadratic_form(kernel, locs: np.ndarray, others: np.ndarray) -> None:
+    # Error bound, in units of eps * S^2 / (m (1 - rho^2)) with S the largest
+    # |coordinate| and m = min(v1, v2), the size of the form's largest term:
+    # the whitened path rounds z1 within 4 eps, z2 within 19 eps of
+    # S / sqrt(2 m (1 - rho^2)), and squares and adds differences of at most
+    # twice those, ~210 in all; the reference's three terms and sums add ~64,
+    # and its determinant v1 v2 - b^2 cancels to a relative error of
+    # 5 eps / (1 - rho^2), which scales the whole form (at most 10 units).
+    # Hence |new - reference| <= 2**9 eps S^2 / (m (1 - rho^2)^2). Below the
+    # normal range each rounding errs by up to one subnormal ulp instead, which
+    # the absolute term of 2**9 ulps covers.
+    size = max(np.abs(locs).max(), np.abs(others).max()) ** 2
+    bound = (2 ** 9 * np.finfo(float).eps * size
+             / (min(kernel.var1, kernel.var2) * (1.0 - kernel.rho * kernel.rho) ** 2)
+             + 2 ** 9 * np.finfo(float).smallest_subnormal)
+    got = kernel.distance_matrix(locs, others)
+    assert np.abs(got - _quadratic_form(kernel, locs, others)).max() <= bound
+
+
 class TestBivariateWhitening:
     """The bivariate-normal distance is the squared Euclidean distance between
     whitened coordinates."""
@@ -343,25 +386,19 @@ class TestBivariateWhitening:
     @given(var_exp=st.tuples(st.floats(-3, 3), st.floats(-3, 3)), rho=st.floats(-0.99, 0.99),
            scale_exp=st.floats(-3, 3), data=st.data())
     def test_property_equals_quadratic_form(self, var_exp, rho, scale_exp, data):
-        # Error bound, in units of eps * S^2 / (m (1 - rho^2)) with S the largest
-        # |coordinate| and m = min(v1, v2), the size of the form's largest term:
-        # the whitened path rounds z1 within 4 eps, z2 within 19 eps of
-        # S / sqrt(2 m (1 - rho^2)), and squares and adds differences of at most
-        # twice those, ~210 in all; the reference's three terms and sums add ~64,
-        # and its determinant v1 v2 - b^2 cancels to a relative error of
-        # 5 eps / (1 - rho^2), which scales the whole form (at most 10 units).
-        # Hence |new - reference| <= 2**9 eps S^2 / (m (1 - rho^2)^2).
         kernel = BivariateNormalKernel(var1=10.0 ** var_exp[0], var2=10.0 ** var_exp[1], rho=rho)
         scale = 10.0 ** scale_exp
         coords = hnp.arrays(np.float64, st.tuples(st.integers(1, 8), st.just(2)),
                             elements=st.floats(-1.0, 1.0))
         locs = data.draw(coords, label="locs") * scale
         others = data.draw(coords, label="others") * scale
-        size = max(np.abs(locs).max(), np.abs(others).max()) ** 2
-        bound = (2 ** 9 * np.finfo(float).eps * size
-                 / (min(kernel.var1, kernel.var2) * (1.0 - rho * rho) ** 2))
-        got = kernel.distance_matrix(locs, others)
-        assert np.abs(got - _quadratic_form(kernel, locs, others)).max() <= bound
+        _assert_equals_quadratic_form(kernel, locs, others)
+
+    def test_subnormal_distances_equal_quadratic_form(self):
+        # the squared distance 2.97e-313 is subnormal: the two forms differ by
+        # one subnormal ulp, which the relative term of the bound rounds to 0
+        _assert_equals_quadratic_form(BivariateNormalKernel(var1=1.0, var2=1.0, rho=0.0),
+                                      np.array([[0.0, 0.0]]), np.array([[5.45e-157, 5.45e-157]]))
 
     @pytest.mark.parametrize("var", [1e-170, 1e-300, 5e-324])
     def test_tiny_variances_give_the_identity_operator(self, var):
