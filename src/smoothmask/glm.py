@@ -16,9 +16,10 @@ than a least-squares solve on sqrt(W) X would give.
 
 The module needs only numpy on its common paths. A design whose full column
 rank is certified by its smallest singular value skips the pivoted QR, and
-the normal quantile and the logistic function are computed here, so scipy's
-LAPACK wrapper is imported only for designs that are near-singular or have
-fewer rows than columns.
+the logistic function is computed here, so scipy's LAPACK wrapper is imported
+only for designs that are near-singular or have fewer rows than columns. The
+normal quantile of the Wald intervals comes from the standard library's
+statistics.NormalDist.
 """
 
 from __future__ import annotations
@@ -47,81 +48,14 @@ _SUBNORMAL = np.finfo(float).smallest_subnormal
 # most trials * (1 + (2n + 1) eps): below this relative excess for n < 2e5
 _TRIALS_RTOL = 1e-10
 
-# Coefficients of Cephes ndtri (Moshier), as scipy.special.ndtri uses them:
-# a rational function of (y - 1/2)^2 for exp(-2) < y < 1 - exp(-2), and of
-# 1/sqrt(-2 log y) for the tails below and above exp(-32).
-_NDTRI_P0 = (-5.99633501014107895267e1, 9.80010754185999661536e1,
-             -5.66762857469070293439e1, 1.39312609387279679503e1,
-             -1.23916583867381258016e0)
-_NDTRI_Q0 = (1.95448858338141759834e0, 4.67627912898881538453e0,
-             8.63602421390890590575e1, -2.25462687854119370527e2,
-             2.00260212380060660359e2, -8.20372256168333339912e1,
-             1.59056225126211695515e1, -1.18331621121330003142e0)
-_NDTRI_P1 = (4.05544892305962419923e0, 3.15251094599893866154e1,
-             5.71628192246421288162e1, 4.40805073893200834700e1,
-             1.46849561928858024014e1, 2.18663306850790267539e0,
-             -1.40256079171354495875e-1, -3.50424626827848203418e-2,
-             -8.57456785154685413611e-4)
-_NDTRI_Q1 = (1.57799883256466749731e1, 4.53907635128879210584e1,
-             4.13172038254672030440e1, 1.50425385692907503408e1,
-             2.50464946208309415979e0, -1.42182922854787788574e-1,
-             -3.80806407691578277194e-2, -9.33259480895457427372e-4)
-_NDTRI_P2 = (3.23774891776946035970e0, 6.91522889068984211695e0,
-             3.93881025292474443415e0, 1.33303460815807542389e0,
-             2.01485389549179081538e-1, 1.23716634817820021358e-2,
-             3.01581553508235416007e-4, 2.65806974686737550832e-6,
-             6.23974539184983293730e-9)
-_NDTRI_Q2 = (6.02427039364742014255e0, 3.67983563856160859403e0,
-             1.37702099489081330271e0, 2.16236993594496635890e-1,
-             1.34204006088543189037e-2, 3.28014464682127739104e-4,
-             2.89247864745380683936e-6, 6.79019408009981274425e-9)
-_EXP_MINUS_2 = 0.13533528323661269189
-_SQRT_2PI = 2.50662827463100050242
+def _critical_value(level: float) -> float:
+    """z with P(|Z| <= z) = level for a standard normal Z: the standard
+    library's quantile (statistics, imported at the first call), or inf where
+    the probability rounds to 1 and inv_cdf would raise."""
+    from statistics import NormalDist
 
-
-def _polevl(x: float, coefs: tuple[float, ...]) -> float:
-    ans = coefs[0]
-    for c in coefs[1:]:
-        ans = ans * x + c
-    return ans
-
-
-def _p1evl(x: float, coefs: tuple[float, ...]) -> float:
-    """_polevl with an implied leading coefficient of 1."""
-    ans = x + coefs[0]
-    for c in coefs[1:]:
-        ans = ans * x + c
-    return ans
-
-
-def _ndtri(y0: float) -> float:
-    """Standard normal quantile, the Cephes algorithm of scipy.special.ndtri
-    in the same floating-point operations, so the values agree bit for bit."""
-    if y0 == 0.0:
-        return -math.inf
-    if y0 == 1.0:
-        return math.inf
-    if not 0.0 < y0 < 1.0:
-        return math.nan
-    negate = True
-    y = y0
-    if y > 1.0 - _EXP_MINUS_2:
-        y = 1.0 - y
-        negate = False
-    if y > _EXP_MINUS_2:
-        y -= 0.5
-        y2 = y * y
-        x = y + y * (y2 * _polevl(y2, _NDTRI_P0) / _p1evl(y2, _NDTRI_Q0))
-        return x * _SQRT_2PI
-    x = math.sqrt(-2.0 * math.log(y))
-    x0 = x - math.log(x) / x
-    z = 1.0 / x
-    if x < 8.0:  # y > exp(-32)
-        x1 = z * _polevl(z, _NDTRI_P1) / _p1evl(z, _NDTRI_Q1)
-    else:
-        x1 = z * _polevl(z, _NDTRI_P2) / _p1evl(z, _NDTRI_Q2)
-    x = x0 - x1
-    return -x if negate else x
+    p = 0.5 * (1.0 + level)
+    return math.inf if p == 1.0 else NormalDist().inv_cdf(p)
 
 
 def _expit(x: np.ndarray) -> np.ndarray:
@@ -424,7 +358,7 @@ def _check_level(level: float, result: FitResult | None = None) -> None:
 def naive_ci(result: FitResult, level: float = 0.95) -> np.ndarray:
     """Per-coefficient Wald intervals beta_k +/- z * se_k; (q, 2) array."""
     _check_level(level, result)
-    z = _ndtri(0.5 * (1.0 + level))
+    z = _critical_value(level)
     se = result.se
     return np.column_stack([result.beta - z * se, result.beta + z * se])
 
@@ -497,7 +431,7 @@ def population_odds_ratio(result: FitResult, x: np.ndarray, trials: np.ndarray,
     _log_or_arguments(result.model, x, group)
     log_or, grad, p_b, p_w = _log_odds_ratio(result.model, result.beta, x, trials, group)
     se = float(math.sqrt(grad @ result.cov @ grad))
-    z = _ndtri(0.5 * (1.0 + level))
+    z = _critical_value(level)
     return OddsRatioResult(
         or_value=math.exp(log_or),
         log_or=log_or,

@@ -281,7 +281,9 @@ class BivariateNormalKernel(ExponentialDecayKernel):
     finite variances work: tiny ones, which zero every distinct pair's weight,
     give the identity operator on distinct locations; huge ones, which round
     every distance to 0, give the uniform operator (each masked value is its
-    column mean).
+    column mean). A location whose z overflows takes the same limit: its
+    features are 0 and its label is its own, so it gets weight 1 from
+    coincident locations and 0 from all others.
     """
 
     var1: float = 1.0
@@ -294,13 +296,31 @@ class BivariateNormalKernel(ExponentialDecayKernel):
         if not (-1.0 < self.rho < 1.0):
             raise ValueError("correlation must lie strictly inside (-1, 1)")
 
-    def features(self, locs: np.ndarray) -> np.ndarray:
-        """(2, n) planes of the whitened coordinates z of each location."""
+    def _whitened(self, locs: np.ndarray) -> np.ndarray:
+        """(2, n) planes of the whitened coordinates z; inf or NaN where they overflow."""
         # sqrt(2) * sqrt(v), as sqrt(2 v) overflows for v near the float maximum
         z1 = locs[:, 0] / (math.sqrt(2.0) * math.sqrt(self.var1))
         z2 = ((locs[:, 1] / (math.sqrt(2.0) * math.sqrt(self.var2)) - self.rho * z1)
               / math.sqrt((1.0 - self.rho) * (1.0 + self.rho)))
         return np.stack((z1, z2))
+
+    def features(self, locs: np.ndarray) -> np.ndarray:
+        """z of each location, with 0 in the columns that overflow."""
+        z = self._whitened(locs)
+        z[:, ~np.isfinite(z).all(axis=0)] = 0.0
+        return z
+
+    def labels(self, locs: np.ndarray) -> np.ndarray | None:
+        """None while every z is finite. Otherwise label 0 for the locations with
+        finite z and one label of its own for each distinct location whose z
+        overflows."""
+        far = ~np.isfinite(self._whitened(locs)).all(axis=0)
+        if not far.any():
+            return None
+        labels = np.zeros(len(locs), dtype=np.intp)
+        own: dict = {}
+        labels[far] = [own.setdefault(p, len(own) + 1) for p in map(tuple, locs[far].tolist())]
+        return labels
 
 
 # ---------------------------------------------------------------------------

@@ -26,7 +26,7 @@ from .kernels import (
     kernel_to_json,
 )
 from .masking import build_operator
-from .glm import FitResult, ModelSpec, _ndtri, _percentile_interval, fit
+from .glm import FitResult, ModelSpec, _critical_value, _percentile_interval, fit
 from .risk import (
     IntruderScenario,
     check_scenario_fits,
@@ -340,7 +340,7 @@ def run_study(cfg: SimConfig) -> StudyResult:
     scenario = cfg.scenario
 
     model = ModelSpec(family="poisson-log", regressors=_STUDY_X_NAMES, intercept=True)
-    z = _ndtri(0.5 * (1.0 + cfg.ci_level))
+    z = _critical_value(cfg.ci_level)
     alpha = 0.5 * (1.0 - cfg.ci_level)
     grid = cfg.grid()
 

@@ -291,6 +291,16 @@ class TestFit:
                                            "a non-finite value (NaN or infinity)\n")
         assert sorted(p.name for p in tmp_path.iterdir()) == ["gaussian.json", "huge.csv"]
 
+    def test_level_whose_quantile_is_infinite_exit_2(self, toy, tmp_path, capsys):
+        # 0.5 * (1 + level) rounds to 1: the interval is infinite, not an error
+        out = tmp_path / "fit.json"
+        rc = main(["fit", "--in", str(toy["data"]), "--model", str(toy["model"]),
+                   "--level", "0.9999999999999999", "--out", str(out)])
+        assert rc == 2
+        assert capsys.readouterr().err == ("smoothmask: computation failed: the report holds "
+                                           "a non-finite value (NaN or infinity)\n")
+        assert not out.exists()
+
     @pytest.mark.parametrize("family, y, n, column, record, message", [
         ("poisson-log", [2, -1, 3, -4], None, "cases", "c1",
          "poisson outcomes must be nonnegative"),
@@ -700,6 +710,12 @@ def test_import_does_not_load_scipy_stats():
     # no scipy module at all: scipy.stats, scipy.special, scipy.linalg and
     # scipy.spatial each cost tens of MB and most of a second of start-up
     assert _slow_modules_after("import sys, smoothmask") == "[]\n"
+
+
+def test_import_does_not_load_statistics():
+    # the normal quantile's module is imported at the first interval
+    assert _slow_modules_after("import sys, smoothmask, smoothmask.cli\n"
+                               "print('statistics' in sys.modules)") == "False\n[]\n"
 
 
 def test_common_commands_do_not_load_scipy(tmp_path):
@@ -1403,10 +1419,7 @@ class TestOverflowingValues:
          "the risk distance overflows in truth column 'y'; rescale the column"),
         ("mask", {(2, 1): "1e308"}, None, {"family": "ring"}, "--kernel",
          "the kernel distance overflows at location 2; rescale the locations"),
-        ("mask", {(0, 1): "1e300", (1, 1): "-1e300"}, None, _KERNELS[3], "--kernel",
-         "the kernel distance overflows at location 0; rescale the locations"),
-    ], ids=["fit_x1", "fit_poisson_y", "risk_truth_x1", "risk_truth_y", "mask_ring",
-            "mask_bivariate_normal"])
+    ], ids=["fit_x1", "fit_poisson_y", "risk_truth_x1", "risk_truth_y", "mask_ring"])
     def test_exit_2_one_line(self, tmp_path, capsys, sub, cells, truth_cells, config, flag,
                              message):
         extra = ["--lambda", "0.5"] if sub == "mask" else []
@@ -1414,6 +1427,17 @@ class TestOverflowingValues:
                                  truth_cells=truth_cells)
         assert (rc, err) == (2, f"smoothmask: computation failed: {message}\n")
         assert not out.exists()
+
+    def test_mask_with_an_overflowing_whitening_is_the_identity(self, tmp_path, capsys):
+        # records r0 and r1 are too far out to whiten; the others, at variance
+        # 1e-20, have no neighbours either
+        cells = {(0, 1): "1e300", (1, 1): "-1e300"}
+        rc, err, out = self._run(tmp_path, capsys, "mask", cells, "--kernel", _KERNELS[3],
+                                 "--lambda", "0.5")
+        assert (rc, err) == (0, "")
+        masked = load_csv(out, CsvSchema(x_cols=("x1",)))
+        assert masked.x[:, 0].tolist() == [r[3] for r in _RECORDS]
+        assert masked.y.tolist() == [r[4] for r in _RECORDS]
 
     @pytest.mark.parametrize("column", [3, 4], ids=["x1", "y"])
     def test_risk_standardizes_a_huge_released_column(self, tmp_path, capsys, column):

@@ -110,9 +110,7 @@ class TestBuildOperator:
 
     @pytest.mark.parametrize("kernel, far", [
         (RingKernel(), 1e308), (RingAngleKernel(), -1e308), (RingBlockKernel(), 1e308),
-        (BivariateNormalKernel(var1=1e-20, var2=1e-20, rho=0.0), 1e300),
-        (BivariateNormalKernel(var1=1e-20, var2=1e-20, rho=0.5), -1e300),
-    ], ids=["ring", "ring_angle", "ring_block", "bivariate_normal", "bivariate_normal_rho"])
+    ], ids=["ring", "ring_angle", "ring_block"])
     @pytest.mark.parametrize("threshold", [0.0, 0.5])
     def test_overflowing_distance_names_its_location(self, kernel, far, threshold):
         # the distance of location 2 to itself is inf - inf (or 0 * inf): NaN,
@@ -121,6 +119,39 @@ class TestBuildOperator:
         with pytest.raises(ValueError, match="^the kernel distance overflows at location 2; "
                                              "rescale the locations$"):
             build_operator(locs, kernel, 0.5, threshold)
+
+    @pytest.mark.parametrize("kernel, far", [
+        (BivariateNormalKernel(var1=1e-20, var2=1e-20, rho=0.0), 1e300),
+        (BivariateNormalKernel(var1=1e-20, var2=1e-20, rho=0.5), -1e300),
+    ], ids=["bivariate_normal", "bivariate_normal_rho"])
+    @pytest.mark.parametrize("threshold", [0.0, 0.5])
+    def test_overflowing_whitening_gives_the_identity(self, kernel, far, threshold):
+        # location 2's whitened coordinates overflow; like the finite ones at
+        # these variances it keeps weight 1 on itself and 0 on every other one
+        locs = np.array([[0.1, 0.2], [0.5, -0.3], [far, 0.4], [-0.2, 0.6]])
+        data = SpatialDataset(ids=("a", "b", "c", "d"), locs=locs, x_names=("x1",),
+                              x=np.array([[0.5], [1.5], [1.0], [0.2]]),
+                              y=np.array([3.0, 8.0, 5.0, 1.0]))
+        op = build_operator(locs, kernel, 0.5, threshold)
+        assert np.array_equal(op.a, np.eye(4))
+        masked = op.apply(data)
+        assert np.array_equal(masked.x, data.x) and np.array_equal(masked.y, data.y)
+
+    @pytest.mark.parametrize("lam", [0.0, 0.5])
+    def test_coincident_overflowing_locations_share_their_weight(self, lam):
+        # each distinct location whose whitening overflows is its own
+        # neighbourhood; -0.0 and 0.0 are one location
+        kernel = BivariateNormalKernel(var1=1e-20, var2=1e-20, rho=0.0)
+        locs = np.array([[0.1, 0.2], [1e300, 0.4], [1e300, 0.4], [1e300, 0.0], [1e300, -0.0],
+                         [-1e300, 0.4]])
+        a = build_operator(locs, kernel, lam).a
+        want = np.eye(6)
+        want[1:5, 1:5] = np.kron(np.eye(2), np.full((2, 2), 0.5))
+        assert np.array_equal(a, want)
+
+    def test_finite_whitening_has_no_labels(self):
+        kernel = BivariateNormalKernel(var1=1e-20, var2=1e-20, rho=0.5)
+        assert kernel.labels(np.array([[0.1, 0.2], [1e140, -1e140]])) is None
 
     @settings(max_examples=100, deadline=None)
     @given(data=st.data(), kernel=st.sampled_from(ALL_KERNELS), duplicate=st.booleans(),

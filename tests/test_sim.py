@@ -194,6 +194,13 @@ class TestRunStudy:
     def test_metadata_version_is_the_package_version(self, study):
         assert study.metadata["version"] == smoothmask.__version__
 
+    def test_level_whose_quantile_is_infinite_gives_infinite_width_ratios(self):
+        # 0.5 * (1 + ci_level) rounds to 1, so every naive interval is infinite
+        res = run_study(small_config(lambdas=(0.3,), replicates=4, scenario=None,
+                                     ci_level=0.9999999999999999))
+        assert [r.width_ratio for r in res.rows] == [math.inf] * 4
+        assert {line.split(",")[10] for line in study_csv_text(res).splitlines()[2:]} == {"inf"}
+
     def test_all_failed_rows(self, monkeypatch):
         # one IRLS iteration never converges, so every row has no estimate left
         monkeypatch.setattr(glm, "_MAX_ITER", 1)
