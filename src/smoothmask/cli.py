@@ -179,17 +179,19 @@ def _cmd_mask(args) -> _Outputs:
     data = _load_dataset(args.input, schema)
     kernel_json = _load_json(args.kernel, "kernel")
     kernel = _parse_config("kernel", kernel_from_json, kernel_json, args.kernel)
-    for flag, value in (("--lambda", args.lam), ("--sparsify", args.sparsify),
-                        ("--grid-nx", args.grid_nx), ("--grid-ny", args.grid_ny)):
+    for flag, value in (("--lambda", args.lam), ("--grid-nx", args.grid_nx),
+                        ("--grid-ny", args.grid_ny)):
         if not (math.isfinite(value) and value >= 0):
             raise UsageError(f"{flag} must be a finite number >= 0, got {value!r}")
     out = _output_path("--out", args.out)
     export = args.export_operator and _output_path("--export-operator", args.export_operator)
+    if export and export.resolve() == out.resolve():
+        raise UsageError(f"--out and --export-operator name the same file: {args.out}")
     if bool(args.grid_nx) != bool(args.grid_ny):
         raise UsageError("two-step masking needs both --grid-nx and --grid-ny")
     if args.grid_nx:
         unused = [flag for flag, value in (("--export-operator", args.export_operator),
-                                           ("--sparsify", args.sparsify)) if value]
+                                           ("--n-col", args.n_col)) if value]
         if unused:
             raise UsageError(f"{' and '.join(unused)} cannot be used with two-step "
                              "masking (--grid-nx/--grid-ny)")
@@ -206,7 +208,7 @@ def _cmd_mask(args) -> _Outputs:
         masked = compose_two_step(data, grid, kernel, args.lam)
         out_schema = CsvSchema(x_cols=data.x_names, n_col="n")
     else:
-        op = build_operator(data.locs, kernel, args.lam, args.sparsify)
+        op = build_operator(data.locs, kernel, args.lam)
         masked = op.apply(data)
         out_schema = schema
     provenance = (f"masked: kernel={json.dumps(kernel_json, sort_keys=True)} "
@@ -470,8 +472,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--lambda", dest="lam", type=float, required=True,
                    help="smoothness parameter (0 = no masking)")
     p.add_argument("--out", required=True, help="masked dataset CSV")
-    p.add_argument("--sparsify", type=float, default=0.0,
-                   help="drop weights below this fraction of the row max, then renormalize")
     p.add_argument("--export-operator", default=None,
                    help="also write the operator matrix CSV (handle as confidential)")
     p.add_argument("--grid-nx", type=int, default=0,

@@ -358,8 +358,11 @@ def aggregate(data: SpatialDataset, grid: GridSpec) -> SpatialDataset:
     whose x is the members' mean regressors, y their summed outcome and n their
     count. Empty cells are omitted; the aggregated outcome model has no term
     for them. np.bincount adds each cell's records in record order, so the
-    sums equal a sequential loop over the records bit for bit.
+    sums equal a sequential loop over the records bit for bit. Records that
+    carry count weights are refused: a cell's count and mean would drop them.
     """
+    if data.n is not None:
+        raise ValueError("cannot aggregate records that carry count weights")
     occupied, cell = np.unique(grid.cell_indices(data.locs), return_inverse=True)
     counts = np.bincount(cell).astype(float)
     x_sum = np.empty((len(occupied), data.n_regressors))

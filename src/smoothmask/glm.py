@@ -329,8 +329,8 @@ def fit(model: ModelSpec, x: np.ndarray | None, y: np.ndarray, *,
             break
 
     try:
-        if family == "gaussian-identity":
-            cov = dev / max(N - X.shape[1], 1) * np.linalg.inv(X.T @ X)
+        if family == "gaussian-identity":   # a saturated fit (N = p) has no dispersion estimate
+            cov = (dev / (N - X.shape[1]) if N > X.shape[1] else np.nan) * np.linalg.inv(X.T @ X)
         else:
             cov = np.linalg.inv((X * w[:, None]).T @ X)
     except np.linalg.LinAlgError:

@@ -43,21 +43,14 @@ class MaskingOperator:
         return data.replace_values(x=self.a @ data.x, y=self.a @ data.y)
 
 
-def build_operator(locs, kernel: KernelFamily, lam: float,
-                   sparsify_threshold: float = 0.0) -> MaskingOperator:
+def build_operator(locs, kernel: KernelFamily, lam: float) -> MaskingOperator:
     """Normalize kernel weights over the given locations into a row-stochastic matrix.
 
-    The self-weight is included in each row's normalizing sum. With
-    ``sparsify_threshold`` = eps > 0, weights below eps * (row max) are dropped
-    before renormalizing; the default keeps the exact dense operator.
+    The self-weight is included in each row's normalizing sum. The operator is
+    the exact dense n x n matrix: 8 n**2 bytes.
     """
-    if not 0 <= sparsify_threshold < np.inf:   # also rejects NaN
-        raise ValueError(f"sparsify_threshold must be a finite number >= 0, got {sparsify_threshold!r}")
     locs = coords_array(locs)
     w = kernel.weight_matrix(locs, lam)
-    if sparsify_threshold > 0:
-        cut = sparsify_threshold * w.max(axis=1, keepdims=True)
-        w = np.where(w < cut, 0.0, w)
     sums = w.sum(axis=1)
     dead = ~(sums > 0)
     if dead.any():
@@ -70,10 +63,9 @@ def build_operator(locs, kernel: KernelFamily, lam: float,
     return MaskingOperator(a=w, locs=locs)
 
 
-def mask_dataset(data: SpatialDataset, kernel: KernelFamily, lam: float,
-                 sparsify_threshold: float = 0.0) -> SpatialDataset:
+def mask_dataset(data: SpatialDataset, kernel: KernelFamily, lam: float) -> SpatialDataset:
     """Build the operator on the dataset's own locations and apply it."""
-    return build_operator(data.locs, kernel, lam, sparsify_threshold).apply(data)
+    return build_operator(data.locs, kernel, lam).apply(data)
 
 
 def compose_two_step(data: SpatialDataset, grid: GridSpec, kernel: KernelFamily,

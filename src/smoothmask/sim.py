@@ -13,8 +13,8 @@ from typing import Sequence
 import numpy as np
 
 from . import __version__
-from .dataset import (GridSpec, SpatialDataset, _from_json, _json_object, _json_value,
-                      _registered, _registered_name, _to_json, aggregate)
+from .dataset import (GridSpec, SpatialDataset, _first_repeat, _from_json, _json_object,
+                      _json_value, _registered, _registered_name, _to_json, aggregate)
 from .kernels import (
     BlockRegion,
     KernelFamily,
@@ -188,6 +188,9 @@ class SimConfig:
         if not all(map(math.isfinite, self.bounds)):
             raise ValueError(f"bounds must be finite, got {list(self.bounds)}")
         self.grid()  # raises unless xmin < xmax, ymin < ymax, finite spans, nx, ny >= 1
+        repeated = _first_repeat(self.lambdas)
+        if repeated is not None:
+            raise ValueError(f"lambda {repeated!r} is listed twice in lambdas")
         names = [k for k, _ in self.kernels]
         if len(set(names)) != len(names):
             raise ValueError("kernel names must be unique")

@@ -200,19 +200,54 @@ class TestMask:
                                            "finite and positive\n")
         assert not out.exists()
 
-    @pytest.mark.parametrize("flag, value", [
-        ("--sparsify", "-1"), ("--sparsify", "nan"), ("--lambda", "nan"),
-    ])
+    @pytest.mark.parametrize("flag, value", [("--lambda", "nan")])
     def test_bad_flag_value_exit_1(self, toy, tmp_path, capsys, flag, value):
-        args = {"--lambda": "0.3", "--sparsify": "0"} | {flag: value}
         out = tmp_path / "m.csv"
         rc = main(["mask", "--in", str(toy["data"]), "--kernel", str(toy["kernel"]),
-                   "--out", str(out), *(a for kv in args.items() for a in kv)])
+                   "--out", str(out), flag, value])
         assert rc == 1
         err = capsys.readouterr().err
         assert err.startswith(f"smoothmask: {flag} must be a finite number >= 0")
         assert err.count("\n") == 1
         assert not out.exists()
+
+    @pytest.mark.parametrize("export", ["{out}", "./{out}", "{dir}/../{dir_name}/{out}"],
+                             ids=["same", "dot_slash", "parent_detour"])
+    def test_out_and_export_operator_one_file_exit_1(self, toy, tmp_path, capsys, monkeypatch,
+                                                      export):
+        # both writers would share one output, and the operator would replace the release
+        def no_operator(*args):
+            raise AssertionError("operator built before the output paths were checked")
+
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.setattr(cli, "build_operator", no_operator)
+        export = export.format(out="m.csv", dir=tmp_path, dir_name=tmp_path.name)
+        rc = main(["mask", "--in", str(toy["data"]), "--kernel", str(toy["kernel"]),
+                   "--lambda", "0.3", "--out", "m.csv", "--export-operator", export])
+        assert rc == 1
+        assert capsys.readouterr().err == ("smoothmask: --out and --export-operator name "
+                                           "the same file: m.csv\n")
+        assert not (tmp_path / "m.csv").exists()
+        assert not list(tmp_path.glob("*.tmp"))
+
+    @pytest.mark.parametrize("extra, flags", [
+        ([], "--n-col"),
+        (["--export-operator", "op.csv"], "--export-operator and --n-col"),
+    ], ids=["n_col", "n_col_and_export_operator"])
+    def test_two_step_with_count_weights_exit_1(self, toy, tmp_path, capsys, monkeypatch,
+                                                 extra, flags):
+        # aggregation would make each cell's n its record count and x1 an unweighted mean
+        monkeypatch.chdir(tmp_path)
+        data = tmp_path / "counts.csv"
+        data.write_text("id,s1,s2,x1,y,n\nr0,0.1,0.2,0.5,3,100\nr1,0.7,0.4,1.5,8,200\n"
+                        "r2,0.3,0.9,1.0,5,50\nr3,0.6,0.8,2.0,1,10\n")
+        rc = main(["mask", "--in", str(data), "--kernel", str(toy["kernel"]), "--lambda", "0.2",
+                   "--out", "cells.csv", "--n-col", "n", "--grid-nx", "1", "--grid-ny", "1",
+                   *extra])
+        assert rc == 1
+        assert capsys.readouterr().err == (f"smoothmask: {flags} cannot be used with two-step "
+                                           "masking (--grid-nx/--grid-ny)\n")
+        assert not (tmp_path / "cells.csv").exists() and not (tmp_path / "op.csv").exists()
 
 
     @pytest.mark.parametrize("missing", ["--out", "--export-operator"])
@@ -290,6 +325,19 @@ class TestFit:
         assert capsys.readouterr().err == ("smoothmask: computation failed: the report holds "
                                            "a non-finite value (NaN or infinity)\n")
         assert sorted(p.name for p in tmp_path.iterdir()) == ["gaussian.json", "huge.csv"]
+
+    def test_saturated_gaussian_fit_exit_2(self, tmp_path, capsys):
+        # two records, two coefficients: no residual degree of freedom, NaN standard errors
+        data = tmp_path / "two.csv"
+        data.write_text("id,s1,s2,x1,y\nr0,0.1,0.2,0.5,3\nr1,0.7,0.4,1.5,8\n")
+        model = tmp_path / "gaussian.json"
+        model.write_text(json.dumps({"family": "gaussian-identity", "regressors": ["x1"]}))
+        rc = main(["fit", "--in", str(data), "--model", str(model),
+                   "--out", str(tmp_path / "fit.json")])
+        assert rc == 2
+        assert capsys.readouterr().err == ("smoothmask: computation failed: the report holds "
+                                           "a non-finite value (NaN or infinity)\n")
+        assert not (tmp_path / "fit.json").exists()
 
     def test_level_whose_quantile_is_infinite_exit_2(self, toy, tmp_path, capsys):
         # 0.5 * (1 + level) rounds to 1: the interval is infinite, not an error
@@ -552,20 +600,16 @@ class TestFlagErrors:
         ("risk", ["--coord-cols", "s1"], "--coord-cols must name exactly two columns"),
         ("mask", ["--grid-nx", "-2", "--grid-ny", "3"],
          "--grid-nx must be a finite number >= 0, got -2"),
-        ("mask", ["--grid-nx", "3", "--grid-ny", "3", "--sparsify", "0.5"],
-         "--sparsify cannot be used with two-step masking (--grid-nx/--grid-ny)"),
-        ("mask", ["--grid-nx", "3", "--grid-ny", "3", "--export-operator", "{dir}/op.csv",
-                  "--sparsify", "0.5"],
-         "--export-operator and --sparsify cannot be used with two-step masking"),
+        ("mask", ["--grid-nx", "3", "--grid-ny", "3", "--export-operator", "{dir}/op.csv"],
+         "--export-operator cannot be used with two-step masking (--grid-nx/--grid-ny)"),
         ("risk", ["--seed", "-1"], "--seed must be a non-negative integer, got -1"),
         ("risk", ["--scenario", "{dir}/negative_seed.json"],
          "negative_seed.json: seed must be a non-negative integer, got -1"),
         ("mask", ["--x-cols", "x1,x1"], "--x-cols: regressor column 'x1' is named twice"),
     ], ids=["beta_text", "beta_nan", "beta_too_long", "beta_from_list",
             "beta_from_text_coefficient", "level_2", "level_nan", "fit_one_coord",
-            "risk_one_coord", "grid_nx_negative", "two_step_sparsify",
-            "two_step_export_operator", "risk_seed_negative", "scenario_seed_negative",
-            "mask_x_cols_repeated"])
+            "risk_one_coord", "grid_nx_negative", "two_step_export_operator",
+            "risk_seed_negative", "scenario_seed_negative", "mask_x_cols_repeated"])
     def test_exit_1_one_line_no_output(self, toy, tmp_path, capsys, sub, flags, message):
         (tmp_path / "list.json").write_text("[1, 2]")
         (tmp_path / "text_coef.json").write_text(
@@ -802,7 +846,10 @@ class TestSimulateFailures:
         (lambda cfg: cfg.update(beta=float("nan")), "beta must be a finite number, got nan"),
         (lambda cfg: cfg.update(mu=[1]), "mu must be a number, got [1]"),
         (lambda cfg: cfg.update(beta="4"), "beta must be a number, got '4'"),
-    ], ids=["seed", "scenario_seed", "mu_infinite", "beta_nan", "mu_list", "beta_text"])
+        (lambda cfg: cfg.update(lambdas=[0.1, 0.1, 0.10000000000000001]),
+         "lambda 0.1 is listed twice in lambdas"),
+    ], ids=["seed", "scenario_seed", "mu_infinite", "beta_nan", "mu_list", "beta_text",
+            "lambda_repeated"])
     def test_bad_value_exit_1_naming_the_field(self, toy, tmp_path, capsys, monkeypatch,
                                                edit, message):
         monkeypatch.setattr(cli, "run_study", lambda cfg: pytest.fail("study ran"))

@@ -185,6 +185,12 @@ class TestAggregate:
         np.testing.assert_array_equal(agg.y, [10.0, 20.0, 30.0, 40.0])
         assert agg.ids == ("cell_0", "cell_1", "cell_2", "cell_3")
 
+    def test_count_weights_refused(self):
+        # a cell's n would be its record count and its x an unweighted mean
+        data = random_dataset(4, seed=3, with_counts=True)
+        with pytest.raises(ValueError, match="^cannot aggregate records that carry count weights$"):
+            aggregate(data, GridSpec(-1, 1, -1, 1, 1, 1))
+
     @settings(max_examples=100, deadline=None)
     @given(locs=symmetry_locs(), nx=st.integers(1, 5), ny=st.integers(1, 5), data=st.data())
     def test_property_permuted_records_give_the_same_cells(self, locs, nx, ny, data):

@@ -249,7 +249,6 @@ class TestRecordOrder:
     # Outside this domain the order matters today. At counts near 1e5-1e6 the
     # absolute score tolerance sits at the rounding floor, so the converged
     # flag follows last-bit rounding; from n = 3 to 5 records (p = 3) a
-    # saturated gaussian fit's standard errors are rounding noise and a
     # Poisson fit whose MLE does not exist stops at a rounding-dependent point.
     @settings(max_examples=300, deadline=None)
     @given(family=st.sampled_from(glm.FAMILIES), n=st.integers(6, 60),
@@ -288,6 +287,17 @@ class TestRecordOrder:
         if kind is True:
             np.testing.assert_allclose(fr_p.beta, fr.beta, rtol=1e-8)
             np.testing.assert_allclose(fr_p.se, fr.se, rtol=1e-8)
+
+    def test_saturated_gaussian_fit_has_nan_se_in_either_order(self):
+        # N = p leaves no residual degree of freedom to estimate the dispersion,
+        # so the deviance is rounding noise whichever order the records come in
+        model = ModelSpec("gaussian-identity", ("x1", "x2"))
+        x = np.array([[0.3, 1.0], [-1.2, 0.4], [0.8, 0.9]])
+        y = np.array([1.7, -0.4, 2.9])
+        for order in ([0, 1, 2], [2, 1, 0]):
+            fr = fit(model, x[order], y[order])
+            assert fr.converged and np.isfinite(fr.beta).all()
+            assert np.isnan(fr.se).all()
 
 
 def _lstsq_irls(model, x, y, trials=None, offset=None):

@@ -91,48 +91,29 @@ class TestBuildOperator:
                 assert np.abs(op.a.sum(axis=1) - 1.0).max() <= 1e-12
                 assert (op.a >= 0.0).all()
 
-    def test_sparsify_renormalizes(self):
-        rng = np.random.default_rng(19)
-        locs = rng.uniform(-1, 1, (30, 2))
-        op = build_operator(locs, EuclideanKernel(), 0.2, sparsify_threshold=0.05)
-        assert np.abs(op.a.sum(axis=1) - 1.0).max() <= 1e-12
-        dense = build_operator(locs, EuclideanKernel(), 0.2)
-        assert (op.a == 0.0).sum() > (dense.a == 0.0).sum()
-
-    @pytest.mark.parametrize("threshold", [-1.0, -1e-300, math.nan, math.inf, -math.inf])
-    def test_bad_sparsify_threshold_rejected_before_weights(self, threshold, monkeypatch):
-        def no_weights(*args):
-            raise AssertionError("weights built before the threshold was checked")
-
-        monkeypatch.setattr(EuclideanKernel, "weight_matrix", no_weights)
-        with pytest.raises(ValueError, match="sparsify_threshold must be a finite number >= 0"):
-            build_operator(np.zeros((3, 2)), EuclideanKernel(), 0.2, threshold)
-
     @pytest.mark.parametrize("kernel, far", [
         (RingKernel(), 1e308), (RingAngleKernel(), -1e308), (RingBlockKernel(), 1e308),
     ], ids=["ring", "ring_angle", "ring_block"])
-    @pytest.mark.parametrize("threshold", [0.0, 0.5])
-    def test_overflowing_distance_names_its_location(self, kernel, far, threshold):
+    def test_overflowing_distance_names_its_location(self, kernel, far):
         # the distance of location 2 to itself is inf - inf (or 0 * inf): NaN,
         # reported as such, with no RuntimeWarning and not as all-zero weights
         locs = np.array([[0.1, 0.2], [0.5, -0.3], [far, 0.4], [-0.2, 0.6]])
         with pytest.raises(ValueError, match="^the kernel distance overflows at location 2; "
                                              "rescale the locations$"):
-            build_operator(locs, kernel, 0.5, threshold)
+            build_operator(locs, kernel, 0.5)
 
     @pytest.mark.parametrize("kernel, far", [
         (BivariateNormalKernel(var1=1e-20, var2=1e-20, rho=0.0), 1e300),
         (BivariateNormalKernel(var1=1e-20, var2=1e-20, rho=0.5), -1e300),
     ], ids=["bivariate_normal", "bivariate_normal_rho"])
-    @pytest.mark.parametrize("threshold", [0.0, 0.5])
-    def test_overflowing_whitening_gives_the_identity(self, kernel, far, threshold):
+    def test_overflowing_whitening_gives_the_identity(self, kernel, far):
         # location 2's whitened coordinates overflow; like the finite ones at
         # these variances it keeps weight 1 on itself and 0 on every other one
         locs = np.array([[0.1, 0.2], [0.5, -0.3], [far, 0.4], [-0.2, 0.6]])
         data = SpatialDataset(ids=("a", "b", "c", "d"), locs=locs, x_names=("x1",),
                               x=np.array([[0.5], [1.5], [1.0], [0.2]]),
                               y=np.array([3.0, 8.0, 5.0, 1.0]))
-        op = build_operator(locs, kernel, 0.5, threshold)
+        op = build_operator(locs, kernel, 0.5)
         assert np.array_equal(op.a, np.eye(4))
         masked = op.apply(data)
         assert np.array_equal(masked.x, data.x) and np.array_equal(masked.y, data.y)

@@ -229,6 +229,11 @@ class TestSimConfigValidation:
         with pytest.raises(ValueError, match="positive"):
             small_config(lambdas=(0.0, 0.1))
 
+    def test_repeated_lambda_rejected(self):
+        # 0.10000000000000001 is the same float as 0.1
+        with pytest.raises(ValueError, match="^lambda 0.1 is listed twice in lambdas$"):
+            small_config(lambdas=(0.1, 0.5, 0.10000000000000001))
+
     def test_reserved_kernel_names(self):
         with pytest.raises(ValueError, match="reserved"):
             small_config(kernels=((UNMASKED, EuclideanKernel()),))
