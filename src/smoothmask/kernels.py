@@ -14,6 +14,7 @@ other decay shapes; the masking operator only requires a weight matrix.
 from __future__ import annotations
 
 import math
+import numbers
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
 
@@ -43,6 +44,16 @@ class PointSource:
         object.__setattr__(self, "direction", (d1, d2))
 
 
+def _check_finite(obj, *names: str, positive: bool = False) -> None:
+    """Raise ValueError naming the first field of obj in names that is not finite
+    (with positive, not positive and finite)."""
+    for name in names:
+        value = getattr(obj, name)
+        if not (math.isfinite(value) and (value > 0 or not positive)):
+            domain = "positive and finite" if positive else "finite"
+            raise ValueError(f"{name} must be {domain}, got {value!r}")
+
+
 @dataclass(frozen=True)
 class BlockRegion:
     """Unblocked-area predicate: s_x <= threshold_x or cos(angle from +x axis) <= threshold_cos."""
@@ -50,6 +61,9 @@ class BlockRegion:
     threshold_x: float = 0.4
     threshold_cos: float = 0.625
     source: PointSource = PointSource()
+
+    def __post_init__(self) -> None:
+        _check_finite(self, "threshold_x", "threshold_cos")
 
 
 def _radius_sq(locs: np.ndarray, source: PointSource) -> np.ndarray:
@@ -88,10 +102,9 @@ class KernelFamily(ABC):
 
     @abstractmethod
     def weight_matrix(self, locs: np.ndarray, lam: float) -> np.ndarray:
-        """(n, n) matrix of W_lambda(locs[i], locs[j]); lam = 0 means the limit weights.
-
-        Returns a new array that the caller may modify in place.
-        """
+        """(n, n) matrix of W_lambda(locs[i], locs[j]) at a float lam >= 0 that
+        build_operator has checked (0 means the limit weights). Returns a new array
+        that the caller may modify in place."""
 
 
 # Element budget of one row block in weight_matrix and in risk scoring: 2**15
@@ -181,24 +194,29 @@ class ExponentialDecayKernel(KernelFamily):
     def weight_matrix(self, locs: np.ndarray, lam: float) -> np.ndarray:
         """exp(-d / lam) over all pairs, each pair evaluated once.
 
-        The features and labels are computed once. Row block [s, e) of about
-        _BLOCK_ELEMS entries copies the weights left of its diagonal block,
-        w[s:e, :s], transposed from the rows above it, then computes the
-        distances from locs[s:e] to locs[s:] only and writes their weights into
-        w[s:e, s:]. Copying into the block's own rows, which exp writes next,
-        keeps the writes contiguous and in cache. The elementwise arithmetic is
-        that of the full square form (d / -lam is -d / lam exactly), and the
-        distances are exactly symmetric, so every weight is bit-identical to it.
+        The features and labels are computed once; a location with a non-finite
+        feature is refused at every lam, as its self-distance would be NaN, so
+        every self-weight is 1 and an overflowing distance, inf, weighs 0. Row
+        block [s, e) of about _BLOCK_ELEMS entries copies the weights left of its
+        diagonal block, w[s:e, :s], transposed from the rows above it, then
+        computes the distances from locs[s:e] to locs[s:] only and writes their
+        weights into w[s:e, s:]. Copying into the block's own rows, which exp
+        writes next, keeps the writes contiguous and in cache. The elementwise
+        arithmetic is that of the full square form (d / -lam is -d / lam
+        exactly), and the distances are exactly symmetric, so every weight is
+        bit-identical to it.
         """
-        _check_lambda(lam)
+        lam = _check_lambda(lam)
         locs = coords_array(locs)
         n = len(locs)
         w = np.empty((n, n))
         rows = max(1, _BLOCK_ELEMS // max(n, 1))
-        # a feature or distance that overflows is inf, whose weight is 0; inf - inf
-        # or 0 * inf is NaN, which build_operator reports
         with np.errstate(over="ignore", invalid="ignore"):
             feats, labels = self.features(locs), self.labels(locs)
+            far = ~np.isfinite(feats).all(axis=0)
+            if far.any():
+                raise ValueError(f"the kernel distance overflows at location {int(far.argmax())}; "
+                                 "rescale the locations")
             for s in range(0, n, rows):
                 e = min(s + rows, n)
                 w[s:e, :s] = w[:s, s:e].T
@@ -212,9 +230,11 @@ class ExponentialDecayKernel(KernelFamily):
         return w
 
 
-def _check_lambda(lam: float) -> None:
-    if not (isinstance(lam, (int, float)) and math.isfinite(lam) and lam >= 0):
+def _check_lambda(lam) -> float:
+    """lam as a float if it is a finite real >= 0: numpy scalars are, bools are not."""
+    if not (isinstance(lam, numbers.Real) and not isinstance(lam, bool) and 0 <= lam < math.inf):
         raise ValueError(f"smoothness parameter must be a finite real >= 0, got {lam!r}")
+    return float(lam)
 
 
 @dataclass(frozen=True)

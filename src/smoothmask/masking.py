@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dataset import GridSpec, SpatialDataset, _readonly, aggregate, coords_array
-from .kernels import KernelFamily
+from .kernels import KernelFamily, _check_lambda
 
 
 @dataclass(frozen=True)
@@ -46,18 +46,15 @@ class MaskingOperator:
 def build_operator(locs, kernel: KernelFamily, lam: float) -> MaskingOperator:
     """Normalize kernel weights over the given locations into a row-stochastic matrix.
 
-    The self-weight is included in each row's normalizing sum. The operator is
-    the exact dense n x n matrix: 8 n**2 bytes.
+    lam is checked by kernels._check_lambda before the kernel is called. The
+    self-weight is included in each row's normalizing sum, which must be
+    positive. The operator is the exact dense n x n matrix: 8 n**2 bytes.
     """
     locs = coords_array(locs)
-    w = kernel.weight_matrix(locs, lam)
+    w = kernel.weight_matrix(locs, _check_lambda(lam))
     sums = w.sum(axis=1)
     dead = ~(sums > 0)
     if dead.any():
-        bad = np.isnan(w.diagonal())   # a location's distance to itself overflows
-        if bad.any():
-            raise ValueError(f"the kernel distance overflows at location {int(bad.argmax())}; "
-                             "rescale the locations")
         raise ValueError(f"row {int(np.argmax(dead))} has all-zero weights; cannot normalize")
     w /= sums[:, None]
     return MaskingOperator(a=w, locs=locs)

@@ -19,6 +19,8 @@ from .kernels import (
     BlockRegion,
     KernelFamily,
     PointSource,
+    _check_finite,
+    _check_lambda,
     _direction_cosines,
     _radius_sq,
     _unblocked_mask,
@@ -49,6 +51,10 @@ class RadialExposure:
     amplitude: float = 7.0
     scale: float = 2.5
 
+    def __post_init__(self) -> None:
+        _check_finite(self, "amplitude")
+        _check_finite(self, "scale", positive=True)
+
     def values(self, locs: np.ndarray) -> np.ndarray:
         return self.amplitude * np.exp(-_radius_sq(locs, self.source) / self.scale)
 
@@ -61,6 +67,10 @@ class DirectionalExposure:
     amplitude: float = 7.0
     radial_scale: float = 6.0
     direction_scale: float = 3.0
+
+    def __post_init__(self) -> None:
+        _check_finite(self, "amplitude")
+        _check_finite(self, "radial_scale", "direction_scale", positive=True)
 
     def values(self, locs: np.ndarray) -> np.ndarray:
         r = _radius_sq(locs, self.source)
@@ -75,6 +85,10 @@ class BlockedExposure:
     region: BlockRegion = BlockRegion()
     amplitude: float = 7.0
     scale: float = 2.5
+
+    def __post_init__(self) -> None:
+        _check_finite(self, "amplitude")
+        _check_finite(self, "scale", positive=True)
 
     def values(self, locs: np.ndarray) -> np.ndarray:
         base = self.amplitude * np.exp(-_radius_sq(locs, self.region.source) / self.scale)
@@ -141,13 +155,6 @@ def _study_ids(n: int) -> tuple[str, ...]:
     return tuple(f"p{i:06d}" for i in range(n))
 
 
-def _is_study_id(record_id: str, n: int) -> bool:
-    """Whether record_id is in _study_ids(n), decided without building the n ids."""
-    digits = record_id[1:]
-    return (record_id[:1] == "p" and digits.isdecimal() and len(digits) < 20
-            and record_id == f"p{int(digits):06d}" and int(digits) < n)
-
-
 @dataclass(frozen=True)
 class SimConfig:
     """Full specification of one replicated masking study."""
@@ -167,7 +174,10 @@ class SimConfig:
     ci_level: float = 0.95
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "lambdas", tuple(float(v) for v in self.lambdas))
+        try:
+            object.__setattr__(self, "lambdas", tuple(map(_check_lambda, self.lambdas)))
+        except ValueError as err:
+            raise ValueError(f"lambdas: {err}") from None
         object.__setattr__(self, "kernels", tuple((str(k), v) for k, v in self.kernels))
         for name in ("mu", "beta"):
             if not math.isfinite(getattr(self, name)):
@@ -198,9 +208,8 @@ class SimConfig:
             raise ValueError(f"kernel names {UNMASKED!r}/{AGGREGATED!r} are reserved")
         if self.scenario is not None:
             # checked here, before any fit, against the release run_study makes
-            released = [t for t in self.scenario.target_ids or ()
-                        if _is_study_id(t, self.n_locations)]
-            check_scenario_fits(self.scenario, _STUDY_X_NAMES, released)
+            ids = () if self.scenario.target_ids is None else _study_ids(self.n_locations)
+            check_scenario_fits(self.scenario, _STUDY_X_NAMES, ids)
 
     def grid(self) -> GridSpec:
         xmin, xmax, ymin, ymax = self.bounds

@@ -22,8 +22,6 @@ class PolynomialDecayKernel(KernelFamily):
         self.scale = scale
 
     def weight_matrix(self, locs: np.ndarray, lam: float) -> np.ndarray:
-        if lam < 0:
-            raise ValueError("smoothness must be >= 0")
         d = locs[:, None, :] - locs[None, :, :]
         dist = (d[..., 0] ** 2 + d[..., 1] ** 2) / self.scale
         if lam == 0.0:

@@ -848,8 +848,30 @@ class TestSimulateFailures:
         (lambda cfg: cfg.update(beta="4"), "beta must be a number, got '4'"),
         (lambda cfg: cfg.update(lambdas=[0.1, 0.1, 0.10000000000000001]),
          "lambda 0.1 is listed twice in lambdas"),
+        (lambda cfg: cfg.update(lambdas=[0.1, float("nan")]),
+         "lambdas: smoothness parameter must be a finite real >= 0, got nan"),
+        (lambda cfg: cfg.update(lambdas=[float("inf")]),
+         "lambdas: smoothness parameter must be a finite real >= 0, got inf"),
+        # each exposure and region field, checked when the config is read
+        (lambda cfg: cfg.update(field={"type": "radial", "amplitude": float("inf")}),
+         "amplitude must be finite, got inf"),
+        (lambda cfg: cfg.update(field={"type": "radial", "scale": 0}),
+         "scale must be positive and finite, got 0.0"),
+        (lambda cfg: cfg.update(field={"type": "blocked", "scale": float("nan")}),
+         "scale must be positive and finite, got nan"),
+        (lambda cfg: cfg.update(field={"type": "directional", "radial_scale": -6}),
+         "radial_scale must be positive and finite, got -6.0"),
+        (lambda cfg: cfg.update(field={"type": "directional", "direction_scale": float("inf")}),
+         "direction_scale must be positive and finite, got inf"),
+        (lambda cfg: cfg.update(field={"type": "blocked", "region": {"threshold_x": float("nan")}}),
+         "threshold_x must be finite, got nan"),
+        (lambda cfg: cfg["kernels"].update(
+            block={"family": "ring_block", "params": {"region": {"threshold_cos": float("-inf")}}}),
+         "threshold_cos must be finite, got -inf"),
     ], ids=["seed", "scenario_seed", "mu_infinite", "beta_nan", "mu_list", "beta_text",
-            "lambda_repeated"])
+            "lambda_repeated", "lambda_nan", "lambda_inf", "radial_amplitude", "radial_scale",
+            "blocked_scale", "directional_radial_scale", "directional_direction_scale",
+            "field_threshold_x", "kernel_threshold_cos"])
     def test_bad_value_exit_1_naming_the_field(self, toy, tmp_path, capsys, monkeypatch,
                                                edit, message):
         monkeypatch.setattr(cli, "run_study", lambda cfg: pytest.fail("study ran"))

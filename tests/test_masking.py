@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -28,7 +29,7 @@ from smoothmask.masking import (
     operator_to_csv,
 )
 
-from conftest import random_dataset
+from conftest import PolynomialDecayKernel, random_dataset
 
 ALL_KERNELS = (
     EuclideanKernel(),
@@ -91,16 +92,18 @@ class TestBuildOperator:
                 assert np.abs(op.a.sum(axis=1) - 1.0).max() <= 1e-12
                 assert (op.a >= 0.0).all()
 
+    @pytest.mark.parametrize("lam", [0.0, 0.5])
     @pytest.mark.parametrize("kernel, far", [
         (RingKernel(), 1e308), (RingAngleKernel(), -1e308), (RingBlockKernel(), 1e308),
     ], ids=["ring", "ring_angle", "ring_block"])
-    def test_overflowing_distance_names_its_location(self, kernel, far):
-        # the distance of location 2 to itself is inf - inf (or 0 * inf): NaN,
-        # reported as such, with no RuntimeWarning and not as all-zero weights
+    def test_overflowing_distance_names_its_location(self, kernel, far, lam):
+        # r^2 of location 2 overflows, so its distance to itself would be
+        # inf - inf: refused as such at every lam, with no RuntimeWarning and
+        # not as all-zero weights
         locs = np.array([[0.1, 0.2], [0.5, -0.3], [far, 0.4], [-0.2, 0.6]])
         with pytest.raises(ValueError, match="^the kernel distance overflows at location 2; "
                                              "rescale the locations$"):
-            build_operator(locs, kernel, 0.5)
+            build_operator(locs, kernel, lam)
 
     @pytest.mark.parametrize("kernel, far", [
         (BivariateNormalKernel(var1=1e-20, var2=1e-20, rho=0.0), 1e300),
@@ -152,6 +155,42 @@ class TestBuildOperator:
             assert np.array_equal(a, ties / ties.sum(axis=1, keepdims=True))
             if not ties[~np.eye(n, dtype=bool)].any():
                 assert np.array_equal(a, np.eye(n))
+
+
+class TestLambdaContract:
+    """build_operator checks lam by one rule before it calls any kernel."""
+
+    KERNELS = (RingAngleKernel(), PolynomialDecayKernel(scale=0.01))
+
+    @pytest.mark.parametrize("kernel", KERNELS, ids=lambda k: type(k).__name__)
+    @pytest.mark.parametrize("lam", [math.nan, math.inf, -math.inf, -1.0, True],
+                             ids=["nan", "inf", "-inf", "negative", "bool"])
+    def test_refused_with_the_one_message(self, kernel, lam, monkeypatch):
+        locs = np.random.default_rng(5).uniform(-1, 1, (6, 2))
+        monkeypatch.setattr(type(kernel), "weight_matrix",
+                            lambda *args: pytest.fail("the kernel was called"))
+        message = re.escape(f"smoothness parameter must be a finite real >= 0, got {lam!r}")
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            build_operator(locs, kernel, lam)
+        monkeypatch.undo()
+        if isinstance(kernel, RingAngleKernel):   # the public engine applies the same rule
+            with pytest.raises(ValueError, match=f"^{message}$"):
+                kernel.weight_matrix(locs, lam)
+
+    @pytest.mark.parametrize("kernel", KERNELS, ids=lambda k: type(k).__name__)
+    @pytest.mark.parametrize("lam", [np.float32(0.5), np.int64(1)], ids=["float32", "int64"])
+    def test_numpy_scalars_weigh_as_their_float(self, kernel, lam, monkeypatch):
+        locs = np.random.default_rng(5).uniform(-1, 1, (6, 2))
+        if isinstance(kernel, RingAngleKernel):
+            assert np.array_equal(kernel.weight_matrix(locs, lam),
+                                  kernel.weight_matrix(locs, float(lam)))
+        want = build_operator(locs, kernel, float(lam)).a
+        seen = []
+        weight_matrix = type(kernel).weight_matrix
+        monkeypatch.setattr(type(kernel), "weight_matrix",
+                            lambda self, locs, lam: seen.append(lam) or weight_matrix(self, locs, lam))
+        assert np.array_equal(build_operator(locs, kernel, lam).a, want)
+        assert seen == [float(lam)] and type(seen[0]) is float   # every kernel is given a float
 
 
 def unblocked_operator(kernel, locs, lam):
