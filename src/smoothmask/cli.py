@@ -55,20 +55,36 @@ class UsageError(Exception):
 _Outputs = dict[Path, str | Callable[[Path], None]]
 
 
+def _tmp_sibling(path: Path) -> Path:
+    """Where an output is written before it is renamed to its path."""
+    return path.with_name(path.name + ".tmp")
+
+
+def _exists(path: Path) -> bool:
+    """Whether path exists. Any error but its absence, such as a name too long to
+    look up, raises, where Path.exists may answer False."""
+    try:
+        path.stat()
+    except (FileNotFoundError, NotADirectoryError):
+        return False
+    return True
+
+
 def _write_outputs(outputs: _Outputs) -> None:
     """Write each output to a temporary sibling, then rename them all: a failed
     write leaves neither a partial file nor only some of the outputs."""
     tmps = []
     try:
         for path, content in outputs.items():
-            tmps.append(path.with_name(path.name + ".tmp"))
+            tmps.append(_tmp_sibling(path))
             if isinstance(content, str):
                 tmps[-1].write_text(content, encoding="utf-8")
             else:
                 content(tmps[-1])
     except OSError as err:
         for tmp in tmps:
-            tmp.unlink(missing_ok=True)
+            with suppress(OSError):   # one never made, or a name too long to make
+                tmp.unlink()
         raise UsageError(f"cannot write {path}: {err.strerror}") from None
     for tmp, path in zip(tmps, outputs):
         tmp.replace(path)
@@ -77,10 +93,14 @@ def _write_outputs(outputs: _Outputs) -> None:
 def _output_path(flag: str, value: str) -> Path:
     """An output file path, checked before any computation."""
     path = Path(value)
-    if not path.parent.is_dir():
-        raise UsageError(f"{flag} {value}: {path.parent} is not a directory")
-    if path.is_dir():
-        raise UsageError(f"{flag} {value} is a directory")
+    try:
+        if not path.parent.is_dir():
+            raise UsageError(f"{flag} {value}: {path.parent} is not a directory")
+        if path.is_dir():
+            raise UsageError(f"{flag} {value} is a directory")
+        _exists(_tmp_sibling(path))   # raises if its name is too long to write
+    except OSError as err:
+        raise UsageError(f"{flag} {value}: {err.strerror}") from None
     return path
 
 
@@ -360,7 +380,10 @@ def _cmd_simulate(args) -> _Outputs:
         cfg = replace(cfg, seed=seed)
     out_dir = Path(args.out)
     # checked before the study runs: mkdir would fail only after it
-    existing = next(p for p in (out_dir, *out_dir.parents) if p.exists())
+    try:
+        existing = next(p for p in (out_dir, *out_dir.parents) if _exists(p))
+    except OSError as err:
+        raise UsageError(f"--out {args.out}: {err.strerror}") from None
     if not existing.is_dir():
         raise UsageError(f"--out {args.out}: {existing} is not a directory")
     result = run_study(cfg)
@@ -399,7 +422,7 @@ def _cmd_profile(args) -> _Outputs:
     if missing:
         raise UsageError(f"study table lacks column(s) {missing}")
     profile = [sim.ProfileRow(kernel=r["kernel"], lam=r["lam"], mse=r["mse"], risk=r["risk"])
-               for r in rows if r["kernel"] not in (sim.UNMASKED, sim.AGGREGATED)]
+               for r in rows if r["kernel"] not in sim.BASELINES]
     return {out: profile_csv_text(profile)}
 
 
@@ -428,7 +451,7 @@ def _cmd_plot(args) -> _Outputs:
     base: dict[str, float] = {}
     points: dict[str, list[tuple[float, float]]] = {}
     for r in rows:
-        if r["kernel"] in (sim.UNMASKED, sim.AGGREGATED):
+        if r["kernel"] in sim.BASELINES:
             if r[y] is not None:
                 base.setdefault(r["kernel"], r[y])
             continue

@@ -351,6 +351,12 @@ class GridSpec:
         return np.column_stack([self.xmin + (ix + 0.5) * dx, self.ymin + (iy + 0.5) * dy])
 
 
+def _grid_cells(locs, grid: GridSpec) -> tuple[np.ndarray, np.ndarray]:
+    """The row-major indices of the occupied cells, ascending, and the position of
+    each location's cell among them: the compact cell index aggregate sums over."""
+    return np.unique(grid.cell_indices(locs), return_inverse=True)
+
+
 def aggregate(data: SpatialDataset, grid: GridSpec) -> SpatialDataset:
     """The cell-level dataset of the records grouped into grid cells.
 
@@ -363,7 +369,7 @@ def aggregate(data: SpatialDataset, grid: GridSpec) -> SpatialDataset:
     """
     if data.n is not None:
         raise ValueError("cannot aggregate records that carry count weights")
-    occupied, cell = np.unique(grid.cell_indices(data.locs), return_inverse=True)
+    occupied, cell = _grid_cells(data.locs, grid)
     counts = np.bincount(cell).astype(float)
     x_sum = np.empty((len(occupied), data.n_regressors))
     for k in range(data.n_regressors):

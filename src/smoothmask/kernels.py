@@ -16,6 +16,7 @@ from __future__ import annotations
 import math
 import numbers
 from abc import ABC, abstractmethod
+from contextlib import suppress
 from dataclasses import dataclass
 
 import numpy as np
@@ -231,10 +232,12 @@ class ExponentialDecayKernel(KernelFamily):
 
 
 def _check_lambda(lam) -> float:
-    """lam as a float if it is a finite real >= 0: numpy scalars are, bools are not."""
-    if not (isinstance(lam, numbers.Real) and not isinstance(lam, bool) and 0 <= lam < math.inf):
-        raise ValueError(f"smoothness parameter must be a finite real >= 0, got {lam!r}")
-    return float(lam)
+    """lam as a float if it is a finite real >= 0 that a float holds: numpy
+    scalars are, bools are not, and neither is an int like 10**400."""
+    if isinstance(lam, numbers.Real) and not isinstance(lam, bool) and 0 <= lam < math.inf:
+        with suppress(OverflowError):
+            return float(lam)
+    raise ValueError(f"smoothness parameter must be a finite real >= 0, got {lam!r}")
 
 
 @dataclass(frozen=True)

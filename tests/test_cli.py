@@ -664,6 +664,11 @@ class TestConfigValues:
          "bounds must be finite, got [0.0, inf, 0.0, 1.0]"),
         (lambda cfg: cfg.update(grid={"nx": 0, "ny": 3}),
          "grid must have at least one cell per axis"),
+        (lambda cfg: cfg.update(grid={"nx": 1, "ny": 1}),
+         "grid must have at least 2 cells, got nx=1, ny=1: the aggregated model fits an "
+         "intercept and a slope"),
+        (lambda cfg: cfg.update(n_locations=1),
+         "n_locations must be at least 2, got 1: the model fits an intercept and a slope"),
         (lambda cfg: cfg["scenario"].update(standardize="false"),
          "standardize must be true or false, got 'false'"),
         (lambda cfg: cfg["scenario"].update(ap_columns="x"),
@@ -671,8 +676,8 @@ class TestConfigValues:
         (lambda cfg: cfg["scenario"].update(target_ids="p000001"),
          "target_ids must be a list of names, got 'p000001'"),
     ], ids=["field_loc_three_numbers", "bounds_three_numbers", "bounds_reversed",
-            "bounds_infinite", "grid_nx_zero", "standardize_string", "ap_columns_string",
-            "target_ids_string"])
+            "bounds_infinite", "grid_nx_zero", "grid_one_cell", "one_location",
+            "standardize_string", "ap_columns_string", "target_ids_string"])
     def test_study_config(self, toy, tmp_path, capsys, monkeypatch, edit, message):
         monkeypatch.setattr(cli, "run_study", lambda cfg: pytest.fail("study ran"))
         cfg = json.loads(toy["sim"].read_text())
@@ -736,6 +741,49 @@ class TestOutputCheckedFirst:
             f"smoothmask: --out {out}: {tmp_path / 'nodir'} is not a directory\n")
         assert not out.exists()
         assert not list(tmp_path.rglob("*.tmp"))
+
+    # a name longer than the limit, and names within it whose .tmp sibling is not
+    @pytest.mark.parametrize("excess", [45, 0, -3],
+                             ids=["name_over_max", "name_at_max", "name_under_max"])
+    def test_overlong_out_name_exit_1(self, toy, tmp_path, capsys, monkeypatch, excess):
+        monkeypatch.setattr("smoothmask.cli.fit", lambda *a, **k: pytest.fail("fit computed"))
+        before = sorted(tmp_path.iterdir())
+        out = tmp_path / ("f" * (os.pathconf(tmp_path, "PC_NAME_MAX") + excess))
+        rc = main(["fit", "--in", str(toy["data"]), "--model", str(toy["model"]),
+                   "--out", str(out)])
+        assert rc == 1
+        assert capsys.readouterr().err == f"smoothmask: --out {out}: File name too long\n"
+        assert sorted(tmp_path.iterdir()) == before
+
+    def test_overlong_simulate_out_exit_1(self, toy, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "run_study", lambda cfg: pytest.fail("study ran"))
+        before = sorted(tmp_path.iterdir())
+        out = tmp_path / ("d" * (os.pathconf(tmp_path, "PC_NAME_MAX") + 45)) / "x"
+        rc = main(["simulate", "--config", str(toy["sim"]), "--out", str(out)])
+        assert rc == 1
+        assert capsys.readouterr().err == f"smoothmask: --out {out}: File name too long\n"
+        assert sorted(tmp_path.iterdir()) == before
+
+    def test_overlong_out_name_exit_1_where_path_probes_answer_false(self, toy, tmp_path,
+                                                                     capsys, monkeypatch):
+        # as on a Python whose Path.exists and Path.is_dir answer False to any OSError
+        monkeypatch.setattr(Path, "exists", lambda self: os.path.exists(self))
+        monkeypatch.setattr(Path, "is_dir", lambda self: os.path.isdir(self))
+        monkeypatch.setattr("smoothmask.cli.fit", lambda *a, **k: pytest.fail("fit computed"))
+        monkeypatch.setattr(cli, "run_study", lambda cfg: pytest.fail("study ran"))
+        name = "f" * (os.pathconf(tmp_path, "PC_NAME_MAX") + 45)
+        for args, out in [(["fit", "--in", str(toy["data"]), "--model", str(toy["model"])],
+                           tmp_path / name),
+                          (["simulate", "--config", str(toy["sim"])], tmp_path / name / "x")]:
+            assert main([*args, "--out", str(out)]) == 1
+            assert capsys.readouterr().err == f"smoothmask: --out {out}: File name too long\n"
+
+    def test_unwritable_temporary_is_a_usage_error(self, tmp_path):
+        # the cleanup of a temporary that could never be made does not raise
+        out = tmp_path / ("f" * (os.pathconf(tmp_path, "PC_NAME_MAX") - 3))
+        with pytest.raises(cli.UsageError, match="^cannot write .*: File name too long$"):
+            cli._write_outputs({out: "text"})
+        assert not list(tmp_path.iterdir())
 
 
 def _slow_modules_after(code: str) -> str:

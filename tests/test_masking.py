@@ -5,6 +5,7 @@ from __future__ import annotations
 import math
 import re
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -28,6 +29,7 @@ from smoothmask.masking import (
     mask_dataset,
     operator_to_csv,
 )
+from smoothmask.sim import RadialExposure, SimConfig
 
 from conftest import PolynomialDecayKernel, random_dataset
 
@@ -163,8 +165,10 @@ class TestLambdaContract:
     KERNELS = (RingAngleKernel(), PolynomialDecayKernel(scale=0.01))
 
     @pytest.mark.parametrize("kernel", KERNELS, ids=lambda k: type(k).__name__)
-    @pytest.mark.parametrize("lam", [math.nan, math.inf, -math.inf, -1.0, True],
-                             ids=["nan", "inf", "-inf", "negative", "bool"])
+    @pytest.mark.parametrize("lam", [math.nan, math.inf, -math.inf, -1.0, True, 10**400,
+                                     Fraction(10**400, 3)],
+                             ids=["nan", "inf", "-inf", "negative", "bool", "int_overflow",
+                                  "fraction_overflow"])
     def test_refused_with_the_one_message(self, kernel, lam, monkeypatch):
         locs = np.random.default_rng(5).uniform(-1, 1, (6, 2))
         monkeypatch.setattr(type(kernel), "weight_matrix",
@@ -191,6 +195,13 @@ class TestLambdaContract:
                             lambda self, locs, lam: seen.append(lam) or weight_matrix(self, locs, lam))
         assert np.array_equal(build_operator(locs, kernel, lam).a, want)
         assert seen == [float(lam)] and type(seen[0]) is float   # every kernel is given a float
+
+    def test_study_lambda_beyond_the_float_range_names_the_field(self):
+        message = re.escape(f"lambdas: smoothness parameter must be a finite real >= 0, "
+                            f"got {10**400!r}")
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            SimConfig(field=RadialExposure(), kernels=(("ring", RingKernel()),), mu=-25.0,
+                      beta=4.0, lambdas=(10**400,))
 
 
 def unblocked_operator(kernel, locs, lam):

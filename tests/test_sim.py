@@ -5,13 +5,14 @@ from __future__ import annotations
 import gc
 import math
 import weakref
+from dataclasses import astuple
 
 import numpy as np
 import pytest
 
 import smoothmask
 from smoothmask import glm, sim
-from smoothmask.dataset import Location
+from smoothmask.dataset import Location, SpatialDataset, aggregate
 from smoothmask.kernels import BlockRegion, EuclideanKernel, PointSource, RingKernel
 from smoothmask.masking import build_operator
 from smoothmask.risk import IntruderScenario, expected_correct_rate
@@ -302,3 +303,58 @@ class TestStreamedCells:
         monkeypatch.setattr(sim, "expected_correct_rate", spy)
         run_study(cfg)
         assert seen == [("p000000", "p000003")] * (1 + 2)
+
+
+def _study_data(cfg: SimConfig) -> tuple[SpatialDataset, list[np.ndarray]]:
+    """The unmasked first-replicate release and every replicate's outcomes, drawn
+    as run_study draws them."""
+    locs = sample_locations(cfg.n_locations, [cfg.seed, 0], cfg.bounds)
+    x = cfg.field.values(locs)
+    ys = [simulate_outcomes(x, cfg.mu, cfg.beta, seed=[cfg.seed, 1, r])
+          for r in range(cfg.replicates)]
+    truth = SpatialDataset(ids=sim._study_ids(cfg.n_locations), locs=locs, x=x[:, None],
+                           y=ys[0], x_names=("x",))
+    return truth, ys
+
+
+class TestReleases:
+    """Each row is scored on the release the package makes of the study data."""
+
+    @pytest.mark.parametrize("overrides", [
+        {},
+        dict(field=DirectionalExposure(), mu=-36.0, grid_nx=3, grid_ny=4, lambdas=(0.3,),
+             replicates=30, scenario=None),
+    ], ids=["radial_7x7", "directional_3x4"])
+    def test_aggregated_row_is_the_row_of_aggregating_each_replicate(self, overrides):
+        cfg = small_config(**overrides)
+        truth, ys = _study_data(cfg)
+        model = glm.ModelSpec(family="poisson-log", regressors=("x",), intercept=True)
+        fits = []
+        for y in ys:
+            agg = aggregate(truth.replace_values(y=y), cfg.grid())
+            fits.append(glm.fit(model, agg.x, agg.y, offset=np.log(agg.n)))
+        want = sim._study_row(AGGREGATED, None, None, fits, cfg.beta,
+                              glm._critical_value(cfg.ci_level), 0.5 * (1.0 - cfg.ci_level))
+        got = run_study(cfg).row(AGGREGATED)
+        # repr round-trips a float, so equal reprs are equal bits
+        assert list(map(repr, astuple(got))) == list(map(repr, astuple(want)))
+
+    def test_aggregate_runs_once_per_study(self, monkeypatch):
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return aggregate(*args)
+
+        monkeypatch.setattr(sim, "aggregate", counted)
+        run_study(small_config(replicates=5, lambdas=(0.3,)))
+        assert len(calls) == 1
+
+    def test_cell_risk_is_the_risk_of_the_operators_release(self, study):
+        cfg = small_config()
+        truth, _ = _study_data(cfg)
+        for name, kernel in cfg.kernels:
+            for lam in cfg.lambdas:
+                released = build_operator(truth.locs, kernel, lam).apply(truth)
+                want = expected_correct_rate(released, truth, cfg.scenario)
+                assert study.row(name, lam).risk == want, (name, lam)
